@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from pathlib import Path
@@ -19,22 +20,12 @@ from typing import Optional
 from .errors import BudgetExceeded
 from .fields import is_prime
 from .mold import MoldLabel
+from .words import GROUP, MONOID
 
-__version__ = "0.1.0"
+# Cache files written under another schema are recomputed, not read.
+CACHE_SCHEMA = "0.1.0"
 
 DEFAULT_BUDGET = 10_000_000
-
-MONOID = "monoid"
-GROUP = "group"
-
-_LABEL_ORDER = (
-    MoldLabel.AIR,
-    MoldLabel.BOREL,
-    MoldLabel.SEMISIMPLE,
-    MoldLabel.UNIPOTENT,
-    MoldLabel.UNIPOTENT_F2,
-    MoldLabel.SCALAR,
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,12 +54,18 @@ class StratumCounts:
     orbit_size_counts: Optional[dict[MoldLabel, dict[int, int]]] = None
 
     def points_by_value(self) -> dict[str, int]:
-        return {label.value: self.points[label] for label in _LABEL_ORDER}
+        return {label.value: self.points[label] for label in MoldLabel}
 
     def orbits_by_value(self) -> Optional[dict[str, int]]:
         if self.orbits is None:
             return None
-        return {label.value: self.orbits[label] for label in _LABEL_ORDER}
+        return {label.value: self.orbits[label] for label in MoldLabel}
+
+    def orbit_sizes_by_value(self) -> Optional[dict[str, dict[str, int]]]:
+        if self.orbit_size_counts is None:
+            return None
+        return {label.value: {str(s): c for s, c in sorted(self.orbit_size_counts[label].items())}
+                for label in MoldLabel}
 
 
 class FieldTables:
@@ -77,13 +74,8 @@ class FieldTables:
     def __init__(self, p: int):
         self.p = p
         self.n = p**4
-        entries = []
-        for a in range(p):
-            for b in range(p):
-                for c in range(p):
-                    for d in range(p):
-                        entries.append((a, b, c, d))
-        self.entries = entries
+        # Lexicographic, so entries[i] unpacks index i.
+        self.entries = entries = list(product(range(p), repeat=4))
         self.tr = [(a + d) % p for (a, b, c, d) in entries]
         self.det = [(a * d - b * c) % p for (a, b, c, d) in entries]
         self.m = [(self.tr[i] ** 2 - 4 * self.det[i]) % p for i in range(self.n)]
@@ -214,9 +206,8 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
         return _counts_from_payload(key, cached)
     _check_budget(key, budget)
     T = field_tables(key.q)
-    counts = {label: 0 for label in _LABEL_ORDER}
-    idx_range = _matrix_indices(T, key.mode)
-    for idxs in product(idx_range, repeat=key.m):
+    counts = {label: 0 for label in MoldLabel}
+    for idxs in product(_matrix_indices(T, key.mode), repeat=key.m):
         counts[classify_packed(T, idxs)] += 1
     result = StratumCounts(key=key, points=counts, total=_space_size(key))
     if use_cache:
@@ -224,49 +215,55 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
     return result
 
 
-def orbit_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
-                 use_cache: bool = True) -> StratumCounts:
-    """Partition every stratum into conjugation orbits.
+def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[int, ...]]]:
+    """Orbit counts of the whole space, and the semi-simple representatives.
 
     Tuples are visited in lexicographic order; an unvisited tuple is the
     canonical (least) representative of its orbit, which is then expanded
-    through all conjugation permutations at once.
+    through all conjugation permutations at once.  Orbits are disjoint, so
+    the images not yet visited are exactly the new orbit's members.
     """
-    cached = _load_cache(key) if use_cache else None
-    if cached is not None and cached.get("orbits") is not None:
-        return _counts_from_payload(key, cached)
     _check_budget(key, budget)
     T = field_tables(key.q)
     perms = T.pgl_perms()
-    m = key.m
     n = T.n
-    idx_range = _matrix_indices(T, key.mode)
-    visited = bytearray(n**m)
-    points = {label: 0 for label in _LABEL_ORDER}
-    orbits = {label: 0 for label in _LABEL_ORDER}
-    size_counts: dict[MoldLabel, dict[int, int]] = {label: {} for label in _LABEL_ORDER}
-    for idxs in product(idx_range, repeat=m):
+    visited = bytearray(n**key.m)
+    points = {label: 0 for label in MoldLabel}
+    orbits = {label: 0 for label in MoldLabel}
+    size_counts: dict[MoldLabel, dict[int, int]] = {label: {} for label in MoldLabel}
+    semisimple = []
+    for idxs in product(_matrix_indices(T, key.mode), repeat=key.m):
         flat = 0
         for i in idxs:
             flat = flat * n + i
         if visited[flat]:
             continue
-        orbit = set()
+        size = 0
         for perm in perms:
-            img = tuple(perm[i] for i in idxs)
             f = 0
-            for i in img:
-                f = f * n + i
-            if f not in orbit:
-                orbit.add(f)
+            for i in idxs:
+                f = f * n + perm[i]
+            if not visited[f]:
                 visited[f] = 1
+                size += 1
         label = classify_packed(T, idxs)
-        size = len(orbit)
         points[label] += size
         orbits[label] += 1
         size_counts[label][size] = size_counts[label].get(size, 0) + 1
-    result = StratumCounts(key=key, points=points, total=_space_size(key),
+        if label is MoldLabel.SEMISIMPLE:
+            semisimple.append(idxs)
+    counts = StratumCounts(key=key, points=points, total=_space_size(key),
                            orbits=orbits, orbit_size_counts=size_counts)
+    return counts, semisimple
+
+
+def orbit_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
+                 use_cache: bool = True) -> StratumCounts:
+    """Partition every stratum into conjugation orbits."""
+    cached = _load_cache(key) if use_cache else None
+    if cached is not None and cached.get("orbits") is not None:
+        return _counts_from_payload(key, cached)
+    result, _ = _orbit_pass(key, budget)
     if use_cache:
         _store_cache(key, result)
     return result
@@ -301,6 +298,7 @@ class CheckResult:
 @dataclass
 class Report:
     key: CensusKey
+    counts: StratumCounts
     checks: list[CheckResult] = field(default_factory=list)
 
     @property
@@ -310,8 +308,13 @@ class Report:
 
 def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
                        use_cache: bool = True) -> Report:
-    """Pass/fail checks tying the census to the structural theory."""
-    counts = orbit_census(key, budget=budget, use_cache=use_cache)
+    """Pass/fail checks tying the census to the structural theory, from
+    one orbit pass; the cache holds no representatives, so it is only
+    written.  Trace coordinates are conjugation invariants, so the
+    semi-simple representatives carry every vector of their stratum."""
+    counts, semisimple = _orbit_pass(key, budget)
+    if use_cache:
+        _store_cache(key, counts)
     q, m = key.q, key.m
     pgl_order = q**3 - q
     checks: list[CheckResult] = []
@@ -344,11 +347,7 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
     ))
 
     T = field_tables(q)
-    vectors = set()
-    idx_range = _matrix_indices(T, key.mode)
-    for idxs in product(idx_range, repeat=m):
-        if classify_packed(T, idxs) is MoldLabel.SEMISIMPLE:
-            vectors.add(_invariant_vector_packed(T, idxs, key.mode))
+    vectors = {_invariant_vector_packed(T, idxs, key.mode) for idxs in semisimple}
     checks.append(CheckResult(
         name="semisimple_trace_separation",
         source="trace coordinates separate semi-simple orbits",
@@ -385,7 +384,7 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
                 and counts.points[MoldLabel.SCALAR] == expected_scalar),
     ))
 
-    return Report(key=key, checks=checks)
+    return Report(key=key, counts=counts, checks=checks)
 
 
 # --- advisory on-disk cache -------------------------------------------------
@@ -399,20 +398,14 @@ def _cache_path(key: CensusKey) -> Path:
 
 
 def _payload_body(result: StratumCounts) -> dict:
-    body = {
-        "version": __version__,
+    return {
+        "version": CACHE_SCHEMA,
         "key": {"q": result.key.q, "m": result.key.m, "mode": result.key.mode},
         "points": result.points_by_value(),
         "total": result.total,
         "orbits": result.orbits_by_value(),
-        "orbit_size_counts": None,
+        "orbit_size_counts": result.orbit_sizes_by_value(),
     }
-    if result.orbit_size_counts is not None:
-        body["orbit_size_counts"] = {
-            label.value: {str(s): c for s, c in sorted(result.orbit_size_counts[label].items())}
-            for label in _LABEL_ORDER
-        }
-    return body
 
 
 def _checksum(body: dict) -> str:
@@ -420,14 +413,18 @@ def _checksum(body: dict) -> str:
 
 
 def _store_cache(key: CensusKey, result: StratumCounts) -> None:
+    """Write beside the cache file, then rename: no reader sees a partial payload."""
+    body = _payload_body(result)
+    body["checksum"] = _checksum(body)
+    path = _cache_path(key)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        body = _payload_body(result)
-        body["checksum"] = _checksum({k: v for k, v in body.items() if k != "checksum"})
-        path = _cache_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(body, sort_keys=True, indent=1) + "\n")
-    except OSError:
-        pass  # cache is advisory
+        tmp.write_text(json.dumps(body, sort_keys=True, indent=1) + "\n")
+        os.replace(tmp, path)
+    except OSError:  # cache is advisory
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _load_cache(key: CensusKey) -> Optional[dict]:
@@ -436,7 +433,7 @@ def _load_cache(key: CensusKey) -> Optional[dict]:
         body = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if body.get("version") != __version__:
+    if body.get("version") != CACHE_SCHEMA:
         return None
     checksum = body.pop("checksum", None)
     if checksum != _checksum(body):
@@ -447,15 +444,15 @@ def _load_cache(key: CensusKey) -> Optional[dict]:
 
 
 def _counts_from_payload(key: CensusKey, body: dict) -> StratumCounts:
-    points = {label: body["points"][label.value] for label in _LABEL_ORDER}
+    points = {label: body["points"][label.value] for label in MoldLabel}
     orbits = None
     size_counts = None
     if body.get("orbits") is not None:
-        orbits = {label: body["orbits"][label.value] for label in _LABEL_ORDER}
+        orbits = {label: body["orbits"][label.value] for label in MoldLabel}
     if body.get("orbit_size_counts") is not None:
         size_counts = {
             label: {int(s): c for s, c in body["orbit_size_counts"][label.value].items()}
-            for label in _LABEL_ORDER
+            for label in MoldLabel
         }
     return StratumCounts(key=key, points=points, total=body["total"],
                          orbits=orbits, orbit_size_counts=size_counts)

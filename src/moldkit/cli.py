@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -30,7 +30,7 @@ from .errors import MoldkitError, NonInvertibleGenerator, ParseError, Validation
 from .fields import FieldElement, FieldSpec
 from .invariants import invariant_vector
 from .mat2 import Mat2, companion_normalize
-from .mold import MoldLabel, air_witness, classify, span_closure
+from .mold import MoldLabel, air_witness, classify
 from .words import GROUP, MONOID, RepTuple, Word
 
 
@@ -177,7 +177,7 @@ def _cmd_classify(args) -> dict:
         "field": str(doc.spec),
         "mode": doc.mode,
         "label": label.value,
-        "dim": span_closure(doc.tup).dim,
+        "dim": label.dim,
         "witness": witness,
     }
 
@@ -270,27 +270,20 @@ def _cmd_census(args) -> dict:
         "input_sha256": {"key": hashlib.sha256(key_text.encode()).hexdigest()},
         "key": {"q": key.q, "m": key.m, "mode": key.mode},
     }
-    if args.orbits or args.report:
-        counts = census_mod.orbit_census(key, budget=args.budget, use_cache=use_cache)
-        out["orbits"] = counts.orbits_by_value()
-        out["orbit_size_counts"] = {
-            label.value: {str(s): c for s, c in sorted(counts.orbit_size_counts[label].items())}
-            for label in census_mod._LABEL_ORDER
-        }
-    else:
-        counts = census_mod.stratum_census(key, budget=args.budget, use_cache=use_cache)
-    out["total"] = counts.total
-    out["points"] = counts.points_by_value()
     if args.report:
         report = census_mod.consistency_report(key, budget=args.budget, use_cache=use_cache)
-        out["report"] = {
-            "passed": report.passed,
-            "checks": [
-                {"name": c.name, "source": c.source, "expected": c.expected,
-                 "actual": c.actual, "passed": c.passed}
-                for c in report.checks
-            ],
-        }
+        counts = report.counts
+        out["report"] = {"passed": report.passed,
+                         "checks": [asdict(c) for c in report.checks]}
+    elif args.orbits:
+        counts = census_mod.orbit_census(key, budget=args.budget, use_cache=use_cache)
+    else:
+        counts = census_mod.stratum_census(key, budget=args.budget, use_cache=use_cache)
+    if args.orbits or args.report:
+        out["orbits"] = counts.orbits_by_value()
+        out["orbit_size_counts"] = counts.orbit_sizes_by_value()
+    out["total"] = counts.total
+    out["points"] = counts.points_by_value()
     return out
 
 

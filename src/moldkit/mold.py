@@ -25,6 +25,12 @@ class MoldLabel(Enum):
     UNIPOTENT_F2 = "unipotent_f2"
     SCALAR = "scalar"
 
+    @property
+    def dim(self) -> int:
+        """Dimension of the algebra generated by a tuple with this label:
+        4 for air, 3 for borel, 1 for scalar and 2 for the other three."""
+        return {"air": 4, "borel": 3, "scalar": 1}.get(self.value, 2)
+
 
 @dataclass(frozen=True)
 class SubalgebraBasis:

@@ -5,15 +5,17 @@ from itertools import product
 
 import pytest
 
-from moldkit import Mat2, MoldLabel, RepTuple, classify
+from moldkit import Mat2, MoldLabel, RepTuple, census, classify
 from moldkit.census import (
     CensusKey,
+    _invariant_vector_packed,
     classify_packed,
     consistency_report,
     field_tables,
     orbit_census,
     stratum_census,
 )
+from moldkit.cli import run_command
 from moldkit.errors import BudgetExceeded
 
 from conftest import F2, F3, F5
@@ -172,6 +174,29 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert fourth.points == first.points
 
 
+def test_cache_rewrite_is_atomic(tmp_path, monkeypatch):
+    directory = tmp_path / "c4"
+    monkeypatch.setenv("MOLDKIT_CACHE", str(directory))
+    key = CensusKey(2, 1)
+    first = orbit_census(key)
+    path = directory / "census_q2_m1_monoid.json"
+    path.write_text(path.read_text()[:40])  # a torn, unparsable payload
+    again = orbit_census(key)
+    assert again.orbits == first.orbits
+    assert [p.name for p in directory.iterdir()] == [path.name]
+    assert census._load_cache(key) is not None
+
+    # A failed write leaves the census result and no temporary file.
+    path.unlink()
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(census.os, "replace", fail)
+    assert orbit_census(key).orbits == first.orbits
+    assert list(directory.iterdir()) == []
+
+
 def test_points_only_cache_upgraded_by_orbit_census(tmp_path, monkeypatch):
     monkeypatch.setenv("MOLDKIT_CACHE", str(tmp_path / "c3"))
     key = CensusKey(2, 2)
@@ -192,3 +217,49 @@ def test_consistency_report_passes():
         assert all(c.source for c in rep.checks)
         names = [c.name for c in rep.checks]
         assert "partition" in names and "air_orbit_sizes" in names
+
+
+def test_report_classifies_each_orbit_representative_once(monkeypatch):
+    calls = []
+
+    def counted(T, idxs):
+        calls.append(idxs)
+        return classify_packed(T, idxs)
+
+    monkeypatch.setattr(census, "classify_packed", counted)
+    code, out = run_command(["census", "--q", "3", "--m", "2", "--report", "--no-cache"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["report"]["passed"] is True
+    assert len(calls) == sum(report["orbits"].values())
+    assert len(set(calls)) == len(calls)
+
+
+def test_report_carries_the_checked_counts():
+    key = CensusKey(3, 2, "group")
+    rep = consistency_report(key, use_cache=False)
+    counts = orbit_census(key, use_cache=False)
+    assert rep.counts.points == counts.points
+    assert rep.counts.orbits == counts.orbits
+    assert rep.counts.orbit_size_counts == counts.orbit_size_counts
+    checks = {c.name: c for c in rep.checks}
+    assert checks["partition"].actual == sum(rep.counts.points.values())
+    assert checks["semisimple_trace_separation"].expected == rep.counts.orbits[MoldLabel.SEMISIMPLE]
+
+
+def test_semisimple_orbits_share_representative_vector_group_mode():
+    for key in (CensusKey(3, 1, "group"), CensusKey(3, 2, "group")):
+        T = field_tables(key.q)
+        perms = T.pgl_perms()
+        orbits = 0
+        for idxs in product(T.invertible, repeat=key.m):
+            if classify_packed(T, idxs) is not MoldLabel.SEMISIMPLE:
+                continue
+            orbit = {tuple(p[i] for i in idxs) for p in perms}
+            if idxs != min(orbit):
+                continue
+            orbits += 1
+            vector = _invariant_vector_packed(T, idxs, key.mode)
+            for member in orbit:
+                assert _invariant_vector_packed(T, member, key.mode) == vector
+        assert orbits == orbit_census(key, use_cache=False).orbits[MoldLabel.SEMISIMPLE]

@@ -90,6 +90,23 @@ def test_classify_examples():
     assert classify(tup(Q, [[1, 1], [0, 2]], [[1, 0], [0, 2]])) is MoldLabel.BOREL
 
 
+def test_label_dim_is_span_closure_dim():
+    # F2 pairs and F3 singletons between them reach every label.
+    seen = set()
+    mats2 = all_mats(F2)
+    for A in mats2:
+        for B in mats2:
+            t = RepTuple((A, B))
+            label = classify(t)
+            seen.add(label)
+            assert label.dim == span_closure(t).dim
+    for A in all_mats(F3):
+        t = RepTuple((A,))
+        seen.add(classify(t))
+        assert classify(t).dim == span_closure(t).dim
+    assert seen == set(MoldLabel)
+
+
 def test_classify_char_discipline():
     for A in all_mats(F2):
         assert classify(RepTuple((A,))) is not MoldLabel.UNIPOTENT
