@@ -197,14 +197,18 @@ class ABChart:
     """(a, b)-coefficient chart of a characteristic-2 unipotent tuple.
 
     Coefficients satisfy rho(w) = a(w) I + b(w) Z with Z the image of the
-    base word; d(w) = det rho(w).  A chart obtained by transition keeps a
-    reference to its parent and evaluates through the gluing formulas.
+    base word; d(w) = det rho(w).  A chart obtained by transition keeps the
+    root chart it descends from and the folded gluing constants c, k with
+    a = a_root + c b_root and b = k b_root, so evaluation costs the same at
+    any depth of a transition chain.
     """
 
     tup: RepTuple = field(repr=False)
     base_word: Word
     Z: Mat2
-    parent: Optional["ABChart"] = None
+    root: Optional["ABChart"] = None
+    c: Optional[FieldElement] = None
+    k: Optional[FieldElement] = None
 
     @property
     def alpha_index(self) -> Optional[int]:
@@ -216,25 +220,22 @@ class ABChart:
         return self.tup.evaluate(w).det
 
     def _solve(self, w: Word) -> tuple[FieldElement, FieldElement]:
+        """(a(w), b(w)) in the root chart."""
         M = self.tup.evaluate(w)
         I = Mat2.identity(self.tup.spec)
-        sol = linalg.solve(list(zip(I.entries(), self.Z.entries())), M.entries())
+        Z = self.Z if self.root is None else self.root.Z
+        sol = linalg.solve(list(zip(I.entries(), Z.entries())), M.entries())
         if sol is None:
             raise NotUnipotentF2("image is outside span{I, Z}; tuple is not unipotent over F2")
         return sol[0], sol[1]
 
     def a(self, w: Word) -> FieldElement:
-        if self.parent is None:
-            return self._solve(w)[0]
-        pa, pb = self.parent.a, self.parent.b
-        beta = self.base_word
-        return pa(w) + pa(beta) * pb(beta).inv() * pb(w)
+        a, b = self._solve(w)
+        return a if self.root is None else a + self.c * b
 
     def b(self, w: Word) -> FieldElement:
-        if self.parent is None:
-            return self._solve(w)[1]
-        beta = self.base_word
-        return self.parent.b(w) * self.parent.b(beta).inv()
+        b = self._solve(w)[1]
+        return b if self.root is None else self.k * b
 
 
 def uf2_decompose(t: RepTuple) -> ABChart:
@@ -257,11 +258,18 @@ def uf2_transition(ch: ABChart, beta_word: Word) -> ABChart:
     """Re-base the chart at beta; defined on the overlap b(beta) != 0.
 
     The new coefficients follow the gluing formulas
-    b'(w) = b(w) b(beta)^-1 and a'(w) = a(w) + a(beta) b(beta)^-1 b(w).
+    b'(w) = b(w) b(beta)^-1 and a'(w) = a(w) + a(beta) b(beta)^-1 b(w),
+    folded into the root chart's constants: c' = c + a(beta) b(beta)^-1 k
+    and k' = k b(beta)^-1.
     """
-    if not ch.b(beta_word):
+    b_beta = ch.b(beta_word)
+    if not b_beta:
         raise ChartOverlapEmpty("b(beta) = 0: the chart overlap is empty")
-    return ABChart(tup=ch.tup, base_word=beta_word, Z=ch.tup.evaluate(beta_word), parent=ch)
+    spec = ch.tup.spec
+    root, c, k = (ch, spec.zero(), spec.one()) if ch.root is None else (ch.root, ch.c, ch.k)
+    b_inv = b_beta.inv()
+    return ABChart(tup=ch.tup, base_word=beta_word, Z=ch.tup.evaluate(beta_word),
+                   root=root, c=c + ch.a(beta_word) * b_inv * k, k=k * b_inv)
 
 
 def scalar_decompose(t: RepTuple) -> list[FieldElement]:

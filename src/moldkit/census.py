@@ -1,9 +1,10 @@
 """Exhaustive census of tuple spaces over small prime fields.
 
 Tuples of 2x2 matrices over F_q are enumerated, classified into the six
-mold strata and partitioned into conjugation orbits.  The hot path works
-on packed integer encodings (a matrix is an index below q^4); tests pin
-it against the exact classifier in :mod:`moldkit.mold`.
+mold strata and partitioned into conjugation orbits.  Matrices are packed
+integer indices below q^4; a packed tuple is classified by the discriminant
+kernel of :mod:`moldkit.mold` on its raw entries, so the census and the
+library share one classifier.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 
 from .errors import BudgetExceeded
 from .fields import is_prime
-from .mold import MoldLabel
+from .mold import MoldLabel, _classify_entries
 from .words import GROUP, MONOID
 
 # Cache files written under another schema are recomputed, not read.
@@ -76,11 +77,7 @@ class FieldTables:
         self.n = p**4
         # Lexicographic, so entries[i] unpacks index i.
         self.entries = entries = list(product(range(p), repeat=4))
-        self.tr = [(a + d) % p for (a, b, c, d) in entries]
-        self.det = [(a * d - b * c) % p for (a, b, c, d) in entries]
-        self.m = [(self.tr[i] ** 2 - 4 * self.det[i]) % p for i in range(self.n)]
-        self.scalar = [b == 0 and c == 0 and a == d for (a, b, c, d) in entries]
-        self.invertible = [i for i in range(self.n) if self.det[i]]
+        self.invertible = [i for i, (a, b, c, d) in enumerate(entries) if (a * d - b * c) % p]
         self.inv_idx = {i: self._pack(self._inv(entries[i])) for i in self.invertible}
         self._pgl_perms: Optional[list[list[int]]] = None
 
@@ -100,11 +97,6 @@ class FieldTables:
         p = self.p
         return ((a * e + b * g) % p, (a * f + b * h) % p,
                 (c * e + d * g) % p, (c * f + d * h) % p)
-
-    def tr_mul(self, e1, e2) -> int:
-        a, b, c, d = e1
-        e, f, g, h = e2
-        return (a * e + b * g + c * f + d * h) % self.p
 
     def pgl_perms(self) -> list[list[int]]:
         """Conjugation permutation of the matrix index space, one per
@@ -139,47 +131,9 @@ def field_tables(p: int) -> FieldTables:
     return _TABLES[p]
 
 
-def _delta2_int(T: FieldTables, i: int, j: int) -> int:
-    trA, trB = T.tr[i], T.tr[j]
-    dA, dB = T.det[i], T.det[j]
-    trAB = T.tr_mul(T.entries[i], T.entries[j])
-    return (trA * trA * dB + trB * trB * dA + trAB * trAB
-            - trA * trB * trAB - 4 * dA * dB) % T.p
-
-
-def _tau3_int(T: FieldTables, i: int, j: int, k: int) -> int:
-    ei, ej, ek = T.entries[i], T.entries[j], T.entries[k]
-    return (T.tr_mul(T.mul(ei, ej), ek) - T.tr_mul(T.mul(ei, ek), ej)) % T.p
-
-
 def classify_packed(T: FieldTables, idxs: tuple[int, ...]) -> MoldLabel:
-    """Mold label of a packed tuple; agrees with mold.classify."""
-    n = len(idxs)
-    for a, b in combinations(range(n), 2):
-        if _delta2_int(T, idxs[a], idxs[b]):
-            return MoldLabel.AIR
-    if n >= 3:
-        for a, b, c in combinations(range(n), 3):
-            if _tau3_int(T, idxs[a], idxs[b], idxs[c]):
-                return MoldLabel.AIR
-    pivot = next((i for i in idxs if not T.scalar[i]), None)
-    if pivot is None:
-        return MoldLabel.SCALAR
-    pa, pb, pc, pd = T.entries[pivot]
-    u = ((pa - pd) % T.p, pb, pc)
-    rank2 = True
-    for i in idxs:
-        a, b, c, d = T.entries[i]
-        v = ((a - d) % T.p, b, c)
-        if ((u[0] * v[1] - u[1] * v[0]) % T.p or (u[0] * v[2] - u[2] * v[0]) % T.p
-                or (u[1] * v[2] - u[2] * v[1]) % T.p):
-            rank2 = False
-            break
-    if rank2:
-        if any(T.m[i] for i in idxs):
-            return MoldLabel.SEMISIMPLE
-        return MoldLabel.UNIPOTENT_F2 if T.p == 2 else MoldLabel.UNIPOTENT
-    return MoldLabel.BOREL
+    """Mold label of a packed tuple; the kernel of mold.classify."""
+    return _classify_entries(T.p, [T.entries[i] for i in idxs])
 
 
 def _matrix_indices(T: FieldTables, mode: str) -> list[int]:
@@ -203,7 +157,7 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
     """Classify every tuple of the space and count points per label."""
     cached = _load_cache(key) if use_cache else None
     if cached is not None:
-        return _counts_from_payload(key, cached)
+        return cached
     _check_budget(key, budget)
     T = field_tables(key.q)
     counts = {label: 0 for label in MoldLabel}
@@ -261,8 +215,8 @@ def orbit_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
                  use_cache: bool = True) -> StratumCounts:
     """Partition every stratum into conjugation orbits."""
     cached = _load_cache(key) if use_cache else None
-    if cached is not None and cached.get("orbits") is not None:
-        return _counts_from_payload(key, cached)
+    if cached is not None and cached.orbits is not None:
+        return cached
     result, _ = _orbit_pass(key, budget)
     if use_cache:
         _store_cache(key, result)
@@ -427,20 +381,32 @@ def _store_cache(key: CensusKey, result: StratumCounts) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _load_cache(key: CensusKey) -> Optional[dict]:
+def _load_cache(key: CensusKey) -> Optional[StratumCounts]:
+    """Counts read back from the cache file of key, or None unless it holds
+    a payload of this schema and key, with its checksum, whose counts are
+    all ints under every label."""
     path = _cache_path(key)
     try:
         body = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if body.get("version") != CACHE_SCHEMA:
+    if not isinstance(body, dict) or body.get("version") != CACHE_SCHEMA:
         return None
     checksum = body.pop("checksum", None)
     if checksum != _checksum(body):
         return None
     if body.get("key") != {"q": key.q, "m": key.m, "mode": key.mode}:
         return None
-    return body
+    try:
+        counts = _counts_from_payload(key, body)
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None
+    if (counts.orbits is None) != (counts.orbit_size_counts is None):
+        return None
+    sizes = counts.orbit_size_counts or {}
+    values = [counts.total, *counts.points.values(), *(counts.orbits or {}).values(),
+              *(c for by_size in sizes.values() for c in by_size.values())]
+    return counts if all(type(v) is int for v in values) else None
 
 
 def _counts_from_payload(key: CensusKey, body: dict) -> StratumCounts:

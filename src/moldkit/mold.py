@@ -1,5 +1,6 @@
-"""Span closure of the generated matrix algebra and the six-way mold
-classification over a field, with the discriminant-based air tests."""
+"""Six-way mold classification over a field by one discriminant kernel,
+shared with the census; air witnesses, invariant lines, and the span
+closure of the generated algebra that tests check the kernel against."""
 
 from __future__ import annotations
 
@@ -64,29 +65,50 @@ def span_closure(t: RepTuple) -> SubalgebraBasis:
 
 def rank_le2_test(t: RepTuple) -> bool:
     """True iff the span of all word images has dimension <= 2."""
-    return span_closure(t).dim <= 2
+    return classify(t).dim <= 2
+
+
+def _classify_entries(p: Optional[int], mats) -> MoldLabel:
+    """Mold label of raw (a, b, c, d) entry tuples over F_p, or Q if p is
+    None; values are reduced mod p only where they are tested for zero.
+
+    With u, v the trace-free coordinates (a - d, b, c) of A, B and
+    w = u x v, delta2(A, B) = -det(AB - BA) = w0^2 + w1 w2, and
+    tau3(A, B, C) = tr(A(BC - CB)) is the determinant of three such
+    coordinate rows.  The rows span the algebra modulo I: with no
+    discriminant nonzero, rank >= 2 is borel, 0 is scalar, and 1 is
+    span{I, X}, semi-simple iff some m = (a - d)^2 + 4bc != 0.
+    """
+    tf = [(a - d, b, c) for a, b, c, d in mats]
+    rank2 = False
+    for (u0, u1, u2), (v0, v1, v2) in combinations(tf, 2):
+        w0, w1, w2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
+        if p:
+            w0, w1, w2 = w0 % p, w1 % p, w2 % p
+        if w0 or w1 or w2:
+            if (w0 * w0 + w1 * w2) % p if p else w0 * w0 + w1 * w2:
+                return MoldLabel.AIR
+            rank2 = True
+    if rank2:
+        for (u0, u1, u2), (v0, v1, v2), (x0, x1, x2) in combinations(tf, 3):
+            t = u0 * (v1 * x2 - v2 * x1) + u1 * (v2 * x0 - v0 * x2) + u2 * (v0 * x1 - v1 * x0)
+            if t % p if p else t:
+                return MoldLabel.AIR
+        return MoldLabel.BOREL
+    label = MoldLabel.SCALAR
+    for u0, u1, u2 in tf:
+        m = u0 * u0 + 4 * u1 * u2
+        if m % p if p else m:
+            return MoldLabel.SEMISIMPLE
+        if (u0 % p or u1 % p or u2 % p) if p else (u0 or u1 or u2):
+            label = MoldLabel.UNIPOTENT_F2 if p == 2 else MoldLabel.UNIPOTENT
+    return label
 
 
 def classify(t: RepTuple) -> MoldLabel:
-    """Six-way mold classification of a tuple over a field.
-
-    dim 4 -> air, dim 3 -> borel, dim 1 -> scalar; dim 2 is semi-simple
-    when some basis element has m != 0, otherwise unipotent (split by
-    characteristic).  In characteristic 2, m = tr^2, so the m-test on the
-    basis is the all-traces-vanish test.
-    """
-    closure = span_closure(t)
-    if closure.dim == 4:
-        return MoldLabel.AIR
-    if closure.dim == 3:
-        return MoldLabel.BOREL
-    if closure.dim == 1:
-        return MoldLabel.SCALAR
-    if any(X.m for X in closure.basis):
-        return MoldLabel.SEMISIMPLE
-    if t.spec.characteristic() == 2:
-        return MoldLabel.UNIPOTENT_F2
-    return MoldLabel.UNIPOTENT
+    """Six-way mold classification of a tuple over a field."""
+    return _classify_entries(t.spec.p, [(g.a11.value, g.a12.value, g.a21.value, g.a22.value)
+                                           for g in t.gens])
 
 
 def air_witness(t: RepTuple) -> Optional[tuple[str, tuple[int, ...], FieldElement]]:
@@ -209,12 +231,11 @@ def _eigenlines(A: Mat2) -> list[tuple[FieldElement, FieldElement]]:
 def common_invariant_line(t: RepTuple) -> Optional[tuple[FieldElement, FieldElement]]:
     """A line of the base plane fixed by every generator, if one exists.
 
-    Candidates are the eigenlines of the first non-scalar element of the
-    closure basis; a line invariant under the whole tuple must be one of
-    them.  For an all-scalar tuple every line works and (1, 0) is returned.
+    Candidates are the eigenlines of the first non-scalar generator; a line
+    fixed by the tuple is an eigenline of each non-scalar generator.  For
+    an all-scalar tuple every line works and (1, 0) is returned.
     """
-    closure = span_closure(t)
-    pivot = next((X for X in closure.basis if not X.is_scalar), None)
+    pivot = next((g for g in t.gens if not g.is_scalar), None)
     spec = t.spec
     if pivot is None:
         return (spec.one(), spec.zero())

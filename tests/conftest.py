@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from moldkit import FieldSpec, Mat2
+from moldkit import FieldSpec, Mat2, MoldLabel, span_closure
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -64,6 +64,24 @@ def det4_oracle(rows):
             term = term * rows[i][perm[i]]
         acc = acc + (term if sign == 1 else -term)
     return acc
+
+
+def closure_label(t):
+    """Six-way label read off the span closure: dim 4 air, 3 borel, 1
+    scalar; dim 2 is semi-simple when some basis element has m != 0, else
+    unipotent (split by characteristic).  Independent of the discriminants."""
+    closure = span_closure(t)
+    if closure.dim == 4:
+        return MoldLabel.AIR
+    if closure.dim == 3:
+        return MoldLabel.BOREL
+    if closure.dim == 1:
+        return MoldLabel.SCALAR
+    if any(X.m for X in closure.basis):
+        return MoldLabel.SEMISIMPLE
+    if t.spec.characteristic() == 2:
+        return MoldLabel.UNIPOTENT_F2
+    return MoldLabel.UNIPOTENT
 
 
 def word_images(t, max_len):

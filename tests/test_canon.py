@@ -1,5 +1,6 @@
 """Conjugacy deciders with certificates and the three decompositions."""
 
+import time
 from itertools import product
 
 import pytest
@@ -313,6 +314,22 @@ def test_uf2_transition_matches_direct_chart_and_cocycle():
                 for w in value_words:
                     assert two_step.a(w) == one_step.a(w)
                     assert two_step.b(w) == one_step.b(w)
+
+
+def test_uf2_transition_chain_depth_50_is_fast():
+    from moldkit.canon import ABChart
+
+    A = mat(F2, [[0, 1], [1, 0]])
+    t = RepTuple((A, Mat2.identity(F2) + A))
+    start = time.perf_counter()
+    ch = uf2_decompose(t)
+    for depth in range(50):
+        ch = uf2_transition(ch, Word((2 - depth % 2,)))
+    direct = ABChart(tup=t, base_word=ch.base_word, Z=t.evaluate(ch.base_word))
+    for w in words_up_to(2, 3):
+        assert ch.a(w) == direct.a(w) and ch.b(w) == direct.b(w)
+        assert uf2_reconstruct(ch, w) == t.evaluate(w)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_scalar_decompose():

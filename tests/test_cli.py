@@ -160,6 +160,33 @@ def test_census_command(tmp_path):
     assert code == 1
 
 
+def test_census_recounts_a_checksummed_cache_of_the_wrong_shape(tmp_path):
+    from moldkit import census
+
+    commands = [["census", "--q", "2", "--m", "1"], ["census", "--q", "2", "--m", "1", "--orbits"]]
+    expected = [run_command(argv) for argv in commands]
+    assert [code for code, _ in expected] == [0, 0]
+    path = tmp_path / "cache" / "census_q2_m1_monoid.json"
+    good = json.loads(path.read_text())
+    good.pop("checksum")
+    damages = [
+        lambda body: body["points"].pop("air"),
+        lambda body: body["points"].update(air="0"),
+        lambda body: body.update(total=16.0),
+        lambda body: body.update(orbits={"air": 0}),
+        lambda body: body["orbit_size_counts"].update(air={"x": 1}),
+        lambda body: body.update(orbit_size_counts=None),
+        lambda body: body.update(points=[0] * 6),
+    ]
+    for damage in damages:
+        for argv, want in zip(commands, expected):
+            body = json.loads(json.dumps(good))
+            damage(body)
+            body["checksum"] = census._checksum(body)
+            path.write_text(json.dumps(body))
+            assert run_command(argv) == want
+
+
 def test_exit_codes(tmp_path):
     code, _ = run_command(["classify", str(tmp_path / "missing.json")])
     assert code == 1

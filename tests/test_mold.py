@@ -2,7 +2,10 @@
 
 from itertools import combinations, product
 
+import pytest
+
 from moldkit import (
+    FieldSpec,
     Mat2,
     MoldLabel,
     RepTuple,
@@ -14,9 +17,21 @@ from moldkit import (
     span_closure,
 )
 from moldkit import linalg
+from moldkit import mold
 from moldkit.mold import air_witness
 
-from conftest import F2, F3, Q, all_mats, invertible_mats, rand_invertible, rand_mat, word_images
+from conftest import (
+    F2,
+    F3,
+    F5,
+    Q,
+    all_mats,
+    closure_label,
+    invertible_mats,
+    rand_invertible,
+    rand_mat,
+    word_images,
+)
 
 
 def tup(spec, *rows_list, mode="monoid"):
@@ -203,3 +218,63 @@ def test_dim3_has_invariant_line_f3(rng):
             count += 1
             assert common_invariant_line(t) is not None
     assert count > 0
+
+
+def test_classify_matches_closure_label_exhaustive_small_fields(rng):
+    for spec in (F2, F3):
+        mats = all_mats(spec)
+        for A in mats:
+            for B in mats:
+                t = RepTuple((A, B))
+                assert classify(t) is closure_label(t)
+    mats5 = all_mats(F5)
+    for _ in range(300):
+        t = RepTuple(tuple(rng.choice(mats5) for _ in range(3)))
+        assert classify(t) is closure_label(t)
+
+
+def stratum_samples(rng, spec, rank):
+    """Tuples built to reach every label outside characteristic 2: random,
+    upper-triangular, x I + y X, x I + y N with N nilpotent, and scalar."""
+    def scalar():
+        return rand_mat(rng, spec).a11
+
+    I = Mat2.identity(spec)
+    X = rand_mat(rng, spec)
+    P = rand_invertible(rng, spec)
+    N = P.inverse() * Mat2.from_rows([[0, 1], [0, 0]], spec) * P
+    kinds = [
+        lambda: rand_mat(rng, spec),
+        lambda: Mat2(scalar(), scalar(), spec.zero(), scalar()),
+        lambda: I.scale(scalar()) + X.scale(scalar()),
+        lambda: I.scale(scalar()) + N.scale(scalar()),
+        lambda: I.scale(scalar()),
+    ]
+    return [RepTuple(tuple(make() for _ in range(rank))) for make in kinds]
+
+
+@pytest.mark.parametrize("spec", [Q, FieldSpec.prime(2147483629)], ids=str)
+def test_classify_matches_closure_label_constructed(rng, spec):
+    seen = set()
+    for _ in range(8):
+        for rank in (1, 2, 3):
+            for t in stratum_samples(rng, spec, rank):
+                label = classify(t)
+                assert label is closure_label(t)
+                seen.add(label)
+    assert seen == set(MoldLabel) - {MoldLabel.UNIPOTENT_F2}
+
+
+def test_deciders_do_not_use_span_closure(monkeypatch, rng):
+    def refuse(t):
+        raise AssertionError("span_closure is the test oracle only")
+
+    monkeypatch.setattr(mold, "span_closure", refuse)
+    for spec in (F3, Q):
+        for _ in range(20):
+            t = RepTuple((rand_mat(rng, spec), rand_mat(rng, spec)))
+            classify(t)
+            rank_le2_test(t)
+            common_invariant_line(t)
+    t = tup(Q, [[1, 1], [0, 2]], [[1, 0], [0, 2]])
+    assert classify(t) is MoldLabel.BOREL and common_invariant_line(t) is not None
