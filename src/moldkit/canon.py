@@ -19,7 +19,6 @@ from .errors import (
     NotUnipotentF2,
 )
 from .fields import FieldElement
-from .invariants import invariant_vector
 from .mat2 import Mat2, companion_normalize, conjugate, eta
 from .mold import MoldLabel, classify
 from .words import RepTuple, Word
@@ -106,11 +105,37 @@ def _require_semisimple(t: RepTuple) -> None:
         raise NotSemiSimple("tuple is not in the semi-simple stratum")
 
 
+def _split_coordinates(t: RepTuple) -> tuple:
+    """(field, mode, s, (tr A_s, det A_s, (tr A_j)_j, (tr A_s A_j)_j)) on raw
+    entries, with A_s the first generator whose m is nonzero.
+
+    On the semi-simple stratum such a generator exists, every A_j lies in
+    span{I, A_s}, and A_j is recovered from tr A_j and tr A_s A_j
+    (reconstruct_from_traces).  So these O(m) values are a complete
+    conjugacy invariant there, deciding what equality of the full
+    invariant vectors decides.
+    """
+    p = t.spec.p
+    mats = [g.values() for g in t.gens]
+    for s, (a, b, c, d) in enumerate(mats):
+        m = (a - d) ** 2 + 4 * b * c
+        if m % p if p else m:
+            break
+    else:
+        raise NoSplitGenerator("no generator has m != 0")
+    coords = [a + d, a * d - b * c, *(e + h for e, f, g, h in mats),
+              *(a * e + b * g + c * f + d * h for e, f, g, h in mats)]
+    return t.spec, t.mode, s, tuple(x % p for x in coords) if p else tuple(coords)
+
+
 def ss_equivalent(t1: RepTuple, t2: RepTuple) -> bool:
-    """Trace-coordinate equivalence test on the semi-simple stratum."""
+    """Conjugacy on the semi-simple stratum from the split-generator trace
+    coordinates: the first generator A_s with m != 0, tr A_s, det A_s, and
+    tr A_j, tr A_s A_j for every generator.  O(m) work; decides the same
+    relation as equality of the full invariant vectors."""
     _require_semisimple(t1)
     _require_semisimple(t2)
-    return invariant_vector(t1) == invariant_vector(t2)
+    return _split_coordinates(t1) == _split_coordinates(t2)
 
 
 def split_witness_word(t: RepTuple) -> Word:
@@ -133,17 +158,21 @@ def split_witness_word(t: RepTuple) -> Word:
 def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     """Conjugacy certificate on the semi-simple stratum via companion forms.
 
-    Both tuples are normalized so the split word's image is in companion
-    form; equal invariant vectors force the two normalizations to agree on
-    every generator, so Q1 Q2^-1 conjugates t1 to t2.
+    None unless the split-generator coordinates of ss_equivalent agree.
+    Both tuples are normalized so the split generator A_s (the split word
+    of both) is in companion form; since every generator is fixed by
+    tr A_j and tr A_s A_j in span{I, A_s}, equal coordinates force the
+    two normalizations to agree on every generator, so Q1 Q2^-1
+    conjugates t1 to t2.  The certificate is re-verified.
     """
     _require_semisimple(t1)
     _require_semisimple(t2)
-    w = split_witness_word(t1)
-    if invariant_vector(t1) != invariant_vector(t2):
+    coords = _split_coordinates(t1)
+    if coords != _split_coordinates(t2):
         return None
-    Q1 = companion_normalize(t1.evaluate(w)).P
-    Q2 = companion_normalize(t2.evaluate(w)).P
+    s = coords[2]
+    Q1 = companion_normalize(t1.gens[s]).P
+    Q2 = companion_normalize(t2.gens[s]).P
     P = Q1 * Q2.inverse()
     for A, B in zip(t1.gens, t2.gens):
         if conjugate(P, A) != B:

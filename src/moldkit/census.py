@@ -3,23 +3,24 @@
 Tuples of 2x2 matrices over F_q are enumerated, classified into the six
 mold strata and partitioned into conjugation orbits.  Matrices are packed
 integer indices below q^4; a packed tuple is classified by the discriminant
-kernel of :mod:`moldkit.mold` on its raw entries, so the census and the
-library share one classifier.
+kernel of :mod:`moldkit.mold` and its trace coordinates come from the
+moduli kernel of :mod:`moldkit.invariants`, both on raw entries, so the
+census and the library share one classifier and one trace computation.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
 from .errors import BudgetExceeded
 from .fields import is_prime
+from .invariants import _moduli_entries
 from .mold import MoldLabel, _classify_entries
 from .words import GROUP, MONOID
 
@@ -78,7 +79,6 @@ class FieldTables:
         # Lexicographic, so entries[i] unpacks index i.
         self.entries = entries = list(product(range(p), repeat=4))
         self.invertible = [i for i, (a, b, c, d) in enumerate(entries) if (a * d - b * c) % p]
-        self.inv_idx = {i: self._pack(self._inv(entries[i])) for i in self.invertible}
         self._pgl_perms: Optional[list[list[int]]] = None
 
     def _pack(self, e: tuple[int, int, int, int]) -> int:
@@ -224,20 +224,9 @@ def orbit_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
 
 
 def _invariant_vector_packed(T: FieldTables, idxs: tuple[int, ...], mode: str):
-    """(dets, increasing-product traces) over packed matrices; in group
-    mode the tuple is augmented with the inverses first."""
-    mats = [T.entries[i] for i in idxs]
-    if mode == GROUP:
-        mats += [T.entries[T.inv_idx[i]] for i in idxs]
-    dets = tuple((e[0] * e[3] - e[1] * e[2]) % T.p for e in mats)
-    traces = []
-    for sub in sorted(c for k in range(1, len(mats) + 1)
-                      for c in combinations(range(len(mats)), k)):
-        acc = mats[sub[0]]
-        for i in sub[1:]:
-            acc = T.mul(acc, mats[i])
-        traces.append((acc[0] + acc[3]) % T.p)
-    return dets, tuple(traces)
+    """(dets, increasing-product traces) of a packed tuple; the kernel of
+    invariant_vector."""
+    return _moduli_entries(T.p, [T.entries[i] for i in idxs], mode == GROUP)
 
 
 @dataclass(frozen=True)
@@ -363,6 +352,10 @@ def _payload_body(result: StratumCounts) -> dict:
 
 
 def _checksum(body: dict) -> str:
+    # Imported here: hashlib maps OpenSSL (about 3.4 MB resident), which only
+    # cache users need, not every importer of the library.
+    import hashlib
+
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 

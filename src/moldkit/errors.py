@@ -62,7 +62,8 @@ class ChartOverlapEmpty(MoldkitError):
 
 
 class BudgetExceeded(MoldkitError):
-    """Census size exceeds the configured tuple budget."""
+    """Requested work exceeds a budget: the census tuple budget or the
+    invariant-vector trace budget."""
 
 
 class ParseError(MoldkitError):

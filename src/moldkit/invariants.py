@@ -10,12 +10,18 @@ stratum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .errors import VanishingM
+from .errors import BudgetExceeded, VanishingM
 from .fields import FieldElement
 from .mat2 import Mat2
 from .words import GROUP, RepTuple, Word
+
+# Largest number of increasing-product traces invariant_vector computes:
+# n = 16 augmented generators, so group mode up to rank 8, monoid up to 16.
+MAX_TRACES = 65_535
 
 
 def delta2(A: Mat2, B: Mat2) -> FieldElement:
@@ -83,19 +89,63 @@ def invariant_vector(t: RepTuple) -> InvariantVector:
 
     In group mode the generator list is first augmented with the inverses
     (A_1, ..., A_m, A_1^-1, ..., A_m^-1) so that traces of increasing
-    products generate all word traces verbatim.
+    products generate all word traces verbatim.  The traces come in the
+    lexicographic order of ``increasing_subsequences(n)``, each product
+    extending its prefix by one matrix, depth first.  For n augmented
+    generators that is 2^n - 1 traces; above MAX_TRACES the call raises
+    BudgetExceeded before computing any of them.
     """
-    mats = list(t.gens)
-    if t.mode == GROUP:
-        mats += [g.inverse() for g in t.gens]  # invertibility checked on construction
-    dets = tuple(g.det for g in mats)
+    spec = t.spec
+    dets, traces = _moduli_entries(spec.p, [g.values() for g in t.gens], t.mode == GROUP)
+    return InvariantVector(
+        dets=tuple(FieldElement(v, spec) for v in dets),
+        traces=tuple(zip(increasing_subsequences(len(dets)),
+                         (FieldElement(v, spec) for v in traces))))
+
+
+def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple]:
+    """Determinants and increasing-product traces of raw (a, b, c, d)
+    entries over F_p (canonical residues), or Q (Fractions) if p is None,
+    after appending the inverses in group mode; the kernel of
+    invariant_vector and of the census's packed vectors.
+
+    Each product is its prefix times one more matrix, so n matrices cost
+    2^n - 1 - n multiplications.  Over Q every matrix is scaled to
+    integer entries first and each trace divided by its product of
+    scales, so no gcd is taken inside a product.
+    """
+    n = 2 * len(mats) if group else len(mats)
+    if 2**n - 1 > MAX_TRACES:
+        raise BudgetExceeded(f"invariant vector of {n} matrices needs 2^{n} - 1 traces, "
+                             f"over the budget of {MAX_TRACES}")
+    dets = [a * d - b * c for a, b, c, d in mats]
+    if group:
+        inv = ([pow(x, p - 2, p) for x in dets] if p else [1 / x for x in dets])
+        mats = list(mats) + [(d * i, -b * i, -c * i, a * i)
+                             for (a, b, c, d), i in zip(mats, inv)]
+        dets += inv
+    if p:
+        dets = [x % p for x in dets]
+        mats = [tuple(x % p for x in e) for e in mats]
+        scales = [1] * n
+    else:
+        scales = [lcm(*(x.denominator for x in e)) for e in mats]
+        mats = [tuple(x.numerator * (s // x.denominator) for x in e)
+                for e, s in zip(mats, scales)]
     traces = []
-    for sub in increasing_subsequences(len(mats)):
-        prod = mats[sub[0] - 1]
-        for i in sub[1:]:
-            prod = prod * mats[i - 1]
-        traces.append((sub, prod.tr))
-    return InvariantVector(dets=dets, traces=tuple(traces))
+    stack = [(mats[i], scales[i], i + 1) for i in reversed(range(n))]
+    while stack:
+        (a, b, c, d), scale, nxt = stack.pop()
+        traces.append((a + d) % p if p else Fraction(a + d, scale))
+        for j in reversed(range(nxt, n)):
+            e, f, g, h = mats[j]
+            if p:
+                prod = ((a * e + b * g) % p, (a * f + b * h) % p,
+                        (c * e + d * g) % p, (c * f + d * h) % p)
+            else:
+                prod = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            stack.append((prod, scale * scales[j], j + 1))
+    return tuple(dets), tuple(traces)
 
 
 def det_from_traces(t1: FieldElement, t2: FieldElement, t3: FieldElement) -> FieldElement:

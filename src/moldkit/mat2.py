@@ -67,6 +67,10 @@ class Mat2:
     def entries(self) -> tuple[FieldElement, ...]:
         return (self.a11, self.a12, self.a21, self.a22)
 
+    def values(self) -> tuple:
+        """Raw entry values (a11, a12, a21, a22): residues or Fractions."""
+        return (self.a11.value, self.a12.value, self.a21.value, self.a22.value)
+
     def rows(self):
         return [[self.a11, self.a12], [self.a21, self.a22]]
 

@@ -107,8 +107,7 @@ def _classify_entries(p: Optional[int], mats) -> MoldLabel:
 
 def classify(t: RepTuple) -> MoldLabel:
     """Six-way mold classification of a tuple over a field."""
-    return _classify_entries(t.spec.p, [(g.a11.value, g.a12.value, g.a21.value, g.a22.value)
-                                           for g in t.gens])
+    return _classify_entries(t.spec.p, [g.values() for g in t.gens])
 
 
 def air_witness(t: RepTuple) -> Optional[tuple[str, tuple[int, ...], FieldElement]]:

@@ -13,6 +13,7 @@ F2 = FieldSpec.prime(2)
 F3 = FieldSpec.prime(3)
 F5 = FieldSpec.prime(5)
 F7 = FieldSpec.prime(7)
+F65521 = FieldSpec.prime(65521)
 
 
 def all_mats(spec):

@@ -1,7 +1,8 @@
 """Conjugacy deciders with certificates and the three decompositions."""
 
 import time
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -12,6 +13,7 @@ from moldkit import (
     Word,
     classify,
     general_conjugator,
+    invariant_vector,
     scalar_decompose,
     ss_conjugator,
     ss_equivalent,
@@ -33,7 +35,7 @@ from moldkit.errors import (
 )
 from moldkit.words import words_up_to
 
-from conftest import F2, F3, Q, all_mats, invertible_mats, rand_invertible, rand_mat
+from conftest import F2, F3, F65521, Q, all_mats, invertible_mats, rand_invertible, rand_mat
 
 
 def mat(spec, rows):
@@ -342,3 +344,50 @@ def test_scalar_decompose():
     t2 = RepTuple((Mat2.identity(Q), Mat2.identity(Q).scale(Q.element(3))))
     assert (scalar_decompose(t) == scalar_decompose(t2)) == (
         general_conjugator(t, t2) is not None)
+
+
+@pytest.mark.parametrize("spec, mode", [(F3, "monoid"), (F3, "group"), (F2, "group")],
+                         ids=["F3-monoid", "F3-group", "F2-group"])
+def test_ss_deciders_match_invariant_vector_and_solver_on_every_pair(spec, mode):
+    """On every pair of semi-simple rank-2 tuples, ss_equivalent,
+    equality of the full invariant vectors and the solver agree.  The solver
+    runs on every tuple against the first tuple of its vector class, and on
+    every pair of class representatives; conjugacy is an equivalence
+    relation, so these verified certificates and refusals fix its verdict
+    on every pair.  ss_conjugator runs on every equivalent pair, where its
+    certificate must verify, and on every pair of representatives."""
+    pool = invertible_mats(spec) if mode == "group" else all_mats(spec)
+    tuples = [t for t in (RepTuple(gens, mode) for gens in product(pool, repeat=2))
+              if classify(t) is MoldLabel.SEMISIMPLE]
+    vectors = [invariant_vector(t) for t in tuples]
+    reps = {}
+    for t, vec in zip(tuples, vectors):
+        rep = reps.setdefault(vec, t)
+        P = general_conjugator(rep, t)
+        assert P is not None
+        verify_conjugator(P, rep, t)
+    for r1, r2 in combinations(reps.values(), 2):
+        assert general_conjugator(r1, r2) is None
+        assert ss_conjugator(r1, r2) is None
+    for i, (t1, v1) in enumerate(zip(tuples, vectors)):
+        for t2, v2 in zip(tuples[i:], vectors[i:]):
+            assert ss_equivalent(t1, t2) == (v1 == v2)
+            if v1 == v2:
+                verify_conjugator(ss_conjugator(t1, t2), t1, t2)
+
+
+@pytest.mark.parametrize("spec", [F65521, Q], ids=str)
+def test_ss_deciders_at_group_rank_12_are_fast(spec):
+    """Rank 12 in group mode would need 2^24 - 1 traces as full vectors."""
+    X = mat(spec, [[1, 2], [3, 5]])
+    gens = tuple(Mat2.identity(spec).scale(spec.element(i)) + X.scale(spec.element(Fraction(1, i)))
+                 for i in range(1, 13))
+    t1 = RepTuple(gens, "group")
+    t2 = t1.conjugated(mat(spec, [[2, 1], [7, 4]]))
+    t3 = RepTuple(gens[:-1] + (gens[-1] + Mat2.identity(spec),), "group")
+    start = time.perf_counter()
+    assert ss_equivalent(t1, t2) and not ss_equivalent(t1, t3)
+    P = ss_conjugator(t1, t2)
+    verify_conjugator(P, t1, t2)
+    assert ss_conjugator(t1, t3) is None
+    assert time.perf_counter() - start < 1.0

@@ -1,6 +1,7 @@
 """CLI: document parsing, subcommand reports, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -185,6 +186,16 @@ def test_census_recounts_a_checksummed_cache_of_the_wrong_shape(tmp_path):
             body["checksum"] = census._checksum(body)
             path.write_text(json.dumps(body))
             assert run_command(argv) == want
+
+
+def test_invariants_over_the_trace_budget_exits_1_fast(tmp_path, capsys):
+    doc = {"field": {"p": 5}, "mode": "group", "generators": [[[1, 1], [0, 2]]] * 9}
+    start = time.perf_counter()
+    code, out = run_command(["invariants", write_doc(tmp_path, "rank9.json", doc)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_exit_codes(tmp_path):

@@ -1,11 +1,13 @@
 """Discriminants, trace identities, invariant vectors and closed formulas."""
 
+import time
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from moldkit import (
+    FieldSpec,
     Mat2,
     RepTuple,
     Word,
@@ -18,12 +20,14 @@ from moldkit import (
     tau3,
     trace_word,
 )
-from moldkit.errors import VanishingM
+from moldkit.errors import BudgetExceeded, VanishingM
+from moldkit.invariants import MAX_TRACES, increasing_subsequences
 
 from conftest import (
     F2,
     F3,
     F5,
+    F65521,
     Q,
     all_mats,
     det4_oracle,
@@ -153,6 +157,38 @@ def test_invariant_vector_group_mode_augments():
     assert len(vec.traces) == 3
     assert vec.dets[1] == Q.element(Fraction(1, 2))
     assert vec.trace_map()[(2,)] == Q.element(Fraction(3, 2))
+
+
+@pytest.mark.parametrize("spec", [F2, F65521, FieldSpec.prime(2147483647), Q], ids=str)
+def test_invariant_vector_order_is_increasing_subsequences(rng, spec):
+    """Traces come keyed and ordered by increasing_subsequences(n), and each
+    equals the trace of its product; n = 1..8 in monoid mode and
+    n = 2, 4, 6, 8 in group mode (inverses follow the generators)."""
+    for n in range(1, 9):
+        for mode in ("monoid", "group") if n % 2 == 0 else ("monoid",):
+            rank = n // 2 if mode == "group" else n
+            gens = tuple(rand_invertible(rng, spec) for _ in range(rank))
+            mats = list(gens) + ([g.inverse() for g in gens] if mode == "group" else [])
+            vec = invariant_vector(RepTuple(gens, mode))
+            assert [sub for sub, _ in vec.traces] == increasing_subsequences(n)
+            assert vec.dets == tuple(M.det for M in mats)
+            for sub, value in vec.traces:
+                prod = mats[sub[0] - 1]
+                for i in sub[1:]:
+                    prod = prod * mats[i - 1]
+                assert value == prod.tr
+
+
+def test_invariant_vector_trace_budget():
+    """2^n - 1 traces for n augmented generators: group rank 8 and monoid
+    rank 16 fit MAX_TRACES; one generator more is refused before any work."""
+    A = Mat2.from_rows([[1, 1], [0, 1]], F2)
+    assert len(invariant_vector(RepTuple((A,) * 8, mode="group")).traces) == MAX_TRACES == 2**16 - 1
+    start = time.perf_counter()
+    for t in (RepTuple((A,) * 9, mode="group"), RepTuple((A,) * 17)):
+        with pytest.raises(BudgetExceeded):
+            invariant_vector(t)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_invariant_vector_conjugation_invariant(rng):
