@@ -4,7 +4,7 @@ for the semi-simple, unipotent and characteristic-2 unipotent strata."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 from . import linalg
@@ -57,10 +57,7 @@ def _invertible_in_span(basis: list[Mat2], spec) -> Optional[Mat2]:
     if spec.p is not None and spec.p**d <= 4096:
         # Lexicographic coefficient search keeps certificates reproducible.
         coeffs = [spec.element(i) for i in range(spec.p)]
-        stack = [[]]
-        for _ in range(d):
-            stack = [s + [c] for s in stack for c in coeffs]
-        for s in stack:
+        for s in product(coeffs, repeat=d):
             cand = Mat2.zero(spec)
             for c, B in zip(s, basis):
                 cand = cand + B.scale(c)
@@ -106,8 +103,8 @@ def _require_semisimple(t: RepTuple) -> None:
 
 
 def _split_coordinates(t: RepTuple) -> tuple:
-    """(field, mode, s, (tr A_s, det A_s, (tr A_j)_j, (tr A_s A_j)_j)) on raw
-    entries, with A_s the first generator whose m is nonzero.
+    """(field, mode, s, (tr A_s, det A_s, (tr A_j)_j, (tr A_s A_j)_j)), with
+    A_s the first generator whose m is nonzero.
 
     On the semi-simple stratum such a generator exists, every A_j lies in
     span{I, A_s}, and A_j is recovered from tr A_j and tr A_s A_j
@@ -115,17 +112,12 @@ def _split_coordinates(t: RepTuple) -> tuple:
     conjugacy invariant there, deciding what equality of the full
     invariant vectors decides.
     """
-    p = t.spec.p
-    mats = [g.values() for g in t.gens]
-    for s, (a, b, c, d) in enumerate(mats):
-        m = (a - d) ** 2 + 4 * b * c
-        if m % p if p else m:
-            break
-    else:
+    s = next((i for i, g in enumerate(t.gens) if g.m), None)
+    if s is None:
         raise NoSplitGenerator("no generator has m != 0")
-    coords = [a + d, a * d - b * c, *(e + h for e, f, g, h in mats),
-              *(a * e + b * g + c * f + d * h for e, f, g, h in mats)]
-    return t.spec, t.mode, s, tuple(x % p for x in coords) if p else tuple(coords)
+    A = t.gens[s]
+    coords = (A.tr, A.det, *(g.tr for g in t.gens), *((A * g).tr for g in t.gens))
+    return t.spec, t.mode, s, coords
 
 
 def ss_equivalent(t1: RepTuple, t2: RepTuple) -> bool:
@@ -196,13 +188,12 @@ class CharDeriv:
         return self.tup.evaluate(w).tr / self.tup.spec.element(2)
 
     def d(self, w: Word) -> FieldElement:
-        E = eta(self.tup.evaluate(w))
-        ref = self.eta_mat
-        pos = next(i for i, x in enumerate(ref.entries()) if x)
-        val = E.entries()[pos] / ref.entries()[pos]
-        if ref.scale(val) != E:
+        """The coordinate y of rho(w) = x I + y A_alpha, so that
+        eta(rho(w)) = y eta(A_alpha)."""
+        coords = self.tup.evaluate(w).span_coords(self.tup.gens[self.alpha_index - 1])
+        if coords is None:
             raise NotUnipotent("image is outside the chart span; tuple is not unipotent")
-        return val
+        return coords[1]
 
 
 def unipotent_decompose(t: RepTuple) -> CharDeriv:
@@ -211,7 +202,7 @@ def unipotent_decompose(t: RepTuple) -> CharDeriv:
         raise CharTwo("unipotent charts over characteristic 2 use the (a, b) machinery")
     if classify(t) is not MoldLabel.UNIPOTENT:
         raise NotUnipotent("tuple is not in the unipotent stratum")
-    alpha = next(i for i, g in enumerate(t.gens, start=1) if not eta(g).is_scalar)
+    alpha = next(i for i, g in enumerate(t.gens, start=1) if not g.is_scalar)
     return CharDeriv(tup=t, alpha_index=alpha, eta_mat=eta(t.gens[alpha - 1]))
 
 
@@ -250,13 +241,11 @@ class ABChart:
 
     def _solve(self, w: Word) -> tuple[FieldElement, FieldElement]:
         """(a(w), b(w)) in the root chart."""
-        M = self.tup.evaluate(w)
-        I = Mat2.identity(self.tup.spec)
         Z = self.Z if self.root is None else self.root.Z
-        sol = linalg.solve(list(zip(I.entries(), Z.entries())), M.entries())
-        if sol is None:
+        coords = self.tup.evaluate(w).span_coords(Z)
+        if coords is None:
             raise NotUnipotentF2("image is outside span{I, Z}; tuple is not unipotent over F2")
-        return sol[0], sol[1]
+        return coords
 
     def a(self, w: Word) -> FieldElement:
         a, b = self._solve(w)

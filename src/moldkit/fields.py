@@ -70,6 +70,11 @@ class FieldSpec:
     def characteristic(self) -> int:
         return 0 if self.p is None else self.p
 
+    def reduce(self, x: Value) -> Value:
+        """Canonical value of an exact ring result: x mod p over F_p, and x
+        itself over Q, where Fraction arithmetic keeps results reduced."""
+        return x if self.p is None else x % self.p
+
     def element(self, value) -> "FieldElement":
         """Canonical element from an int, Fraction or another element."""
         if isinstance(value, FieldElement):
@@ -120,51 +125,42 @@ class FieldElement:
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (other := self._coerce(other)) is NotImplemented:
             return NotImplemented
-        if self.spec.p is None:
-            return FieldElement(self.value + other.value, self.spec)
-        return FieldElement((self.value + other.value) % self.spec.p, self.spec)
+        return FieldElement(self.spec.reduce(self.value + other.value), self.spec)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (other := self._coerce(other)) is NotImplemented:
             return NotImplemented
-        if self.spec.p is None:
-            return FieldElement(self.value - other.value, self.spec)
-        return FieldElement((self.value - other.value) % self.spec.p, self.spec)
+        return FieldElement(self.spec.reduce(self.value - other.value), self.spec)
 
     def __rsub__(self, other) -> "FieldElement":
-        return self._coerce(other) - self
+        if (other := self._coerce(other)) is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other) -> "FieldElement":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if (other := self._coerce(other)) is NotImplemented:
             return NotImplemented
-        if self.spec.p is None:
-            return FieldElement(self.value * other.value, self.spec)
-        return FieldElement((self.value * other.value) % self.spec.p, self.spec)
+        return FieldElement(self.spec.reduce(self.value * other.value), self.spec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "FieldElement":
-        other = self._coerce(other)
+        if (other := self._coerce(other)) is NotImplemented:
+            return NotImplemented
         return self * other.inv()
 
     def __neg__(self) -> "FieldElement":
-        if self.spec.p is None:
-            return FieldElement(-self.value, self.spec)
-        return FieldElement((-self.value) % self.spec.p, self.spec)
+        return FieldElement(self.spec.reduce(-self.value), self.spec)
 
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.inv() ** (-n)
-        if self.spec.p is not None:
-            return FieldElement(pow(self.value, n, self.spec.p), self.spec)
-        return FieldElement(self.value**n, self.spec)
+        # pow(x, n, None) is x ** n, so one call serves F_p and Q.
+        return FieldElement(pow(self.value, n, self.spec.p), self.spec)
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -172,9 +168,7 @@ class FieldElement:
     def inv(self) -> "FieldElement":
         if not self:
             raise ZeroInverse(f"zero has no inverse in {self.spec}")
-        if self.spec.p is None:
-            return FieldElement(1 / Fraction(self.value), self.spec)
-        return FieldElement(pow(self.value, self.spec.p - 2, self.spec.p), self.spec)
+        return FieldElement(pow(self.value, -1, self.spec.p), self.spec)
 
     def text(self) -> str:
         """Canonical text form: decimal in [0,p) for F_p, "a/b" for Q."""

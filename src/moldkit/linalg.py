@@ -7,7 +7,7 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .fields import FieldElement, FieldSpec
 
@@ -52,22 +52,6 @@ def in_span(basis_rref: Sequence[Vector], pivots: Sequence[int], v: Vector) -> b
             f = residue[c]
             residue = [x - f * y for x, y in zip(residue, row)]
     return not any(residue)
-
-
-def solve(rows: Sequence[Vector], rhs: Vector) -> Optional[Vector]:
-    """One solution x of (rows) @ x = rhs, or None if inconsistent."""
-    if not rows:
-        return None
-    n = len(rows[0])
-    aug = [tuple(list(row) + [b]) for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if n in pivots:
-        return None
-    spec = rows[0][0].spec
-    x = [spec.zero()] * n
-    for row, c in zip(red, pivots):
-        x[c] = row[n]
-    return tuple(x)
 
 
 def nullspace(rows: Sequence[Vector], ncols: int, spec: FieldSpec) -> list[Vector]:

@@ -1,32 +1,54 @@
 """2x2 matrices over an exact field: characteristic data, trace-free part,
-companion-form normalization, commutant and commutator-image tests."""
+companion-form normalization, commutant and commutator-image tests.
+
+A Mat2 stores its FieldSpec once and its four entries as canonical raw
+values: residues in [0, p) over F_p, reduced Fractions over Q.  Arithmetic
+runs on the raw values, reducing each result through FieldSpec.reduce; the
+entries, trace, determinant and m are boxed as FieldElements when read.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, neg, sub
 
-from . import linalg
 from .errors import CharTwo, ScalarInput, SingularP
 from .fields import FieldElement, FieldSpec
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
+def _mat(spec: FieldSpec, values: tuple) -> "Mat2":
+    """A Mat2 from a spec and four canonical raw values, unchecked."""
+    M = object.__new__(Mat2)
+    _set(M, "spec", spec)
+    _set(M, "_values", values)
+    return M
+
+
+def _entry(i: int) -> property:
+    return property(lambda self: FieldElement(self._values[i], self.spec))
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Mat2:
-    """A 2x2 matrix with all entries in one FieldSpec."""
+    """A 2x2 matrix over one FieldSpec, stored as that spec and the tuple of
+    its canonical raw entries (a11, a12, a21, a22); equality and hashing
+    are on both.  Operations between two matrices raise ValueError when
+    their specs differ."""
 
-    a11: FieldElement
-    a12: FieldElement
-    a21: FieldElement
-    a22: FieldElement
+    spec: FieldSpec
+    _values: tuple
 
-    def __post_init__(self) -> None:
-        s = self.a11.spec
-        if not (self.a12.spec == s and self.a21.spec == s and self.a22.spec == s):
+    def __init__(self, a11: FieldElement, a12: FieldElement,
+                 a21: FieldElement, a22: FieldElement) -> None:
+        spec = a11.spec
+        if not (a12.spec == spec and a21.spec == spec and a22.spec == spec):
             raise ValueError("matrix entries from mixed field specs")
+        _set(self, "spec", spec)
+        _set(self, "_values", (a11.value, a12.value, a21.value, a22.value))
 
-    @property
-    def spec(self) -> FieldSpec:
-        return self.a11.spec
+    a11, a12, a21, a22 = (_entry(i) for i in range(4))
 
     @classmethod
     def from_rows(cls, rows, spec: FieldSpec) -> "Mat2":
@@ -35,12 +57,12 @@ class Mat2:
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> "Mat2":
-        return cls(spec.one(), spec.zero(), spec.zero(), spec.one())
+        one, zero = spec.one().value, spec.zero().value
+        return _mat(spec, (one, zero, zero, one))
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Mat2":
-        z = spec.zero()
-        return cls(z, z, z, z)
+        return _mat(spec, (spec.zero().value,) * 4)
 
     @classmethod
     def companion(cls, trace: FieldElement, det: FieldElement) -> "Mat2":
@@ -49,52 +71,59 @@ class Mat2:
 
     @property
     def tr(self) -> FieldElement:
-        return self.a11 + self.a22
+        return FieldElement(self.spec.reduce(self._values[0] + self._values[3]), self.spec)
 
     @property
     def det(self) -> FieldElement:
-        return self.a11 * self.a22 - self.a12 * self.a21
+        a, b, c, d = self._values
+        return FieldElement(self.spec.reduce(a * d - b * c), self.spec)
 
     @property
     def m(self) -> FieldElement:
-        t = self.tr
-        return t * t - 4 * self.det
+        """tr^2 - 4 det, computed as (a11 - a22)^2 + 4 a12 a21."""
+        a, b, c, d = self._values
+        return FieldElement(self.spec.reduce((a - d) ** 2 + 4 * b * c), self.spec)
 
     @property
     def is_scalar(self) -> bool:
-        return not self.a12 and not self.a21 and self.a11 == self.a22
+        a, b, c, d = self._values
+        return not b and not c and a == d
 
     def entries(self) -> tuple[FieldElement, ...]:
-        return (self.a11, self.a12, self.a21, self.a22)
+        return tuple(FieldElement(v, self.spec) for v in self._values)
 
     def values(self) -> tuple:
         """Raw entry values (a11, a12, a21, a22): residues or Fractions."""
-        return (self.a11.value, self.a12.value, self.a21.value, self.a22.value)
+        return self._values
 
-    def rows(self):
-        return [[self.a11, self.a12], [self.a21, self.a22]]
+    def _common_spec(self, other: "Mat2") -> FieldSpec:
+        spec = self.spec
+        if other.spec is not spec and other.spec != spec:
+            raise ValueError(f"mixed field arithmetic: {spec} vs {other.spec}")
+        return spec
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a11 + other.a11, self.a12 + other.a12,
-                    self.a21 + other.a21, self.a22 + other.a22)
+        spec = self._common_spec(other)
+        return _mat(spec, tuple(map(spec.reduce, map(add, self._values, other._values))))
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a11 - other.a11, self.a12 - other.a12,
-                    self.a21 - other.a21, self.a22 - other.a22)
+        spec = self._common_spec(other)
+        return _mat(spec, tuple(map(spec.reduce, map(sub, self._values, other._values))))
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a11, -self.a12, -self.a21, -self.a22)
+        return _mat(self.spec, tuple(map(self.spec.reduce, map(neg, self._values))))
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
+        spec = self._common_spec(other)
+        r = spec.reduce
+        a, b, c, d = self._values
+        e, f, g, h = other._values
+        return _mat(spec, (r(a * e + b * g), r(a * f + b * h),
+                           r(c * e + d * g), r(c * f + d * h)))
 
     def scale(self, c: FieldElement) -> "Mat2":
-        return Mat2(c * self.a11, c * self.a12, c * self.a21, c * self.a22)
+        k, r = self.spec.element(c).value, self.spec.reduce
+        return _mat(self.spec, tuple(r(k * x) for x in self._values))
 
     def pow(self, n: int) -> "Mat2":
         if n < 0:
@@ -109,15 +138,36 @@ class Mat2:
         return acc
 
     def inverse(self) -> "Mat2":
-        d = self.det
-        if not d:
+        spec = self.spec
+        r = spec.reduce
+        a, b, c, d = self._values
+        det = r(a * d - b * c)
+        if not det:
             raise SingularP("matrix is singular")
-        di = d.inv()
-        return Mat2(di * self.a22, -(di * self.a12), -(di * self.a21), di * self.a11)
+        i = pow(det, -1, spec.p)
+        return _mat(spec, (r(d * i), r(-b * i), r(-c * i), r(a * i)))
+
+    def span_coords(self, X: "Mat2") -> tuple[FieldElement, FieldElement] | None:
+        """(x, y) with self = x I + y X for a non-scalar X, or None when self
+        is outside span{I, X}: y from the first nonzero of X's a12, a21 and
+        a11 - a22, then x = self_11 - y X_11."""
+        spec = self._common_spec(X)
+        r = spec.reduce
+        m11, m12, m21, m22 = self._values
+        a, b, c, d = X._values
+        for u, v in ((b, m12), (c, m21), (r(a - d), r(m11 - m22))):
+            if u:
+                break
+        else:
+            raise ScalarInput("span{I, X} needs a non-scalar X")
+        y = r(v * pow(u, -1, spec.p))
+        x = r(m11 - y * a)
+        if (r(y * b), r(y * c), r(x + y * d)) != (m12, m21, m22):
+            return None
+        return FieldElement(x, spec), FieldElement(y, spec)
 
     def text(self) -> str:
-        return (f"[[{self.a11.text()},{self.a12.text()}],"
-                f"[{self.a21.text()},{self.a22.text()}]]")
+        return "[[{},{}],[{},{}]]".format(*(e.text() for e in self.entries()))
 
     def __repr__(self) -> str:
         return f"Mat2({self.text()}:{self.spec})"
@@ -141,8 +191,7 @@ def eta(A: Mat2) -> Mat2:
     """Trace-free part A - (tr A / 2) I; rejected in characteristic 2."""
     if A.spec.characteristic() == 2:
         raise CharTwo("eta is undefined in characteristic 2")
-    half_tr = A.tr / A.spec.element(2)
-    return A - Mat2.identity(A.spec).scale(half_tr)
+    return A - Mat2.identity(A.spec).scale(A.tr / A.spec.element(2))
 
 
 def companion_normalize(A: Mat2) -> CompanionCert:
@@ -153,21 +202,14 @@ def companion_normalize(A: Mat2) -> CompanionCert:
     """
     if A.is_scalar:
         raise ScalarInput("scalar matrices have no companion form")
-    spec = A.spec
-    one, zero = spec.one(), spec.zero()
+    one, zero = A.spec.one(), A.spec.zero()
     if A.a12:
-        P = Mat2(zero, A.a12, one, A.a22)  # columns e2, A e2
-        branch = "b"
+        P, branch = Mat2(zero, A.a12, one, A.a22), "b"  # columns e2, A e2
     elif A.a21:
-        P = Mat2(one, A.a11, zero, A.a21)  # columns e1, A e1
-        branch = "c"
-    else:
-        v1 = A.a11 + A.a12
-        v2 = A.a21 + A.a22
-        P = Mat2(one, v1, one, v2)  # columns e1+e2, A (e1+e2)
-        branch = "a-d"
-    comp = Mat2.companion(A.tr, A.det)
-    return CompanionCert(P=P, companion=comp, branch=branch)
+        P, branch = Mat2(one, A.a11, zero, A.a21), "c"  # columns e1, A e1
+    else:  # columns e1+e2, A (e1+e2)
+        P, branch = Mat2(one, A.a11 + A.a12, one, A.a21 + A.a22), "a-d"
+    return CompanionCert(P=P, companion=Mat2.companion(A.tr, A.det), branch=branch)
 
 
 def commutant_basis(A: Mat2) -> list[Mat2]:
@@ -181,17 +223,9 @@ def commutator_image_test(A: Mat2, Y: Mat2) -> bool:
     """True iff Y = AX - XA is solvable for X (A non-scalar, field case)."""
     if A.is_scalar:
         raise ScalarInput("commutator image is trivial for scalar A")
-    # Linear system in the four unknown entries of X, row per entry of AX-XA.
-    spec = A.spec
-    z = spec.zero()
-    a, b, c, d = A.entries()
-    rows = [
-        (z, -c, b, z),
-        (-b, a - d, z, b),
-        (c, z, d - a, -c),
-        (z, c, -b, z),
-    ]
-    return linalg.solve(rows, Y.entries()) is not None
+    # The image of X -> AX - XA is the complement of the commutant span{I, A}
+    # under the nondegenerate trace form: tr Y = tr AY = 0.
+    return not (A * Y).tr and not Y.tr
 
 
 def conjugate(P: Mat2, A: Mat2) -> Mat2:

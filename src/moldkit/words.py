@@ -33,10 +33,6 @@ class Word:
             return cls(())
         return cls(tuple(int(part) for part in text.split(",")))
 
-    @property
-    def uses_inverses(self) -> bool:
-        return any(i < 0 for i in self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 

@@ -1,5 +1,6 @@
 """Field arithmetic: canonical forms, axioms, inverses, text encoding."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -88,3 +89,14 @@ def test_pow_and_division():
     assert F7.element(3) ** 6 == F7.one()
     assert (F7.element(3) ** -1) == F7.element(3).inv()
     assert Q.element(Fraction(2, 3)) / Q.element(Fraction(4, 9)) == Q.element(Fraction(3, 2))
+
+
+def test_non_coercible_operands_raise_type_error():
+    # A float is neither a field element nor an int: every operator must
+    # return NotImplemented, so that Python raises TypeError from both sides.
+    for x in (F5.element(2), Q.element(Fraction(2, 3))):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(x, 1.5)
+            with pytest.raises(TypeError):
+                op(1.5, x)

@@ -1,5 +1,8 @@
 """Matrix core: characteristic data, eta, companion forms, commutants."""
 
+import operator
+from fractions import Fraction
+
 import pytest
 
 from moldkit import (
@@ -14,7 +17,18 @@ from moldkit import (
 from moldkit.errors import CharTwo, ScalarInput, SingularP
 from moldkit import linalg
 
-from conftest import F2, F3, F5, Q, all_mats, nonscalar_mats, rand_invertible, rand_mat
+from conftest import (
+    F2,
+    F3,
+    F5,
+    F7,
+    F65521,
+    Q,
+    all_mats,
+    nonscalar_mats,
+    rand_invertible,
+    rand_mat,
+)
 
 
 def test_char_data_examples():
@@ -184,3 +198,92 @@ def test_det_of_linear_combination_formula(rng):
         for _ in range(300):
             check(spec.element(rng.randint(-9, 9)), spec.element(rng.randint(-9, 9)),
                   rand_mat(rng, spec), rand_mat(rng, spec))
+
+
+def test_spec_checks_equality_and_canonical_values():
+    one5, one3 = F5.element(1), F3.element(1)
+    with pytest.raises(ValueError):
+        Mat2(one5, one5, one5, one3)
+    A5 = Mat2.from_rows([[1, 2], [3, 4]], F5)
+    A3 = Mat2.from_rows([[1, 2], [0, 1]], F3)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError):
+            op(A5, A3)
+    with pytest.raises(ValueError):
+        A5.scale(F3.element(2))
+    # Same raw values, different fields: unequal, and no exception.
+    assert A5 != Mat2.from_rows([[1, 2], [3, 4]], F7)
+    assert A5 != A3
+
+    # One matrix built three ways: equal, with equal hashes.
+    built = Mat2(F5.element(3), F5.element(0), F5.element(4), F5.element(1))
+    rows = Mat2.from_rows([[8, -5], [-1, 6]], F5)
+    product = Mat2.from_rows([[3, 0], [0, 1]], F5) * Mat2.from_rows([[1, 0], [4, 1]], F5)
+    combo = Mat2.identity(F5).scale(F5.element(3)) + Mat2.from_rows([[0, 0], [4, -2]], F5)
+    assert built == rows == product == combo
+    assert len({built, rows, product, combo}) == 1
+
+    # F_p values are residues in [0, p); Q values are reduced Fractions.
+    assert Mat2.from_rows([[-1, 7], [12, -13]], F5).values() == (4, 2, 2, 2)
+    for M in (A5 - A5.scale(F5.element(3)), A5 * A5, A5.inverse(), A5.pow(7)):
+        assert all(type(v) is int and 0 <= v < 5 for v in M.values())
+    half = Mat2.from_rows([[Fraction(2, 4), 3], [0, Fraction(-6, 4)]], Q)
+    assert half.values() == (Fraction(1, 2), 3, 0, Fraction(-3, 2))
+    for M in (Mat2.identity(Q), Mat2.zero(Q), half, half * half, half.inverse(), half - half):
+        assert all(isinstance(v, Fraction) for v in M.values())
+    assert Mat2.identity(Q).values() == (1, 0, 0, 1)
+    assert Mat2.identity(Q).text() == "[[1/1,0/1],[0/1,1/1]]"
+
+
+def _rand_nonscalar(rng, spec, span):
+    while True:
+        A = rand_mat(rng, spec, span)
+        if not A.is_scalar:
+            return A
+
+
+@pytest.mark.parametrize("spec", [F65521, Q], ids=str)
+def test_commutator_image_test_matches_rank_oracle(rng, spec):
+    # Y is in the image of X -> AX - XA iff augmenting the 4x4 system of
+    # that map with the column Y leaves its rank unchanged.
+    z = spec.zero()
+    for _ in range(150):
+        A = _rand_nonscalar(rng, spec, 10**6)
+        a, b, c, d = A.entries()
+        rows = [(z, -c, b, z), (-b, a - d, z, b), (c, z, d - a, -c), (z, c, -b, z)]
+        X = rand_mat(rng, spec, 10**6)
+        image = A * X - X * A
+        trace_free = Mat2.from_rows([[0, 1], [0, 0]], spec)  # tr AY = a21 on its own
+        for Y in (image, rand_mat(rng, spec, 10**6), image + Mat2.identity(spec),
+                  image + A, image + trace_free, Mat2.zero(spec)):
+            augmented = [row + (y,) for row, y in zip(rows, Y.entries())]
+            assert commutator_image_test(A, Y) == (linalg.rank(rows) == linalg.rank(augmented))
+
+
+def _check_span_coords(M, X):
+    spec = X.spec
+    red, piv = linalg.rref([Mat2.identity(spec).entries(), X.entries()])
+    coords = M.span_coords(X)
+    assert (coords is not None) == linalg.in_span(red, piv, M.entries())
+    if coords is not None:
+        x, y = coords
+        assert Mat2.identity(spec).scale(x) + X.scale(y) == M
+
+
+@pytest.mark.parametrize("spec", [F65521, Q], ids=str)
+def test_span_coords_matches_membership_oracle(rng, spec):
+    for _ in range(200):
+        X = _rand_nonscalar(rng, spec, 10**6)
+        x, y = rand_mat(rng, spec, 10**6).entries()[:2]
+        inside = Mat2.identity(spec).scale(x) + X.scale(y)
+        for M in (inside, rand_mat(rng, spec, 10**6), inside + X * X, X, Mat2.zero(spec)):
+            _check_span_coords(M, X)
+    with pytest.raises(ScalarInput):
+        X.span_coords(Mat2.identity(spec).scale(spec.element(5)))
+
+
+def test_span_coords_exhaustive_f3():
+    mats = all_mats(F3)
+    for X in nonscalar_mats(F3):
+        for M in mats:
+            _check_span_coords(M, X)
