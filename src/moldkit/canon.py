@@ -4,7 +4,7 @@ for the semi-simple, unipotent and characteristic-2 unipotent strata."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Optional
 
 from . import linalg
@@ -19,7 +19,7 @@ from .errors import (
     NotUnipotentF2,
 )
 from .fields import FieldElement
-from .mat2 import Mat2, companion_normalize, conjugate, eta
+from .mat2 import Mat2, _mat, companion_normalize, conjugate, eta
 from .mold import MoldLabel, classify
 from .words import RepTuple, Word
 
@@ -27,17 +27,17 @@ from .words import RepTuple, Word
 def intertwiner_basis(t1: RepTuple, t2: RepTuple) -> list[Mat2]:
     """Basis of the solution space {P : t1_i P = P t2_i for all i}."""
     spec = t1.spec
-    z = spec.zero()
-    rows: list[tuple[FieldElement, ...]] = []
+    r = spec.reduce
+    rows: list[tuple] = []
     for A, B in zip(t1.gens, t2.gens):
-        a, b, c, d = A.entries()
-        e, f, g, h = B.entries()
-        # Entries of A P - P B as linear forms in (p11, p12, p21, p22).
-        rows.append((a - e, -g, b, z))
-        rows.append((-f, a - h, z, b))
-        rows.append((c, z, d - e, -g))
-        rows.append((z, c, -f, d - h))
-    return [Mat2(*v) for v in linalg.nullspace(rows, 4, spec)]
+        a, b, c, d = A.values()
+        e, f, g, h = B.values()
+        # Entries of A P - P B as linear forms in (p11, p12, p21, p22).  A
+        # literal 0 serves over Q too: it is never a pivot, and rref scales
+        # every row it returns by a Fraction.
+        rows += [(r(a - e), r(-g), b, 0), (r(-f), r(a - h), 0, b),
+                 (c, 0, r(d - e), r(-g)), (0, c, r(-f), r(d - h))]
+    return [_mat(spec, v) for v in linalg.nullspace(rows, 4, spec.p)]
 
 
 def _invertible_in_span(basis: list[Mat2], spec) -> Optional[Mat2]:
@@ -54,26 +54,21 @@ def _invertible_in_span(basis: list[Mat2], spec) -> Optional[Mat2]:
         return None
     if d == 4:
         return Mat2.identity(spec)
+    r = spec.reduce
+    vecs = [B.values() for B in basis]
     if spec.p is not None and spec.p**d <= 4096:
         # Lexicographic coefficient search keeps certificates reproducible.
-        coeffs = [spec.element(i) for i in range(spec.p)]
-        for s in product(coeffs, repeat=d):
-            cand = Mat2.zero(spec)
-            for c, B in zip(s, basis):
-                cand = cand + B.scale(c)
-            if cand.det:
-                return cand
-        return None
-    candidates = list(basis)
-    candidates += [basis[i] + basis[j] for i, j in combinations(range(d), 2)]
-    for cand in candidates:
-        if cand.det:
-            return cand
-    if d <= 2:
-        return None  # det vanishes identically on the span (char != 2)
-    if d == 3:
-        return None  # P0 invertible would force dim in {1, 2, 4}
-    raise RuntimeError("invertible-element search fell through; this is a bug")
+        candidates = (tuple(r(sum(k * v[i] for k, v in zip(s, vecs))) for i in range(4))
+                      for s in product(range(spec.p), repeat=d))
+    else:
+        candidates = chain(vecs, (tuple(r(x + y) for x, y in zip(vecs[i], vecs[j]))
+                                  for i, j in combinations(range(d), 2)))
+    for a, b, c, e in candidates:
+        if r(a * e - b * c):
+            return _mat(spec, (a, b, c, e))
+    # With d in {1, 2}, det vanishes identically on the span (char != 2);
+    # with d = 3, an invertible P0 would force dim in {1, 2, 4}.
+    return None
 
 
 def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:

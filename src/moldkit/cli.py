@@ -63,11 +63,22 @@ def _parse_entry(x, spec: FieldSpec, where: str) -> FieldElement:
     if isinstance(x, int):
         return spec.element(x)
     if isinstance(x, str) and spec.is_rationals:
+        _check_rational_size(x, where)
         try:
             return spec.element(Fraction(x))
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"{where}: malformed rational {x!r}") from None
     raise ValidationError(f"{where}: invalid entry {x!r} for {spec}")
+
+
+def _check_rational_size(text: str, where: str) -> None:
+    """Reject text whose digit count or exponent exceeds the int-string digit
+    limit, before Fraction builds integers that grow with them."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    if sum(map(str.isdecimal, text)) > limit or (exponent.isdecimal() and int(exponent) > limit):
+        shown = repr(text[:20]) + ("..." if len(text) > 20 else "")
+        raise ValidationError(f"{where}: rational {shown} exceeds {limit} digits or exponent")
 
 
 def _parse_matrix(obj, spec: FieldSpec, where: str) -> Mat2:
@@ -189,20 +200,16 @@ def _cmd_equiv(args) -> dict:
         raise ValidationError("documents are not comparable: field, mode and rank must match")
     label1, label2 = classify(left.tup), classify(right.tup)
     if label1 is MoldLabel.SEMISIMPLE and label2 is MoldLabel.SEMISIMPLE:
-        method = "trace"
-        P = ss_conjugator(left.tup, right.tup)
-        equivalent = P is not None
+        method, P = "trace", ss_conjugator(left.tup, right.tup)
     else:
-        method = "solver"
-        P = general_conjugator(left.tup, right.tup)
-        equivalent = P is not None
+        method, P = "solver", general_conjugator(left.tup, right.tup)
     return {
         "command": "equiv",
         "input_sha256": {"left": left.sha256, "right": right.sha256},
         "field": str(left.spec),
         "mode": left.mode,
         "labels": [label1.value, label2.value],
-        "equivalent": equivalent,
+        "equivalent": P is not None,
         "conjugator": None if P is None else _mat_json(P),
         "method": method,
     }

@@ -77,19 +77,7 @@ class FieldSpec:
 
     def element(self, value) -> "FieldElement":
         """Canonical element from an int, Fraction or another element."""
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise ValueError(f"element of {value.spec} used in {self}")
-            return value
-        if self.p is None:
-            return FieldElement(Fraction(value), self)
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise ValueError(f"denominator not invertible mod {self.p}")
-            num = value.numerator % self.p
-            den = pow(value.denominator % self.p, self.p - 2, self.p)
-            return FieldElement(num * den % self.p, self)
-        return FieldElement(int(value) % self.p, self)
+        return FieldElement(value, self)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -108,59 +96,87 @@ class FieldSpec:
         return "Q" if self.p is None else f"F{self.p}"
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__
+
+
+def _fe(value: Value, spec: FieldSpec) -> "FieldElement":
+    """A FieldElement from a canonical raw value, unchecked."""
+    x = object.__new__(FieldElement)
+    _set(x, "value", value)
+    _set(x, "spec", spec)
+    return x
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class FieldElement:
-    """An exact element of a FieldSpec; arithmetic never mixes specs."""
+    """An exact element of a FieldSpec; arithmetic never mixes specs.  The
+    constructor canonicalises an int, a Fraction or an element of the spec:
+    v mod p over F_p (a Fraction through its denominator's inverse), or
+    Fraction(v) over Q."""
 
     value: Value
     spec: FieldSpec
 
-    def _coerce(self, other) -> "FieldElement":
+    def __init__(self, value, spec: FieldSpec) -> None:
+        p = spec.p
+        if isinstance(value, FieldElement):
+            if value.spec != spec:
+                raise ValueError(f"element of {value.spec} used in {spec}")
+            value = value.value
+        elif p is None:
+            value = Fraction(value)
+        elif type(value) is int:
+            value %= p
+        elif isinstance(value, Fraction):
+            if value.denominator % p == 0:
+                raise ValueError(f"denominator not invertible mod {p}")
+            value = value.numerator * pow(value.denominator, -1, p) % p
+        else:
+            value = int(value) % p
+        _set(self, "value", value)
+        _set(self, "spec", spec)
+
+    def _raw(self, other):
+        """Raw value of other, an element of this spec or an int; None for
+        any other type, so that the operator returns NotImplemented."""
         if isinstance(other, FieldElement):
             if other.spec != self.spec:
                 raise ValueError(f"mixed field arithmetic: {self.spec} vs {other.spec}")
-            return other
-        if isinstance(other, int):
-            return self.spec.element(other)
-        return NotImplemented  # type: ignore[return-value]
+            return other.value
+        return FieldElement(other, self.spec).value if isinstance(other, int) else None
 
     def __add__(self, other) -> "FieldElement":
-        if (other := self._coerce(other)) is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.reduce(self.value + other.value), self.spec)
+        v = self._raw(other)
+        return NotImplemented if v is None else _fe(self.spec.reduce(self.value + v), self.spec)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "FieldElement":
-        if (other := self._coerce(other)) is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.reduce(self.value - other.value), self.spec)
+        v = self._raw(other)
+        return NotImplemented if v is None else _fe(self.spec.reduce(self.value - v), self.spec)
 
     def __rsub__(self, other) -> "FieldElement":
-        if (other := self._coerce(other)) is NotImplemented:
-            return NotImplemented
-        return other - self
+        v = self._raw(other)
+        return NotImplemented if v is None else _fe(self.spec.reduce(v - self.value), self.spec)
 
     def __mul__(self, other) -> "FieldElement":
-        if (other := self._coerce(other)) is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec.reduce(self.value * other.value), self.spec)
+        v = self._raw(other)
+        return NotImplemented if v is None else _fe(self.spec.reduce(self.value * v), self.spec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "FieldElement":
-        if (other := self._coerce(other)) is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
+        v = self._raw(other)
+        return NotImplemented if v is None else self * _fe(v, self.spec).inv()
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.spec.reduce(-self.value), self.spec)
+        return _fe(self.spec.reduce(-self.value), self.spec)
 
     def __pow__(self, n: int) -> "FieldElement":
         if n < 0:
             return self.inv() ** (-n)
         # pow(x, n, None) is x ** n, so one call serves F_p and Q.
-        return FieldElement(pow(self.value, n, self.spec.p), self.spec)
+        return _fe(pow(self.value, n, self.spec.p), self.spec)
 
     def __bool__(self) -> bool:
         return self.value != 0
@@ -168,13 +184,12 @@ class FieldElement:
     def inv(self) -> "FieldElement":
         if not self:
             raise ZeroInverse(f"zero has no inverse in {self.spec}")
-        return FieldElement(pow(self.value, -1, self.spec.p), self.spec)
+        return _fe(pow(self.value, -1, self.spec.p), self.spec)
 
     def text(self) -> str:
         """Canonical text form: decimal in [0,p) for F_p, "a/b" for Q."""
         if self.spec.p is None:
-            f = Fraction(self.value)
-            return f"{f.numerator}/{f.denominator}"
+            return f"{self.value.numerator}/{self.value.denominator}"
         return str(self.value)
 
     def __repr__(self) -> str:

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, permutations
+from math import lcm, prod
 
 from .errors import BudgetExceeded, VanishingM
-from .fields import FieldElement
+from .fields import FieldElement, _fe
 from .mat2 import Mat2
 from .words import GROUP, RepTuple, Word
 
@@ -42,19 +42,13 @@ def delta4(A1: Mat2, A2: Mat2, A3: Mat2, A4: Mat2) -> FieldElement:
     Nonzero iff the four matrices form a basis of the 2x2 matrices; the
     row order fixes the sign so that delta2(A, B) = -delta4(I, A, B, AB).
     """
-    rows = [M.entries() for M in (A1, A2, A3, A4)]
-
-    def det3(r, cols):
-        (i, j, k) = cols
-        return (rows[r[0]][i] * (rows[r[1]][j] * rows[r[2]][k] - rows[r[1]][k] * rows[r[2]][j])
-                - rows[r[0]][j] * (rows[r[1]][i] * rows[r[2]][k] - rows[r[1]][k] * rows[r[2]][i])
-                + rows[r[0]][k] * (rows[r[1]][i] * rows[r[2]][j] - rows[r[1]][j] * rows[r[2]][i]))
-
-    rest = (1, 2, 3)
-    return (rows[0][0] * det3(rest, (1, 2, 3))
-            - rows[0][1] * det3(rest, (0, 2, 3))
-            + rows[0][2] * det3(rest, (0, 1, 3))
-            - rows[0][3] * det3(rest, (0, 1, 2)))
+    spec = A1.spec
+    if any(M.spec != spec for M in (A2, A3, A4)):
+        raise ValueError("matrices from mixed field specs")
+    rows = [M.values() for M in (A1, A2, A3, A4)]
+    total = sum((-1) ** sum(s[i] > s[j] for i, j in combinations(range(4), 2))
+                * prod(row[j] for row, j in zip(rows, s)) for s in permutations(range(4)))
+    return _fe(spec.reduce(total), spec)
 
 
 def trace_word(t: RepTuple, w: Word) -> FieldElement:
@@ -98,9 +92,9 @@ def invariant_vector(t: RepTuple) -> InvariantVector:
     spec = t.spec
     dets, traces = _moduli_entries(spec.p, [g.values() for g in t.gens], t.mode == GROUP)
     return InvariantVector(
-        dets=tuple(FieldElement(v, spec) for v in dets),
+        dets=tuple(_fe(v, spec) for v in dets),
         traces=tuple(zip(increasing_subsequences(len(dets)),
-                         (FieldElement(v, spec) for v in traces))))
+                         (_fe(v, spec) for v in traces))))
 
 
 def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple]:
@@ -192,13 +186,7 @@ def m_power_closed(A: Mat2, n: int) -> FieldElement:
         raise ValueError("n must be >= 1")
     trA, detA = A.tr, A.det
     tp = trace_powers(trA, detA, max(n - 1, 0))
-    spec = A.spec
-    acc = spec.zero()
+    acc = sum((detA**k * tp[n - 2 * k - 1] for k in range(n // 2)), A.spec.zero())
     if n % 2 == 1:
-        for k in range((n - 3) // 2 + 1):
-            acc = acc + detA**k * tp[n - 2 * k - 1]
         acc = acc + detA ** ((n - 1) // 2)
-    else:
-        for k in range((n - 2) // 2 + 1):
-            acc = acc + detA**k * tp[n - 2 * k - 1]
     return A.m * acc * acc

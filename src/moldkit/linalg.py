@@ -1,20 +1,27 @@
-"""Small exact linear algebra over FieldElement vectors.
+"""Small exact linear algebra over raw canonical field values.
 
-Vectors are tuples of FieldElement, matrices are lists of such rows.
-Everything is Gauss-Jordan over an exact field, so results are exact and
-deterministic.
+Vectors are tuples of the raw values that Mat2.values() holds: residues in
+[0, p) over F_p, reduced Fractions over Q, with the field named by p (None
+for Q) as in the mold and moduli kernels.  Matrices are lists of such
+rows.  Everything is Gauss-Jordan over an exact field, so results are
+exact, canonical and deterministic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
-from .fields import FieldElement, FieldSpec
-
-Vector = tuple[FieldElement, ...]
+Vector = tuple
 
 
-def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
+def _reduce(xs: list, p: int | None) -> list:
+    """Canonical values of exact ring results: x mod p over F_p; Fraction
+    arithmetic already keeps Q results reduced."""
+    return [x % p for x in xs] if p else xs
+
+
+def rref(rows: Sequence[Vector], p: int | None) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     work = [list(r) for r in rows]
     if not work:
@@ -27,12 +34,11 @@ def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        scale = work[r][c].inv()
-        work[r] = [x * scale for x in work[r]]
+        scale = pow(work[r][c], -1, p)
+        row = work[r] = _reduce([x * scale for x in work[r]], p)
         for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+            if i != r and (f := work[i][c]):
+                work[i] = _reduce([x - f * y for x, y in zip(work[i], row)], p)
         pivots.append(c)
         r += 1
         if r == len(work):
@@ -40,29 +46,30 @@ def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
     return [tuple(row) for row in work[:r]], pivots
 
 
-def rank(rows: Sequence[Vector]) -> int:
-    return len(rref(rows)[0])
+def rank(rows: Sequence[Vector], p: int | None) -> int:
+    return len(rref(rows, p)[0])
 
 
-def in_span(basis_rref: Sequence[Vector], pivots: Sequence[int], v: Vector) -> bool:
+def in_span(basis_rref: Sequence[Vector], pivots: Sequence[int], v: Vector,
+            p: int | None) -> bool:
     """Membership test against an already-reduced basis."""
     residue = list(v)
     for row, c in zip(basis_rref, pivots):
-        if residue[c]:
-            f = residue[c]
-            residue = [x - f * y for x, y in zip(residue, row)]
+        if f := residue[c]:
+            residue = _reduce([x - f * y for x, y in zip(residue, row)], p)
     return not any(residue)
 
 
-def nullspace(rows: Sequence[Vector], ncols: int, spec: FieldSpec) -> list[Vector]:
+def nullspace(rows: Sequence[Vector], ncols: int, p: int | None) -> list[Vector]:
     """Basis of {x : rows @ x = 0}, in deterministic free-column order."""
-    red, pivots = rref(rows)
+    red, pivots = rref(rows, p)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     free = [c for c in range(ncols) if c not in pivots]
     basis: list[Vector] = []
     for fc in free:
-        v = [spec.zero()] * ncols
-        v[fc] = spec.one()
+        v = [zero] * ncols
+        v[fc] = one
         for row, c in zip(red, pivots):
-            v[c] = -row[fc]
+            v[c] = -row[fc] % p if p else -row[fc]
         basis.append(tuple(v))
     return basis

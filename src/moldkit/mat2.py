@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import add, neg, sub
 
 from .errors import CharTwo, ScalarInput, SingularP
-from .fields import FieldElement, FieldSpec
+from .fields import FieldElement, FieldSpec, _fe
 
 _set = object.__setattr__
 
@@ -27,7 +27,7 @@ def _mat(spec: FieldSpec, values: tuple) -> "Mat2":
 
 
 def _entry(i: int) -> property:
-    return property(lambda self: FieldElement(self._values[i], self.spec))
+    return property(lambda self: _fe(self._values[i], self.spec))
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -71,18 +71,18 @@ class Mat2:
 
     @property
     def tr(self) -> FieldElement:
-        return FieldElement(self.spec.reduce(self._values[0] + self._values[3]), self.spec)
+        return _fe(self.spec.reduce(self._values[0] + self._values[3]), self.spec)
 
     @property
     def det(self) -> FieldElement:
         a, b, c, d = self._values
-        return FieldElement(self.spec.reduce(a * d - b * c), self.spec)
+        return _fe(self.spec.reduce(a * d - b * c), self.spec)
 
     @property
     def m(self) -> FieldElement:
         """tr^2 - 4 det, computed as (a11 - a22)^2 + 4 a12 a21."""
         a, b, c, d = self._values
-        return FieldElement(self.spec.reduce((a - d) ** 2 + 4 * b * c), self.spec)
+        return _fe(self.spec.reduce((a - d) ** 2 + 4 * b * c), self.spec)
 
     @property
     def is_scalar(self) -> bool:
@@ -90,7 +90,7 @@ class Mat2:
         return not b and not c and a == d
 
     def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(FieldElement(v, self.spec) for v in self._values)
+        return tuple(_fe(v, self.spec) for v in self._values)
 
     def values(self) -> tuple:
         """Raw entry values (a11, a12, a21, a22): residues or Fractions."""
@@ -164,7 +164,7 @@ class Mat2:
         x = r(m11 - y * a)
         if (r(y * b), r(y * c), r(x + y * d)) != (m12, m21, m22):
             return None
-        return FieldElement(x, spec), FieldElement(y, spec)
+        return _fe(x, spec), _fe(y, spec)
 
     def text(self) -> str:
         return "[[{},{}],[{},{}]]".format(*(e.text() for e in self.entries()))

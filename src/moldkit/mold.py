@@ -7,14 +7,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from . import linalg
-from .errors import NonInvertibleGenerator
-from .fields import FieldElement
+from .fields import FieldElement, _fe
 from .invariants import delta2, tau3
-from .mat2 import Mat2
+from .mat2 import Mat2, _mat
 from .words import GROUP, RepTuple
 
 
@@ -51,16 +51,17 @@ def span_closure(t: RepTuple) -> SubalgebraBasis:
     The returned basis is the reduced row echelon form of the closure, so
     it is deterministic and contains I in its span.
     """
-    rows = [Mat2.identity(t.spec).entries()] + [g.entries() for g in t.gens]
-    basis_rows, _ = linalg.rref(rows)
+    spec = t.spec
+    rows = [Mat2.identity(spec).values()] + [g.values() for g in t.gens]
+    basis_rows, _ = linalg.rref(rows, spec.p)
     while len(basis_rows) < 4:
-        mats = [Mat2(*row) for row in basis_rows]
-        products = [(x * y).entries() for x in mats for y in mats]
-        new_rows, _ = linalg.rref(list(basis_rows) + products)
+        mats = [_mat(spec, row) for row in basis_rows]
+        products = [(x * y).values() for x in mats for y in mats]
+        new_rows, _ = linalg.rref(basis_rows + products, spec.p)
         if len(new_rows) == len(basis_rows):
             break
         basis_rows = new_rows
-    return SubalgebraBasis(tuple(Mat2(*row) for row in basis_rows))
+    return SubalgebraBasis(tuple(_mat(spec, row) for row in basis_rows))
 
 
 def rank_le2_test(t: RepTuple) -> bool:
@@ -136,9 +137,6 @@ def air_by_discriminants(t: RepTuple) -> bool:
     """
     result = air_witness(t) is not None
     if t.mode == GROUP:
-        for g in t.gens:
-            if not g.det:
-                raise NonInvertibleGenerator("product-pair air test needs invertible generators")
         variant = any(delta2(t.gens[i - 1], t.gens[j - 1])
                       for i, j in combinations(range(1, len(t.gens) + 1), 2))
         if not variant:
@@ -180,48 +178,43 @@ def _sqrt_mod(a: int, p: int) -> Optional[int]:
     return r
 
 
-def _sqrt_in_field(x: FieldElement) -> Optional[FieldElement]:
-    spec = x.spec
-    if spec.p is not None:
-        r = _sqrt_mod(x.value, spec.p)
-        return None if r is None else spec.element(r)
-    f = x.value
-    if f < 0:
+def _sqrt_in_field(x, p: Optional[int]):
+    """A square root of the raw value x over F_p, or over Q if p is None; or
+    None when there is none."""
+    if p is not None:
+        return _sqrt_mod(x, p)
+    if x < 0:
         return None
-    num, den = math.isqrt(f.numerator), math.isqrt(f.denominator)
-    if num * num == f.numerator and den * den == f.denominator:
-        from fractions import Fraction
-
-        return spec.element(Fraction(num, den))
-    return None
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(num, den) if num * num == x.numerator and den * den == x.denominator else None
 
 
-def _eigenlines(A: Mat2) -> list[tuple[FieldElement, FieldElement]]:
-    """Base-field eigenlines of a non-scalar A, canonically scaled."""
-    spec = A.spec
-    lines: list[tuple[FieldElement, FieldElement]] = []
-    if spec.characteristic() == 2 and spec.p == 2:
-        candidates = [spec.element(0), spec.element(1)]
-        eigenvalues = [lam for lam in candidates
-                       if lam * lam - A.tr * lam + A.det == lam.spec.zero()]
+def _eigenlines(A: Mat2) -> list[tuple]:
+    """Base-field eigenlines of a non-scalar A as raw (x, y) pairs, scaled
+    so that the first nonzero coordinate is 1."""
+    p, r = A.spec.p, A.spec.reduce
+    a, b, c, d = A.values()
+    tr, det = r(a + d), r(a * d - b * c)
+    if p == 2:
+        eigenvalues = [lam for lam in (0, 1) if not r(lam * lam - tr * lam + det)]
     else:
-        s = _sqrt_in_field(A.m)
+        s = _sqrt_in_field(r((a - d) ** 2 + 4 * b * c), p)
         if s is None:
             return []
-        two_inv = spec.element(2).inv()
-        lam1, lam2 = (A.tr + s) * two_inv, (A.tr - s) * two_inv
-        eigenvalues = [lam1] if lam1 == lam2 else sorted([lam1, lam2], key=lambda e: e.value)
+        half = pow(2, -1, p) if p else Fraction(1, 2)
+        lam1, lam2 = r((tr + s) * half), r((tr - s) * half)
+        eigenvalues = [lam1] if lam1 == lam2 else sorted([lam1, lam2])
+    lines: list[tuple] = []
     for lam in eigenvalues:
-        M11, M12 = A.a11 - lam, A.a12
-        M21, M22 = A.a21, A.a22 - lam
-        if M11 or M12:
-            v = (M12, -M11)
-        elif M21 or M22:
-            v = (M22, -M21)
+        m11, m22 = r(a - lam), r(d - lam)
+        if m11 or b:
+            v = (b, r(-m11))
+        elif c or m22:
+            v = (m22, r(-c))
         else:
             continue  # A = lam I, excluded for non-scalar A
-        scale = (v[0] if v[0] else v[1]).inv()
-        line = (scale * v[0], scale * v[1])
+        scale = pow(v[0] or v[1], -1, p)
+        line = (r(scale * v[0]), r(scale * v[1]))
         if line not in lines:
             lines.append(line)
     return lines
@@ -238,13 +231,9 @@ def common_invariant_line(t: RepTuple) -> Optional[tuple[FieldElement, FieldElem
     spec = t.spec
     if pivot is None:
         return (spec.one(), spec.zero())
-    for line in _eigenlines(pivot):
-        ok = True
-        for g in t.gens:
-            w = (g.a11 * line[0] + g.a12 * line[1], g.a21 * line[0] + g.a22 * line[1])
-            if w[0] * line[1] - w[1] * line[0]:
-                ok = False
-                break
-        if ok:
-            return line
+    r = spec.reduce
+    for x, y in _eigenlines(pivot):
+        if all(not r((a * x + b * y) * y - (c * x + d * y) * x)
+               for a, b, c, d in (g.values() for g in t.gens)):
+            return _fe(x, spec), _fe(y, spec)
     return None

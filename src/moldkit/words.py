@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Iterator
 
 from .errors import NonInvertibleGenerator
 from .fields import FieldSpec
-from .mat2 import Mat2
+from .mat2 import Mat2, conjugate
 
 MONOID = "monoid"
 GROUP = "group"
@@ -74,21 +76,15 @@ class RepTuple:
             return self.gens[index - 1]
         if self.mode != GROUP:
             raise ValueError("inverse letters require group mode")
-        g = self.gens[-index - 1]
-        if not g.det:
-            raise NonInvertibleGenerator(f"generator {-index} is singular")
-        return g.inverse()
+        return self.gens[-index - 1].inverse()
 
     def evaluate(self, w: Word) -> Mat2:
         """Product of the word's letter images; the empty word gives I."""
-        acc = Mat2.identity(self.spec)
-        for letter in w.letters:
-            acc = acc * self.generator(letter)
-        return acc
+        if not w.letters:
+            return Mat2.identity(self.spec)
+        return reduce(mul, map(self.generator, w.letters))
 
     def conjugated(self, P: Mat2) -> "RepTuple":
-        from .mat2 import conjugate
-
         return RepTuple(tuple(conjugate(P, g) for g in self.gens), self.mode)
 
 

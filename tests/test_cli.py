@@ -198,6 +198,22 @@ def test_invariants_over_the_trace_budget_exits_1_fast(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_oversized_rational_text_exits_1_fast(tmp_path, capsys):
+    # Fraction accepts exponent notation, so a short entry can name a huge
+    # integer; the text's digits and exponent are bounded before parsing.
+    for text in ("1e3000000", "1e-4301", "7" * 5000, "1/" + "3" * 4301):
+        doc = {"field": "Q", "mode": "monoid", "generators": [[[1, text], [0, 1]]]}
+        start = time.perf_counter()
+        code, out = run_command(["classify", write_doc(tmp_path, "big.json", doc)])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: generators[0][0][1]: rational ")
+        assert err.count("\n") == 1 and len(err) < 120
+    doc = {"field": "Q", "mode": "monoid", "generators": [[[1, "1e4300"], [0, 1]]]}
+    assert run_command(["classify", write_doc(tmp_path, "edge.json", doc)])[0] == 0
+
+
 def test_exit_codes(tmp_path):
     code, _ = run_command(["classify", str(tmp_path / "missing.json")])
     assert code == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from moldkit import FieldSpec, embed_int, inv
+from moldkit import FieldElement, FieldSpec, embed_int, inv
 from moldkit.errors import ZeroInverse
 
 from conftest import F2, F3, F5, F7, Q
@@ -49,6 +49,19 @@ def test_canonical_forms_unique():
     assert Q.element(Fraction(1, 2)).value.denominator == 2
     # Fractions embed into F_p through the inverse of the denominator.
     assert F5.element(Fraction(1, 2)) == F5.element(3)
+
+
+def test_constructor_canonicalises():
+    assert FieldElement(7, F5) == F5.element(2)
+    assert FieldElement(-1, F5).value == 4
+    assert FieldElement(Fraction(1, 2), F5) == F5.element(3)
+    assert FieldElement(2, Q).inv().value == Fraction(1, 2)
+    assert FieldElement(Fraction(2, 4), Q) == Q.element(Fraction(1, 2))
+    assert FieldElement(F5.element(3), F5) == F5.element(3)
+    with pytest.raises(ValueError):
+        FieldElement(Fraction(1, 5), F5)
+    with pytest.raises(ValueError):
+        FieldElement(F3.element(1), F5)
 
 
 def test_no_silent_spec_mixing():

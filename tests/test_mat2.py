@@ -112,18 +112,18 @@ def test_commutant_basis():
     assert basis == [Mat2.identity(Q), A]
     # Independent oracle: the solution space of AQ = QA has dimension 2
     # and contains the claimed basis.
-    z = Q.zero()
-    a, b, c, d = A.entries()
+    z = Q.zero().value
+    a, b, c, d = A.values()
     rows = [(z, -c, b, z), (-b, a - d, z, b), (c, z, d - a, -c), (z, c, -b, z)]
-    null = linalg.nullspace(rows, 4, Q)
+    null = linalg.nullspace(rows, 4, Q.p)
     assert len(null) == 2
-    red, piv = linalg.rref(null)
+    red, piv = linalg.rref(null, Q.p)
     for B in basis:
-        assert linalg.in_span(red, piv, B.entries())
+        assert linalg.in_span(red, piv, B.values(), Q.p)
 
     D = Mat2.from_rows([[1, 0], [0, 2]], Q)
-    red, piv = linalg.rref([M.entries() for M in commutant_basis(D)])
-    assert linalg.in_span(red, piv, Mat2.from_rows([[5, 0], [0, 7]], Q).entries())
+    red, piv = linalg.rref([M.values() for M in commutant_basis(D)], Q.p)
+    assert linalg.in_span(red, piv, Mat2.from_rows([[5, 0], [0, 7]], Q).values(), Q.p)
 
     with pytest.raises(ScalarInput):
         commutant_basis(Mat2.identity(Q))
@@ -132,10 +132,10 @@ def test_commutant_basis():
 def test_commutant_is_exactly_span_I_A(rng):
     # Every Q with AQ = QA lies in span{I, A}: exhaustive over F2.
     for A in nonscalar_mats(F2):
-        red, piv = linalg.rref([M.entries() for M in commutant_basis(A)])
+        red, piv = linalg.rref([M.values() for M in commutant_basis(A)], F2.p)
         for X in all_mats(F2):
             if A * X == X * A:
-                assert linalg.in_span(red, piv, X.entries())
+                assert linalg.in_span(red, piv, X.values(), F2.p)
 
 
 def test_commutator_image_examples():
@@ -246,25 +246,27 @@ def _rand_nonscalar(rng, spec, span):
 def test_commutator_image_test_matches_rank_oracle(rng, spec):
     # Y is in the image of X -> AX - XA iff augmenting the 4x4 system of
     # that map with the column Y leaves its rank unchanged.
-    z = spec.zero()
+    z, r = spec.zero().value, spec.reduce
     for _ in range(150):
         A = _rand_nonscalar(rng, spec, 10**6)
-        a, b, c, d = A.entries()
-        rows = [(z, -c, b, z), (-b, a - d, z, b), (c, z, d - a, -c), (z, c, -b, z)]
+        a, b, c, d = A.values()
+        rows = [(z, r(-c), b, z), (r(-b), r(a - d), z, b), (c, z, r(d - a), r(-c)),
+                (z, c, r(-b), z)]
         X = rand_mat(rng, spec, 10**6)
         image = A * X - X * A
         trace_free = Mat2.from_rows([[0, 1], [0, 0]], spec)  # tr AY = a21 on its own
         for Y in (image, rand_mat(rng, spec, 10**6), image + Mat2.identity(spec),
                   image + A, image + trace_free, Mat2.zero(spec)):
-            augmented = [row + (y,) for row, y in zip(rows, Y.entries())]
-            assert commutator_image_test(A, Y) == (linalg.rank(rows) == linalg.rank(augmented))
+            augmented = [row + (y,) for row, y in zip(rows, Y.values())]
+            assert commutator_image_test(A, Y) == (linalg.rank(rows, spec.p)
+                                                   == linalg.rank(augmented, spec.p))
 
 
 def _check_span_coords(M, X):
     spec = X.spec
-    red, piv = linalg.rref([Mat2.identity(spec).entries(), X.entries()])
+    red, piv = linalg.rref([Mat2.identity(spec).values(), X.values()], spec.p)
     coords = M.span_coords(X)
-    assert (coords is not None) == linalg.in_span(red, piv, M.entries())
+    assert (coords is not None) == linalg.in_span(red, piv, M.values(), spec.p)
     if coords is not None:
         x, y = coords
         assert Mat2.identity(spec).scale(x) + X.scale(y) == M

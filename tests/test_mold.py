@@ -49,20 +49,20 @@ def test_span_closure_is_closed_and_unital(rng):
         for _ in range(40):
             t = RepTuple((rand_mat(rng, spec), rand_mat(rng, spec)))
             basis = span_closure(t).basis
-            red, piv = linalg.rref([B.entries() for B in basis])
-            assert linalg.in_span(red, piv, Mat2.identity(spec).entries())
+            red, piv = linalg.rref([B.values() for B in basis], spec.p)
+            assert linalg.in_span(red, piv, Mat2.identity(spec).values(), spec.p)
             for X in basis:
                 for Y in basis:
-                    assert linalg.in_span(red, piv, (X * Y).entries())
+                    assert linalg.in_span(red, piv, (X * Y).values(), spec.p)
             for g in t.gens:
-                assert linalg.in_span(red, piv, g.entries())
+                assert linalg.in_span(red, piv, g.values(), spec.p)
 
 
 def test_span_closure_matches_word_image_span(rng):
     # Oracle: the span of all word images up to length 4 (dim <= 4 makes
     # longer words redundant once the span is multiplicatively closed).
     def oracle_dim(t):
-        return linalg.rank([M.entries() for M in word_images(t, 4)])
+        return linalg.rank([M.values() for M in word_images(t, 4)], t.spec.p)
 
     mats2 = all_mats(F2)
     for A in mats2:
@@ -78,8 +78,8 @@ def minors_rank_le2_oracle(t, max_len=3):
     """All 3x3 minors of the stacked entry columns vanish for all word triples."""
     images = word_images(t, max_len)
     for trip in combinations(range(len(images)), 3):
-        cols = [images[i].entries() for i in trip]
-        if linalg.rank(cols) > 2:
+        cols = [images[i].values() for i in trip]
+        if linalg.rank(cols, t.spec.p) > 2:
             return False
     return True
 
