@@ -98,8 +98,8 @@ def _require_semisimple(t: RepTuple) -> None:
 
 
 def _split_coordinates(t: RepTuple) -> tuple:
-    """(field, mode, s, (tr A_s, det A_s, (tr A_j)_j, (tr A_s A_j)_j)), with
-    A_s the first generator whose m is nonzero.
+    """(field, mode, s, det A_s, (tr A_j)_j, (tr A_s A_j)_j) as raw values,
+    with A_s the first generator whose m is nonzero.
 
     On the semi-simple stratum such a generator exists, every A_j lies in
     span{I, A_s}, and A_j is recovered from tr A_j and tr A_s A_j
@@ -107,17 +107,17 @@ def _split_coordinates(t: RepTuple) -> tuple:
     conjugacy invariant there, deciding what equality of the full
     invariant vectors decides.
     """
-    s = next((i for i, g in enumerate(t.gens) if g.m), None)
-    if s is None:
-        raise NoSplitGenerator("no generator has m != 0")
-    A = t.gens[s]
-    coords = (A.tr, A.det, *(g.tr for g in t.gens), *((A * g).tr for g in t.gens))
-    return t.spec, t.mode, s, coords
+    r = t.spec.reduce
+    vals = [g.values() for g in t.gens]
+    s = next(i for i, (a, b, c, d) in enumerate(vals) if r((a - d) ** 2 + 4 * b * c))
+    a, b, c, d = vals[s]
+    return (t.spec, t.mode, s, r(a * d - b * c), tuple(r(e + h) for e, _, _, h in vals),
+            tuple(r(a * e + b * g + c * f + d * h) for e, f, g, h in vals))
 
 
 def ss_equivalent(t1: RepTuple, t2: RepTuple) -> bool:
     """Conjugacy on the semi-simple stratum from the split-generator trace
-    coordinates: the first generator A_s with m != 0, tr A_s, det A_s, and
+    coordinates: the first generator A_s with m != 0, det A_s, and
     tr A_j, tr A_s A_j for every generator.  O(m) work; decides the same
     relation as equality of the full invariant vectors."""
     _require_semisimple(t1)

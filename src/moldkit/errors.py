@@ -62,8 +62,8 @@ class ChartOverlapEmpty(MoldkitError):
 
 
 class BudgetExceeded(MoldkitError):
-    """Requested work exceeds a budget: the census tuple budget or the
-    invariant-vector trace budget."""
+    """Requested work exceeds a budget: the census tuple budget, the
+    invariant-vector trace budget or the int-string limit of a printed value."""
 
 
 class ParseError(MoldkitError):

@@ -2,16 +2,18 @@
 
 Elements are immutable and canonical: an F_p value is stored as an int in
 [0, p), a rational as a reduced Fraction with positive denominator, so
-equal elements always have identical representations.
+equal elements always have identical representations.  FieldSpec.canonical
+is the one canonicalisation and FieldSpec.parse the one text parser.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ZeroInverse
+from .errors import BudgetExceeded, ZeroInverse
 
 Value = Union[int, Fraction]
 
@@ -75,9 +77,28 @@ class FieldSpec:
         itself over Q, where Fraction arithmetic keeps results reduced."""
         return x if self.p is None else x % self.p
 
+    def canonical(self, value) -> Value:
+        """Canonical raw value of an int, a Fraction or an element of this
+        spec: v mod p over F_p (a Fraction through its denominator's
+        inverse), or Fraction(v) over Q."""
+        p = self.p
+        if isinstance(value, FieldElement):
+            if value.spec is not self and value.spec != self:
+                raise ValueError(f"element of {value.spec} used in {self}")
+            return value.value
+        if p is None:
+            return Fraction(value)
+        if type(value) is int:
+            return value % p
+        if isinstance(value, Fraction):
+            if value.denominator % p == 0:
+                raise ValueError(f"denominator not invertible mod {p}")
+            return value.numerator * pow(value.denominator, -1, p) % p
+        return int(value) % p
+
     def element(self, value) -> "FieldElement":
         """Canonical element from an int, Fraction or another element."""
-        return FieldElement(value, self)
+        return _fe(self.canonical(value), self)
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -86,11 +107,20 @@ class FieldSpec:
         return self.element(1)
 
     def parse(self, text: str) -> "FieldElement":
-        """Parse the text encoding: decimal for F_p, "a/b" or decimal for Q."""
-        text = text.strip()
-        if self.p is None:
+        """Parse the text encoding: decimal for F_p, "a/b" or decimal for Q.
+        ValueError for malformed text, and for Q text whose digit count or
+        exponent exceeds the int-string limit, checked before Fraction runs."""
+        if self.p is not None:
+            return self.element(int(text))
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if sum(map(str.isdecimal, text)) > limit or exponent.isdecimal() and int(exponent) > limit:
+            shown = repr(text[:20]) + ("..." if len(text) > 20 else "")
+            raise ValueError(f"rational {shown} exceeds {limit} digits or exponent")
+        try:
             return self.element(Fraction(text))
-        return self.element(int(text))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"malformed rational {text!r}") from None
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
@@ -118,32 +148,13 @@ class FieldElement:
     spec: FieldSpec
 
     def __init__(self, value, spec: FieldSpec) -> None:
-        p = spec.p
-        if isinstance(value, FieldElement):
-            if value.spec != spec:
-                raise ValueError(f"element of {value.spec} used in {spec}")
-            value = value.value
-        elif p is None:
-            value = Fraction(value)
-        elif type(value) is int:
-            value %= p
-        elif isinstance(value, Fraction):
-            if value.denominator % p == 0:
-                raise ValueError(f"denominator not invertible mod {p}")
-            value = value.numerator * pow(value.denominator, -1, p) % p
-        else:
-            value = int(value) % p
-        _set(self, "value", value)
+        _set(self, "value", spec.canonical(value))
         _set(self, "spec", spec)
 
     def _raw(self, other):
         """Raw value of other, an element of this spec or an int; None for
         any other type, so that the operator returns NotImplemented."""
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise ValueError(f"mixed field arithmetic: {self.spec} vs {other.spec}")
-            return other.value
-        return FieldElement(other, self.spec).value if isinstance(other, int) else None
+        return self.spec.canonical(other) if isinstance(other, (FieldElement, int)) else None
 
     def __add__(self, other) -> "FieldElement":
         v = self._raw(other)
@@ -187,10 +198,15 @@ class FieldElement:
         return _fe(pow(self.value, -1, self.spec.p), self.spec)
 
     def text(self) -> str:
-        """Canonical text form: decimal in [0,p) for F_p, "a/b" for Q."""
-        if self.spec.p is None:
+        """Canonical text form: decimal in [0,p) for F_p, "a/b" for Q;
+        BudgetExceeded for a rational over the int-string digit limit."""
+        if self.spec.p is not None:
+            return str(self.value)
+        try:
             return f"{self.value.numerator}/{self.value.denominator}"
-        return str(self.value)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise BudgetExceeded(f"rational value exceeds the {limit}-digit output limit") from None
 
     def __repr__(self) -> str:
         return f"{self.text()}:{self.spec}"

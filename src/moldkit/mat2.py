@@ -42,27 +42,24 @@ class Mat2:
 
     def __init__(self, a11: FieldElement, a12: FieldElement,
                  a21: FieldElement, a22: FieldElement) -> None:
-        spec = a11.spec
-        if not (a12.spec == spec and a21.spec == spec and a22.spec == spec):
-            raise ValueError("matrix entries from mixed field specs")
-        _set(self, "spec", spec)
-        _set(self, "_values", (a11.value, a12.value, a21.value, a22.value))
+        _set(self, "spec", a11.spec)
+        _set(self, "_values", tuple(map(a11.spec.canonical, (a11, a12, a21, a22))))
 
     a11, a12, a21, a22 = (_entry(i) for i in range(4))
 
     @classmethod
     def from_rows(cls, rows, spec: FieldSpec) -> "Mat2":
         (a, b), (c, d) = rows
-        return cls(spec.element(a), spec.element(b), spec.element(c), spec.element(d))
+        return _mat(spec, tuple(map(spec.canonical, (a, b, c, d))))
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> "Mat2":
-        one, zero = spec.one().value, spec.zero().value
+        one, zero = spec.canonical(1), spec.canonical(0)
         return _mat(spec, (one, zero, zero, one))
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Mat2":
-        return _mat(spec, (spec.zero().value,) * 4)
+        return _mat(spec, (spec.canonical(0),) * 4)
 
     @classmethod
     def companion(cls, trace: FieldElement, det: FieldElement) -> "Mat2":
@@ -122,7 +119,7 @@ class Mat2:
                            r(c * e + d * g), r(c * f + d * h)))
 
     def scale(self, c: FieldElement) -> "Mat2":
-        k, r = self.spec.element(c).value, self.spec.reduce
+        k, r = self.spec.canonical(c), self.spec.reduce
         return _mat(self.spec, tuple(r(k * x) for x in self._values))
 
     def pow(self, n: int) -> "Mat2":
@@ -229,7 +226,5 @@ def commutator_image_test(A: Mat2, Y: Mat2) -> bool:
 
 
 def conjugate(P: Mat2, A: Mat2) -> Mat2:
-    """P^-1 A P; preserves (tr, det, m)."""
-    if not P.det:
-        raise SingularP("conjugating matrix is singular")
+    """P^-1 A P; preserves (tr, det, m).  Raises SingularP for a singular P."""
     return P.inverse() * A * P

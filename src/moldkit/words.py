@@ -55,11 +55,11 @@ class RepTuple:
         if self.mode not in (MONOID, GROUP):
             raise ValueError(f"mode must be 'monoid' or 'group', got {self.mode!r}")
         spec = self.gens[0].spec
-        if any(g.spec != spec for g in self.gens):
+        if any(g.spec is not spec and g.spec != spec for g in self.gens):
             raise ValueError("generators from mixed field specs")
         if self.mode == GROUP:
-            for i, g in enumerate(self.gens, start=1):
-                if not g.det:
+            for i, (a, b, c, d) in enumerate((g.values() for g in self.gens), start=1):
+                if not spec.reduce(a * d - b * c):
                     raise NonInvertibleGenerator(f"generator {i} is singular in group mode")
 
     @property

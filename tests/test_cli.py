@@ -214,6 +214,19 @@ def test_oversized_rational_text_exits_1_fast(tmp_path, capsys):
     assert run_command(["classify", write_doc(tmp_path, "edge.json", doc)])[0] == 0
 
 
+def test_values_over_the_digit_limit_exit_1_with_one_line(tmp_path, capsys):
+    # Entries inside the text bound whose air witness delta2 has about
+    # 8800 digits, more than the int-string limit lets the report print.
+    doc = {"field": "Q", "mode": "monoid",
+           "generators": [[[1, "1e2200"], [0, 1]], [[1, 0], ["1e2200", 1]]]}
+    path = write_doc(tmp_path, "big.json", doc)
+    for sub in ("classify", "invariants"):
+        assert run_command([sub, path]) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: rational value exceeds the 4300-digit output limit\n")
+    assert run_command(["normalize", path])[0] == 0
+
+
 def test_exit_codes(tmp_path):
     code, _ = run_command(["classify", str(tmp_path / "missing.json")])
     assert code == 1

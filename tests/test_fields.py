@@ -1,12 +1,14 @@
 """Field arithmetic: canonical forms, axioms, inverses, text encoding."""
 
 import operator
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from moldkit import FieldElement, FieldSpec, embed_int, inv
-from moldkit.errors import ZeroInverse
+from moldkit.errors import BudgetExceeded, ZeroInverse
 
 from conftest import F2, F3, F5, F7, Q
 
@@ -62,6 +64,8 @@ def test_constructor_canonicalises():
         FieldElement(Fraction(1, 5), F5)
     with pytest.raises(ValueError):
         FieldElement(F3.element(1), F5)
+    assert F5.canonical(Fraction(1, 2)) == 3 and F5.canonical(F5.element(4)) == 4
+    assert type(Q.canonical(2)) is Fraction and Q.canonical(Fraction(2, 4)) == Fraction(1, 2)
 
 
 def test_no_silent_spec_mixing():
@@ -96,6 +100,31 @@ def test_text_encoding_round_trip(rng):
     assert Q.element(3).text() == "3/1"
     assert F5.element(3).text() == "3"
     assert Q.element(Fraction(-1, 2)).text() == "-1/2"
+
+
+def test_parse_bounds_and_rejects_rational_text():
+    # Fraction accepts exponent notation, so short text can name a huge
+    # integer; digits and exponent are bounded before Fraction runs.
+    limit = sys.get_int_max_str_digits()
+    oversized = rf"^rational '.*'(\.\.\.)? exceeds {limit} digits or exponent$"
+    for text in ("1e3000000", "1e-4301", "7" * 5000, "1/" + "3" * 4301):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=oversized):
+            Q.parse(text)
+        assert time.perf_counter() - start < 0.1
+    for text in ("1/0", "abc", "1/2/3", ""):
+        with pytest.raises(ValueError, match=f"^malformed rational {text!r}$"):
+            Q.parse(text)
+    assert Q.parse(" 1e4300 ").value == 10**4300
+    assert Q.parse(" -3/6 ") == Q.element(Fraction(-1, 2))
+
+
+def test_text_over_the_digit_limit_raises_budget_exceeded():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(BudgetExceeded) as info:
+        Q.element(Fraction(1, 10**limit)).text()
+    assert str(info.value) == f"rational value exceeds the {limit}-digit output limit"
+    assert Q.element(10 ** (limit - 1)).text() == "1" + "0" * (limit - 1) + "/1"
 
 
 def test_pow_and_division():

@@ -278,3 +278,43 @@ def test_deciders_do_not_use_span_closure(monkeypatch, rng):
             common_invariant_line(t)
     t = tup(Q, [[1, 1], [0, 2]], [[1, 0], [0, 2]])
     assert classify(t) is MoldLabel.BOREL and common_invariant_line(t) is not None
+
+
+@pytest.mark.parametrize("p", [5, 13, 17, 65521, 2147483629])
+def test_sqrt_mod_tonelli_shanks(rng, p):
+    # Every p here is 1 mod 4, so _sqrt_mod takes its Tonelli-Shanks branch.
+    assert p % 4 == 1 and FieldSpec.prime(p)
+    if p < 100:
+        residues = range(p)
+    else:
+        residues = [rng.randrange(p) for _ in range(200)]
+        residues += [x * x % p for x in residues]
+    for a in residues:
+        root = mold._sqrt_mod(a, p)
+        if pow(a, (p - 1) // 2, p) == p - 1:
+            assert root is None
+        else:
+            assert root is not None and root * root % p == a
+
+
+@pytest.mark.parametrize("p", [13, 65521])
+def test_split_semisimple_tuples_have_a_common_invariant_line(rng, p):
+    # Generators x I + y D conjugated by a random P share the eigenlines of
+    # D; the distinct eigenvalues make m a nonzero square mod p = 1 mod 4.
+    spec = FieldSpec.prime(p)
+    for _ in range(30):
+        P = rand_invertible(rng, spec)
+        lam = rng.sample(range(p), 2)
+        D = Mat2.from_rows([[lam[0], 0], [0, lam[1]]], spec)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            x, y = rng.randrange(p), rng.randrange(1, p)
+            gens.append(conjugate(P, Mat2.identity(spec).scale(spec.element(x))
+                                  + D.scale(spec.element(y))))
+        t = RepTuple(tuple(gens))
+        assert classify(t) is MoldLabel.SEMISIMPLE
+        line = common_invariant_line(t)
+        assert line is not None and (line[0] or line[1])
+        for g in t.gens:
+            w = (g.a11 * line[0] + g.a12 * line[1], g.a21 * line[0] + g.a22 * line[1])
+            assert not (w[0] * line[1] - w[1] * line[0])

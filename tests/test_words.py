@@ -1,13 +1,15 @@
 """Words, tuple validation and the split-witness search."""
 
+from fractions import Fraction
+
 import pytest
 
-from moldkit import Mat2, RepTuple, Word
+from moldkit import FieldElement, Mat2, RepTuple, Word, fields, mat2
 from moldkit.canon import split_witness_word
 from moldkit.errors import NoSplitGenerator, NonInvertibleGenerator
 from moldkit.words import words_up_to
 
-from conftest import F3, Q
+from conftest import F3, F5, Q
 
 
 def test_word_parsing_and_validation():
@@ -37,6 +39,23 @@ def test_rep_tuple_validation():
         RepTuple((A,), mode="ring")
     with pytest.raises(ValueError):
         RepTuple((A, Mat2.from_rows([[1, 1], [0, 1]], F3)))
+
+
+def test_matrices_and_group_tuples_are_built_without_boxing(monkeypatch):
+    # Entries are made canonical by FieldSpec.canonical and the group-mode
+    # det check reads raw values: no FieldElement is built and unboxed.
+    def boxed(*args):
+        raise AssertionError("a FieldElement was created")
+
+    monkeypatch.setattr(FieldElement, "__init__", boxed)
+    monkeypatch.setattr(fields, "_fe", boxed)
+    monkeypatch.setattr(mat2, "_fe", boxed)
+    for spec in (F5, Q):
+        A = Mat2.from_rows([[1, 2], [-3, Fraction(1, 2)]], spec)
+        B = Mat2.from_rows([[7, 0], [1, 1]], spec)
+        assert RepTuple((A, B), mode="group").rank == 2
+        with pytest.raises(NonInvertibleGenerator):
+            RepTuple((A, Mat2.from_rows([[2, 4], [1, 2]], spec)), mode="group")
 
 
 def test_inverse_letters_need_group_mode():
