@@ -19,7 +19,7 @@ from .errors import (
     NotUnipotentF2,
 )
 from .fields import FieldElement
-from .mat2 import Mat2, _mat, companion_normalize, conjugate, eta
+from .mat2 import Mat2, _mat, companion_normalize, eta
 from .mold import MoldLabel, classify
 from .words import RepTuple, Word
 
@@ -30,11 +30,13 @@ def intertwiner_basis(t1: RepTuple, t2: RepTuple) -> list[Mat2]:
     r = spec.reduce
     rows: list[tuple] = []
     for A, B in zip(t1.gens, t2.gens):
-        a, b, c, d = A.values()
-        e, f, g, h = B.values()
+        # Over Q, A and B are scaled to integers by one common s, which
+        # scales A P - P B by s and leaves its solutions alone.
+        vals = A.values() + B.values()
+        a, b, c, d, e, f, g, h = vals if spec.p else linalg._int_scaled(vals)[0]
         # Entries of A P - P B as linear forms in (p11, p12, p21, p22).  A
-        # literal 0 serves over Q too: it is never a pivot, and rref scales
-        # every row it returns by a Fraction.
+        # literal 0 serves over Q too: rref reads integer rows and returns
+        # Fractions.
         rows += [(r(a - e), r(-g), b, 0), (r(-f), r(a - h), 0, b),
                  (c, 0, r(d - e), r(-g)), (0, c, r(-f), r(d - h))]
     return [_mat(spec, v) for v in linalg.nullspace(rows, 4, spec.p)]
@@ -75,7 +77,8 @@ def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     """Invertible P with P^-1 t1_i P = t2_i for all i, or None.
 
     Decides membership in the same conjugation orbit over the base field;
-    any returned certificate is re-verified by direct conjugation.
+    any returned certificate is re-verified as t1_i P = P t2_i, which for
+    an invertible P (_invertible_in_span checks det P) is P^-1 t1_i P = t2_i.
     """
     if len(t1.gens) != len(t2.gens):
         raise ValueError("tuples have different lengths")
@@ -87,7 +90,7 @@ def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     if P is None:
         return None
     for A, B in zip(t1.gens, t2.gens):
-        if conjugate(P, A) != B:
+        if A * P != P * B:
             raise RuntimeError("intertwiner failed verification; this is a bug")
     return P
 
@@ -150,7 +153,8 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     of both) is in companion form; since every generator is fixed by
     tr A_j and tr A_s A_j in span{I, A_s}, equal coordinates force the
     two normalizations to agree on every generator, so Q1 Q2^-1
-    conjugates t1 to t2.  The certificate is re-verified.
+    conjugates t1 to t2.  The certificate, invertible as a product of
+    invertible matrices, is re-verified as t1_i P = P t2_i.
     """
     _require_semisimple(t1)
     _require_semisimple(t2)
@@ -162,7 +166,7 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     Q2 = companion_normalize(t2.gens[s]).P
     P = Q1 * Q2.inverse()
     for A, B in zip(t1.gens, t2.gens):
-        if conjugate(P, A) != B:
+        if A * P != P * B:
             raise RuntimeError("semi-simple certificate failed verification; this is a bug")
     return P
 
@@ -172,7 +176,7 @@ class CharDeriv:
     """Character r = tr/2 and derivation d coordinatizing a unipotent tuple.
 
     d is normalized by d(alpha) = 1 at the chart generator alpha; values on
-    arbitrary words are computed from the defining formulas on demand.
+    arbitrary words are read from the word's evaluated image on demand.
     """
 
     tup: RepTuple = field(repr=False)
@@ -180,15 +184,19 @@ class CharDeriv:
     eta_mat: Mat2
 
     def r(self, w: Word) -> FieldElement:
-        return self.tup.evaluate(w).tr / self.tup.spec.element(2)
+        return self.coords(w)[0]
 
     def d(self, w: Word) -> FieldElement:
-        """The coordinate y of rho(w) = x I + y A_alpha, so that
-        eta(rho(w)) = y eta(A_alpha)."""
-        coords = self.tup.evaluate(w).span_coords(self.tup.gens[self.alpha_index - 1])
+        return self.coords(w)[1]
+
+    def coords(self, w: Word) -> tuple[FieldElement, FieldElement]:
+        """(r(w), d(w)) from one evaluation of w: d(w) is the coordinate y
+        of rho(w) = x I + y A_alpha, so that eta(rho(w)) = y eta(A_alpha)."""
+        M = self.tup.evaluate(w)
+        coords = M.span_coords(self.tup.gens[self.alpha_index - 1])
         if coords is None:
             raise NotUnipotent("image is outside the chart span; tuple is not unipotent")
-        return coords[1]
+        return M.tr / self.tup.spec.element(2), coords[1]
 
 
 def unipotent_decompose(t: RepTuple) -> CharDeriv:
@@ -203,8 +211,8 @@ def unipotent_decompose(t: RepTuple) -> CharDeriv:
 
 def unipotent_reconstruct(cd: CharDeriv, w: Word) -> Mat2:
     """r(w) I + d(w) eta(alpha); reproduces generator images exactly."""
-    spec = cd.tup.spec
-    return Mat2.identity(spec).scale(cd.r(w)) + cd.eta_mat.scale(cd.d(w))
+    r, d = cd.coords(w)
+    return Mat2.identity(cd.tup.spec).scale(r) + cd.eta_mat.scale(d)
 
 
 @dataclass(frozen=True)
@@ -234,21 +242,26 @@ class ABChart:
     def d(self, w: Word) -> FieldElement:
         return self.tup.evaluate(w).det
 
-    def _solve(self, w: Word) -> tuple[FieldElement, FieldElement]:
-        """(a(w), b(w)) in the root chart."""
-        Z = self.Z if self.root is None else self.root.Z
-        coords = self.tup.evaluate(w).span_coords(Z)
-        if coords is None:
-            raise NotUnipotentF2("image is outside span{I, Z}; tuple is not unipotent over F2")
-        return coords
-
     def a(self, w: Word) -> FieldElement:
-        a, b = self._solve(w)
-        return a if self.root is None else a + self.c * b
+        return self._ab(self.tup.evaluate(w))[0]
 
     def b(self, w: Word) -> FieldElement:
-        b = self._solve(w)[1]
-        return b if self.root is None else self.k * b
+        return self._ab(self.tup.evaluate(w))[1]
+
+    def coords(self, w: Word) -> tuple[FieldElement, FieldElement, FieldElement]:
+        """(a(w), b(w), d(w)) from one evaluation of w."""
+        M = self.tup.evaluate(w)
+        return (*self._ab(M), M.det)
+
+    def _ab(self, M: Mat2) -> tuple[FieldElement, FieldElement]:
+        """(a, b) of a word image M: its coordinates in the root chart,
+        carried to this chart by the folded constants c and k."""
+        Z = self.Z if self.root is None else self.root.Z
+        coords = M.span_coords(Z)
+        if coords is None:
+            raise NotUnipotentF2("image is outside span{I, Z}; tuple is not unipotent over F2")
+        a, b = coords
+        return (a, b) if self.root is None else (a + self.c * b, self.k * b)
 
 
 def uf2_decompose(t: RepTuple) -> ABChart:
@@ -263,8 +276,8 @@ def uf2_decompose(t: RepTuple) -> ABChart:
 
 def uf2_reconstruct(ch: ABChart, w: Word) -> Mat2:
     """a(w) I + b(w) Z; det of the result equals d(w)."""
-    spec = ch.tup.spec
-    return Mat2.identity(spec).scale(ch.a(w)) + ch.Z.scale(ch.b(w))
+    a, b = ch._ab(ch.tup.evaluate(w))
+    return Mat2.identity(ch.tup.spec).scale(a) + ch.Z.scale(b)
 
 
 def uf2_transition(ch: ABChart, beta_word: Word) -> ABChart:
@@ -275,14 +288,15 @@ def uf2_transition(ch: ABChart, beta_word: Word) -> ABChart:
     folded into the root chart's constants: c' = c + a(beta) b(beta)^-1 k
     and k' = k b(beta)^-1.
     """
-    b_beta = ch.b(beta_word)
+    Z = ch.tup.evaluate(beta_word)
+    a_beta, b_beta = ch._ab(Z)
     if not b_beta:
         raise ChartOverlapEmpty("b(beta) = 0: the chart overlap is empty")
     spec = ch.tup.spec
     root, c, k = (ch, spec.zero(), spec.one()) if ch.root is None else (ch.root, ch.c, ch.k)
     b_inv = b_beta.inv()
-    return ABChart(tup=ch.tup, base_word=beta_word, Z=ch.tup.evaluate(beta_word),
-                   root=root, c=c + ch.a(beta_word) * b_inv * k, k=k * b_inv)
+    return ABChart(tup=ch.tup, base_word=beta_word, Z=Z,
+                   root=root, c=c + a_beta * b_inv * k, k=k * b_inv)
 
 
 def scalar_decompose(t: RepTuple) -> list[FieldElement]:

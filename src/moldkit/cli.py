@@ -239,15 +239,16 @@ def _cmd_normalize(args) -> dict:
         cd = unipotent_decompose(doc.tup)
         out["alpha_index"] = cd.alpha_index
         out["eta"] = _mat_json(cd.eta_mat)
-        out["r"] = {str(w): _fe_json(cd.r(w)) for w in _word_keys(doc)}
-        out["d"] = {str(w): _fe_json(cd.d(w)) for w in _word_keys(doc)}
+        coords = {str(w): cd.coords(w) for w in _word_keys(doc)}
+        for i, key in enumerate(("r", "d")):
+            out[key] = {w: _fe_json(c[i]) for w, c in coords.items()}
     elif label is MoldLabel.UNIPOTENT_F2:
         ch = uf2_decompose(doc.tup)
         out["alpha_index"] = ch.alpha_index
         out["Z"] = _mat_json(ch.Z)
-        out["a"] = {str(w): _fe_json(ch.a(w)) for w in _word_keys(doc)}
-        out["b"] = {str(w): _fe_json(ch.b(w)) for w in _word_keys(doc)}
-        out["d"] = {str(w): _fe_json(ch.d(w)) for w in _word_keys(doc)}
+        coords = {str(w): ch.coords(w) for w in _word_keys(doc)}
+        for i, key in enumerate(("a", "b", "d")):
+            out[key] = {w: _fe_json(c[i]) for w, c in coords.items()}
     else:  # air and borel: normalize each non-scalar generator to companion form
         certs = {}
         for i, g in enumerate(doc.tup.gens, start=1):

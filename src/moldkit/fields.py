@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Union
 
@@ -20,8 +21,10 @@ Value = Union[int, Fraction]
 _MR_BASES = (2, 3, 5, 7)  # deterministic Miller-Rabin witnesses for n < 3.2e9
 
 
+@lru_cache(maxsize=256, typed=True)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for n < 3,215,031,751."""
+    """Deterministic primality test, exact for n < 3,215,031,751.  Memoized:
+    every FieldSpec construction asks, mostly for the same few moduli."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -80,14 +83,14 @@ class FieldSpec:
     def canonical(self, value) -> Value:
         """Canonical raw value of an int, a Fraction or an element of this
         spec: v mod p over F_p (a Fraction through its denominator's
-        inverse), or Fraction(v) over Q."""
+        inverse), or Fraction(v) over Q, a Fraction itself unchanged."""
         p = self.p
         if isinstance(value, FieldElement):
             if value.spec is not self and value.spec != self:
                 raise ValueError(f"element of {value.spec} used in {self}")
             return value.value
         if p is None:
-            return Fraction(value)
+            return value if type(value) is Fraction else Fraction(value)
         if type(value) is int:
             return value % p
         if isinstance(value, Fraction):

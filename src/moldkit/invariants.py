@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm, prod
+from math import prod
 
 from .errors import BudgetExceeded, VanishingM
 from .fields import FieldElement, _fe
+from .linalg import _int_scaled
 from .mat2 import Mat2
 from .words import GROUP, RepTuple, Word
 
@@ -123,9 +124,7 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple]:
         mats = [tuple(x % p for x in e) for e in mats]
         scales = [1] * n
     else:
-        scales = [lcm(*(x.denominator for x in e)) for e in mats]
-        mats = [tuple(x.numerator * (s // x.denominator) for x in e)
-                for e, s in zip(mats, scales)]
+        mats, scales = zip(*map(_int_scaled, mats))
     traces = []
     stack = [(mats[i], scales[i], i + 1) for i in reversed(range(n))]
     while stack:

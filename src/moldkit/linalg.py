@@ -5,14 +5,31 @@ Vectors are tuples of the raw values that Mat2.values() holds: residues in
 for Q) as in the mold and moduli kernels.  Matrices are lists of such
 rows.  Everything is Gauss-Jordan over an exact field, so results are
 exact, canonical and deterministic.
+
+Over Q, rref runs no Fraction arithmetic.  It scales each row to
+integers by the lcm of its denominators (_int_scaled, which the Q mold
+and moduli kernels share), eliminates fraction-free with
+row_i = v row_i - f row_r, dividing each new row by the gcd of its
+entries, and builds one Fraction per output entry, as x / pivot.  The
+reduced row echelon form of a row space is unique, so the rows and pivots
+are those of Gauss-Jordan over Fractions.  Q results are always
+Fractions, for int entries and literal 0s too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Vector = tuple
+
+
+def _int_scaled(values) -> tuple[list[int], int]:
+    """(s * v for v in values, s): rationals (Fractions or ints) scaled to
+    integers by s, the lcm of their denominators."""
+    s = lcm(*(x.denominator for x in values))
+    return [x.numerator * (s // x.denominator) for x in values], s
 
 
 def _reduce(xs: list, p: int | None) -> list:
@@ -23,7 +40,7 @@ def _reduce(xs: list, p: int | None) -> list:
 
 def rref(rows: Sequence[Vector], p: int | None) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
+    work = [list(r) for r in rows] if p else [_int_scaled(r)[0] for r in rows]
     if not work:
         return [], []
     ncols = len(work[0])
@@ -34,16 +51,31 @@ def rref(rows: Sequence[Vector], p: int | None) -> tuple[list[Vector], list[int]
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        scale = pow(work[r][c], -1, p)
-        row = work[r] = _reduce([x * scale for x in work[r]], p)
+        if p:
+            scale = pow(work[r][c], -1, p)
+            row = work[r] = _reduce([x * scale for x in work[r]], p)
+        else:
+            row = work[r]
+            v = row[c]
         for i in range(len(work)):
             if i != r and (f := work[i][c]):
-                work[i] = _reduce([x - f * y for x, y in zip(work[i], row)], p)
+                if p:
+                    work[i] = _reduce([x - f * y for x, y in zip(work[i], row)], p)
+                else:
+                    new = [v * x - f * y for x, y in zip(work[i], row)]
+                    g = gcd(*new)
+                    work[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return [tuple(row) for row in work[:r]], pivots
+    if p:
+        return [tuple(row) for row in work[:r]], pivots
+    zero, out = Fraction(0), []
+    for row, c in zip(work, pivots):
+        v = row[c]
+        out.append(tuple(Fraction(x, v) if x else zero for x in row))
+    return out, pivots
 
 
 def rank(rows: Sequence[Vector], p: int | None) -> int:

@@ -79,7 +79,14 @@ def _classify_entries(p: Optional[int], mats) -> MoldLabel:
     coordinate rows.  The rows span the algebra modulo I: with no
     discriminant nonzero, rank >= 2 is borel, 0 is scalar, and 1 is
     span{I, X}, semi-simple iff some m = (a - d)^2 + 4bc != 0.
+
+    Over Q each matrix is first scaled to integer entries by a positive s,
+    which scales its u by s, w by s_u s_v, delta2 by (s_u s_v)^2, tau3 by
+    s_u s_v s_x and m by s^2: every zero test is unchanged, and no
+    Fraction arithmetic runs.
     """
+    if p is None:
+        mats = [linalg._int_scaled(e)[0] for e in mats]
     tf = [(a - d, b, c) for a, b, c, d in mats]
     rank2 = False
     for (u0, u1, u2), (v0, v1, v2) in combinations(tf, 2):

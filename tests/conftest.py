@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from moldkit import FieldSpec, Mat2, MoldLabel, span_closure
+from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, span_closure
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -49,6 +49,31 @@ def rand_invertible(rng, spec, span=9):
             return M
 
 
+def stratum_samples(rng, spec, rank, mat=None):
+    """Tuples built to reach every label outside characteristic 2: random,
+    upper-triangular, x I + y X, x I + y N with N nilpotent, and scalar.
+    mat() draws the random matrices, rand_mat(rng, spec) by default."""
+    mat = mat or (lambda: rand_mat(rng, spec))
+
+    def scalar():
+        return mat().a11
+
+    I = Mat2.identity(spec)
+    X = mat()
+    P = mat()
+    while not P.det:
+        P = mat()
+    N = P.inverse() * Mat2.from_rows([[0, 1], [0, 0]], spec) * P
+    kinds = [
+        mat,
+        lambda: Mat2(scalar(), scalar(), spec.zero(), scalar()),
+        lambda: I.scale(scalar()) + X.scale(scalar()),
+        lambda: I.scale(scalar()) + N.scale(scalar()),
+        lambda: I.scale(scalar()),
+    ]
+    return [RepTuple(tuple(make() for _ in range(rank))) for make in kinds]
+
+
 def det4_oracle(rows):
     """Permutation-sum determinant of a 4x4 matrix of field elements."""
     spec = rows[0][0].spec
@@ -65,6 +90,41 @@ def det4_oracle(rows):
             term = term * rows[i][perm[i]]
         acc = acc + (term if sign == 1 else -term)
     return acc
+
+
+def rref_reference(rows):
+    """Plain Fraction Gauss-Jordan over Q: (nonzero rows, pivot columns),
+    the reference the integer-scaled linalg.rref must equal exactly."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots, r = [], 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        scale = 1 / work[r][c]
+        work[r] = [x * scale for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return [tuple(row) for row in work[:r]], pivots
+
+
+def nullspace_reference(rows, ncols):
+    """Nullspace basis over Q read off rref_reference, one vector per free
+    column in increasing order."""
+    red, pivots = rref_reference(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, c in zip(red, pivots):
+            v[c] = -row[fc]
+        basis.append(tuple(v))
+    return basis
 
 
 def closure_label(t):

@@ -234,15 +234,14 @@ def _unipotent_round_trip(q, m):
         for i, g in enumerate(t.gens, start=1):
             if unipotent_reconstruct(cd, Word((i,))) != g:
                 failures += 1
-        rv = {w.letters: cd.r(w) for w in words}
-        dv = {w.letters: cd.d(w) for w in words}
+        rv, dv = {}, {}
+        for w in words:
+            rv[w.letters], dv[w.letters] = cd.coords(w)
         for w1 in words:
             for w2 in words:
                 cat = w1.letters + w2.letters
                 if cat not in rv:
-                    w12 = Word(cat)
-                    rv[cat] = cd.r(w12)
-                    dv[cat] = cd.d(w12)
+                    rv[cat], dv[cat] = cd.coords(Word(cat))
                 if rv[cat] != rv[w1.letters] * rv[w2.letters]:
                     failures += 1
                 if dv[cat] != (rv[w1.letters] * dv[w2.letters]
@@ -263,15 +262,14 @@ def _uf2_round_trip(m):
         for i, g in enumerate(t.gens, start=1):
             if uf2_reconstruct(ch, Word((i,))) != g:
                 failures += 1
-        av = {w.letters: ch.a(w) for w in words}
-        bv = {w.letters: ch.b(w) for w in words}
-        dv = {w.letters: ch.d(w) for w in words}
+        av, bv, dv = {}, {}, {}
+        for w in words:
+            av[w.letters], bv[w.letters], dv[w.letters] = ch.coords(w)
         for w1 in words:
             for w2 in words:
                 cat = w1.letters + w2.letters
                 if cat not in av:
-                    w12 = Word(cat)
-                    av[cat], bv[cat], dv[cat] = ch.a(w12), ch.b(w12), ch.d(w12)
+                    av[cat], bv[cat], dv[cat] = ch.coords(Word(cat))
                 if av[cat] != av[w1.letters] * av[w2.letters] + bv[w1.letters] * bv[w2.letters] * d_alpha:
                     failures += 1
                 if bv[cat] != av[w1.letters] * bv[w2.letters] + bv[w1.letters] * av[w2.letters]:

@@ -225,6 +225,39 @@ def test_unipotent_chart_properties(rng):
                 assert 2 * (X * Y).tr == X.tr * Y.tr
 
 
+def test_chart_values_come_from_one_evaluation_per_word(monkeypatch):
+    evaluated = []
+    evaluate = RepTuple.evaluate
+
+    def counted(tup, w):
+        evaluated.append(w)
+        return evaluate(tup, w)
+
+    monkeypatch.setattr(RepTuple, "evaluate", counted)
+
+    def once(fn, w):
+        evaluated.clear()
+        fn(w)
+        assert evaluated == [w]
+
+    words = list(words_up_to(2, 3))
+    N = mat(Q, [[0, 1], [0, 0]])
+    t = RepTuple((Mat2.identity(Q).scale(Q.element(2)) + N, Mat2.identity(Q) + N.scale(Q.element(3))))
+    cd = unipotent_decompose(t)
+    for w in words:
+        once(lambda w: unipotent_reconstruct(cd, w), w)
+        once(cd.coords, w)
+        assert cd.coords(w) == (cd.r(w), cd.d(w))
+    A = mat(F2, [[0, 1], [1, 0]])
+    ch = uf2_decompose(RepTuple((A, Mat2.identity(F2) + A)))
+    once(lambda w: uf2_transition(ch, w), Word((2,)))
+    for chart in (ch, uf2_transition(uf2_transition(ch, Word((2,))), Word((2, 1)))):
+        for w in words:
+            once(lambda w: uf2_reconstruct(chart, w), w)
+            once(chart.coords, w)
+            assert chart.coords(w) == (chart.a(w), chart.b(w), chart.d(w))
+
+
 def test_uf2_decompose_example():
     t = RepTuple((mat(F2, [[0, 1], [1, 0]]),))
     ch = uf2_decompose(t)

@@ -8,9 +8,19 @@ from fractions import Fraction
 import pytest
 
 from moldkit import FieldElement, RepTuple, general_conjugator, linalg
-from moldkit import fields
+from moldkit import fields, mold
 
-from conftest import F2, F3, F65521, Q, rand_invertible, rand_mat
+from conftest import (
+    F2,
+    F3,
+    F65521,
+    Q,
+    nullspace_reference,
+    rand_invertible,
+    rand_mat,
+    rref_reference,
+    stratum_samples,
+)
 
 
 def _random_system(rng, spec):
@@ -80,3 +90,66 @@ def test_conjugacy_solver_builds_no_field_element_in_linalg(monkeypatch, rng):
             P = rand_invertible(rng, spec)
             assert general_conjugator(t, t.conjugated(P)) is not None
     assert len(calls) == 30 and field_code == []
+
+
+def test_q_rref_and_nullspace_of_int_entries_are_fractions():
+    red, pivots = linalg.rref([(3, 1), (1, 2)], None)
+    assert red == [(1, 0), (0, 1)] and pivots == [0, 1]
+    assert all(type(x) is Fraction for row in red for x in row)
+    null = linalg.nullspace([(2, 1)], 2, None)
+    assert null == [(Fraction(-1, 2), 1)]
+    assert all(type(x) is Fraction for v in null for x in v)
+
+
+def _q_system(rng):
+    """Rows over Q of entries with numerators and denominators up to about
+    10^12, some dependent on the others, with literal 0 and int entries
+    and all-zero rows mixed in."""
+    def value():
+        kind = rng.random()
+        if kind < 0.2:
+            return 0
+        if kind < 0.3:
+            return rng.randint(-10**12, 10**12)
+        return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+
+    ncols = rng.randint(1, 6)
+    rows = [tuple(value() for _ in range(ncols)) for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        k = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+        rows.append(tuple(x + k * y for x, y in zip(a, b)))
+    rows += [(0,) * ncols] * rng.randint(0, 2)
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+def test_q_rref_and_nullspace_equal_the_fraction_reference(rng):
+    for _ in range(400):
+        rows, ncols = _q_system(rng)
+        red, pivots = linalg.rref(rows, None)
+        null = linalg.nullspace(rows, ncols, None)
+        assert (red, pivots) == rref_reference(rows)
+        assert null == nullspace_reference(rows, ncols)
+        assert all(type(x) is Fraction for row in red + null for x in row)
+
+
+def test_q_kernels_run_no_fraction_arithmetic(monkeypatch, rng):
+    systems = [_q_system(rng)[0] for _ in range(100)]
+    tuples = [[g.values() for g in t.gens]
+              for rank in (1, 2, 3) for _ in range(10) for t in stratum_samples(rng, Q, rank)]
+    tuples += [[(1, 0, 0, 1), (Fraction(1, 3), 2, 0, Fraction(1, 3))]]
+    rrefs = [linalg.rref(rows, None) for rows in systems]
+    labels = [mold._classify_entries(None, mats) for mats in tuples]
+    assert len(set(labels)) == 5
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in a Q kernel")
+
+    for op in ("add", "sub", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+        monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) + 1
+    assert [linalg.rref(rows, None) for rows in systems] == rrefs
+    assert [mold._classify_entries(None, mats) for mats in tuples] == labels

@@ -1,5 +1,6 @@
 """Span closure, rank tests, six-way classification and air criteria."""
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -13,8 +14,10 @@ from moldkit import (
     classify,
     common_invariant_line,
     conjugate,
+    general_conjugator,
     rank_le2_test,
     span_closure,
+    ss_conjugator,
 )
 from moldkit import linalg
 from moldkit import mold
@@ -30,6 +33,7 @@ from conftest import (
     invertible_mats,
     rand_invertible,
     rand_mat,
+    stratum_samples,
     word_images,
 )
 
@@ -233,26 +237,6 @@ def test_classify_matches_closure_label_exhaustive_small_fields(rng):
         assert classify(t) is closure_label(t)
 
 
-def stratum_samples(rng, spec, rank):
-    """Tuples built to reach every label outside characteristic 2: random,
-    upper-triangular, x I + y X, x I + y N with N nilpotent, and scalar."""
-    def scalar():
-        return rand_mat(rng, spec).a11
-
-    I = Mat2.identity(spec)
-    X = rand_mat(rng, spec)
-    P = rand_invertible(rng, spec)
-    N = P.inverse() * Mat2.from_rows([[0, 1], [0, 0]], spec) * P
-    kinds = [
-        lambda: rand_mat(rng, spec),
-        lambda: Mat2(scalar(), scalar(), spec.zero(), scalar()),
-        lambda: I.scale(scalar()) + X.scale(scalar()),
-        lambda: I.scale(scalar()) + N.scale(scalar()),
-        lambda: I.scale(scalar()),
-    ]
-    return [RepTuple(tuple(make() for _ in range(rank))) for make in kinds]
-
-
 @pytest.mark.parametrize("spec", [Q, FieldSpec.prime(2147483629)], ids=str)
 def test_classify_matches_closure_label_constructed(rng, spec):
     seen = set()
@@ -263,6 +247,45 @@ def test_classify_matches_closure_label_constructed(rng, spec):
                 assert label is closure_label(t)
                 seen.add(label)
     assert seen == set(MoldLabel) - {MoldLabel.UNIPOTENT_F2}
+
+
+def test_q_classification_and_certificates_at_benchmark_scale(rng):
+    """Tuples of every Q stratum with three-digit base entries conjugated
+    by a one-digit P, so that numerators and denominators reach about
+    10^12: classify agrees with the span closure and with the
+    discriminants, and every conjugacy certificate re-verifies."""
+    def q(digits):
+        lo, hi = 10 ** (digits - 1), 10**digits - 1
+        return Fraction(rng.choice((-1, 1)) * rng.randint(lo, hi), rng.randint(lo, hi))
+
+    def mat(digits=3):
+        return Mat2.from_rows([[q(digits), q(digits)], [q(digits), q(digits)]], Q)
+
+    def invertible():
+        P = mat(1)
+        while not P.det:
+            P = mat(1)
+        return P
+
+    seen, size = set(), 0
+    for rank in (1, 2, 3, 4):
+        for base in stratum_samples(rng, Q, rank, mat):
+            t = base.conjugated(invertible())
+            size = max([size] + [x.denominator for g in t.gens for x in g.values()])
+            label = classify(t)
+            assert label is closure_label(t)
+            assert air_by_discriminants(t) is (label is MoldLabel.AIR)
+            seen.add(label)
+            tuples = [t] + [RepTuple(t.gens, "group")] * all(g.det for g in t.gens)
+            for t1 in tuples:
+                t2 = t1.conjugated(invertible())
+                certs = [general_conjugator(t1, t2)]
+                if label is MoldLabel.SEMISIMPLE:
+                    certs.append(ss_conjugator(t1, t2))
+                for P in certs:
+                    assert all(conjugate(P, A) == B for A, B in zip(t1.gens, t2.gens))
+    assert seen == set(MoldLabel) - {MoldLabel.UNIPOTENT_F2}
+    assert size > 10**11
 
 
 def test_deciders_do_not_use_span_closure(monkeypatch, rng):
