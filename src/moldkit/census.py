@@ -1,17 +1,27 @@
 """Exhaustive census of tuple spaces over small prime fields.
 
-Tuples of 2x2 matrices over F_q are enumerated, classified into the six
-mold strata and partitioned into conjugation orbits.  Matrices are packed
-integer indices below q^4; a packed tuple is classified by the discriminant
-kernel of :mod:`moldkit.mold` and its trace coordinates come from the
-moduli kernel of :mod:`moldkit.invariants`, both on raw entries, so the
-census and the library share one classifier and one trace computation.
+Tuples of 2x2 matrices over F_q are counted into the six mold strata and
+partitioned into conjugation orbits.  Matrices are packed integer indices
+below q^4; a packed tuple is classified by the discriminant kernel of
+:mod:`moldkit.mold` and its trace coordinates come from the moduli kernel
+of :mod:`moldkit.invariants`, both on raw entries, so the census and the
+library share one classifier and one trace computation.
+
+Neither pass steps through every tuple in Python.  The point count
+classifies one tuple per m-tuple of trace-free classes and weights it by
+the tuples it stands for (:func:`stratum_census`).  The orbit pass jumps
+from one orbit's least member to the next unvisited tuple with
+``bytearray.find`` and classifies one representative per orbit
+(:func:`_orbit_pass`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import product
@@ -78,7 +88,8 @@ class FieldTables:
         self.n = p**4
         # Lexicographic, so entries[i] unpacks index i.
         self.entries = entries = list(product(range(p), repeat=4))
-        self.invertible = [i for i, (a, b, c, d) in enumerate(entries) if (a * d - b * c) % p]
+        self.singular = bytes((a * d - b * c) % p == 0 for a, b, c, d in entries)
+        self.invertible = [i for i, s in enumerate(self.singular) if not s]
         self._pgl_perms: Optional[list[list[int]]] = None
 
     def _pack(self, e: tuple[int, int, int, int]) -> int:
@@ -141,9 +152,16 @@ def _matrix_indices(T: FieldTables, mode: str) -> list[int]:
 
 
 def _check_budget(key: CensusKey, budget: int) -> None:
-    if key.q ** (4 * key.m) > budget:
-        raise BudgetExceeded(
-            f"census space q^(4m) = {key.q ** (4 * key.m)} exceeds budget {budget}")
+    """Reject a space of more than budget tuples without building q^(4m)
+    when the exponent alone decides: q >= 2, so q^e > budget once e passes
+    budget's bit length.  The size is spelled as a power when its decimal
+    digits would pass the int-to-string limit."""
+    q, e = key.q, 4 * key.m
+    if e <= budget.bit_length() and q**e <= budget:
+        return
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    size = q**e if e * math.log10(q) < digits else f"{q}^{e}"
+    raise BudgetExceeded(f"census space q^(4m) = {size} exceeds budget {budget}")
 
 
 def _space_size(key: CensusKey) -> int:
@@ -154,15 +172,29 @@ def _space_size(key: CensusKey) -> int:
 
 def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
                    use_cache: bool = True) -> StratumCounts:
-    """Classify every tuple of the space and count points per label."""
+    """Count the points of every label, one classifier call per m-tuple of
+    trace-free classes.
+
+    The label of a tuple depends only on the trace-free coordinates
+    (a - d, b, c) of its matrices (see mold._classify_entries), so it is
+    unchanged by A -> A + lambda I.  Each class is represented by its
+    member with d = 0 and weighted by how many matrices of the space it
+    holds: q each in monoid mode, counted from the invertible matrices in
+    group mode.  A tuple of classes stands for the product of their
+    weights in tuples, so q^(3m) calls count all q^(4m) or |GL_2|^m.
+    """
     cached = _load_cache(key) if use_cache else None
     if cached is not None:
         return cached
     _check_budget(key, budget)
     T = field_tables(key.q)
+    p = T.p
+    classes = Counter(T._pack(((a - d) % p, b, c, 0))
+                      for a, b, c, d in (T.entries[i] for i in _matrix_indices(T, key.mode)))
     counts = {label: 0 for label in MoldLabel}
-    for idxs in product(_matrix_indices(T, key.mode), repeat=key.m):
-        counts[classify_packed(T, idxs)] += 1
+    for idxs, weights in zip(product(classes, repeat=key.m),
+                             product(classes.values(), repeat=key.m)):
+        counts[classify_packed(T, idxs)] += math.prod(weights)
     result = StratumCounts(key=key, points=counts, total=_space_size(key))
     if use_cache:
         _store_cache(key, result)
@@ -172,26 +204,41 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
 def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[int, ...]]]:
     """Orbit counts of the whole space, and the semi-simple representatives.
 
-    Tuples are visited in lexicographic order; an unvisited tuple is the
-    canonical (least) representative of its orbit, which is then expanded
-    through all conjugation permutations at once.  Orbits are disjoint, so
-    the images not yet visited are exactly the new orbit's members.
+    A tuple is a flat index below n^m (n = q^4), its matrices the base-n
+    digits.  The pass jumps with bytearray.find to the next unvisited
+    tuple, which is the canonical (least) representative of its orbit, and
+    expands it through all conjugation permutations at once.  Orbits are
+    disjoint, so the images not yet visited are exactly the new orbit's
+    members.  In group mode every tuple with a singular matrix starts
+    visited; conjugation keeps matrices invertible, so no orbit reaches
+    one, and the representatives come in the order of the invertible
+    tuples.
     """
     _check_budget(key, budget)
     T = field_tables(key.q)
     perms = T.pgl_perms()
-    n = T.n
-    visited = bytearray(n**key.m)
+    n, m = T.n, key.m
+    if key.mode == GROUP:
+        # Built one leading matrix at a time: the (k+1)-tuple mask is the
+        # k-tuple mask behind each invertible matrix, all ones behind each
+        # singular one.
+        visited = bytearray(T.singular)
+        for _ in range(1, m):
+            ones = b"\x01" * len(visited)
+            visited = bytearray().join(ones if s else visited for s in T.singular)
+    else:
+        visited = bytearray(n**m)
     points = {label: 0 for label in MoldLabel}
     orbits = {label: 0 for label in MoldLabel}
     size_counts: dict[MoldLabel, dict[int, int]] = {label: {} for label in MoldLabel}
     semisimple = []
-    for idxs in product(_matrix_indices(T, key.mode), repeat=key.m):
-        flat = 0
-        for i in idxs:
-            flat = flat * n + i
-        if visited[flat]:
-            continue
+    flat = visited.find(0)
+    while flat >= 0:
+        idxs = ()
+        f = flat
+        for _ in range(m):
+            idxs = (f % n, *idxs)
+            f //= n
         size = 0
         for perm in perms:
             f = 0
@@ -206,6 +253,7 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[
         size_counts[label][size] = size_counts[label].get(size, 0) + 1
         if label is MoldLabel.SEMISIMPLE:
             semisimple.append(idxs)
+        flat = visited.find(0, flat + 1)
     counts = StratumCounts(key=key, points=points, total=_space_size(key),
                            orbits=orbits, orbit_size_counts=size_counts)
     return counts, semisimple

@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, span_closure
+from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, census, span_closure
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -153,6 +153,75 @@ def word_images(t, max_len):
         frontier = [M * g for M in frontier for g in t.gens]
         images.extend(frontier)
     return images
+
+
+def stratum_reference(key):
+    """Points per label of a census key, one classify_packed call per tuple
+    of the space."""
+    T = census.field_tables(key.q)
+    points = {label: 0 for label in MoldLabel}
+    for idxs in product(census._matrix_indices(T, key.mode), repeat=key.m):
+        points[census.classify_packed(T, idxs)] += 1
+    return points
+
+
+def orbit_reference(key):
+    """(points, orbits, orbit_size_counts, semi-simple representatives) of a
+    census key, partitioning the space by each tuple's least image under
+    every conjugation permutation; representatives in increasing order."""
+    T = census.field_tables(key.q)
+    perms = T.pgl_perms()
+    sizes = {}
+    for idxs in product(census._matrix_indices(T, key.mode), repeat=key.m):
+        least = min(tuple(perm[i] for i in idxs) for perm in perms)
+        sizes[least] = sizes.get(least, 0) + 1
+    points = {label: 0 for label in MoldLabel}
+    orbits = {label: 0 for label in MoldLabel}
+    size_counts = {label: {} for label in MoldLabel}
+    semisimple = []
+    for rep in sorted(sizes):
+        label = census.classify_packed(T, rep)
+        points[label] += sizes[rep]
+        orbits[label] += 1
+        size_counts[label][sizes[rep]] = size_counts[label].get(sizes[rep], 0) + 1
+        if label is MoldLabel.SEMISIMPLE:
+            semisimple.append(rep)
+    return points, orbits, size_counts, semisimple
+
+
+def stratum_polynomials(q, m, mode):
+    """{label: {orbit size: orbit count}} of the census of M_2(F_q)^m (GL_2
+    in group mode) in closed form, from the unital subalgebras a tuple can
+    generate: F_q; q(q+1)/2 split tori F_q x F_q; q(q-1)/2 non-split tori
+    F_{q^2}; q + 1 dual-number algebras F_q[e]; q + 1 Borels; M_2 (air).
+
+    A tuple lies in a subalgebra A iff every entry does: |A|^m tuples, or
+    |A^x|^m in group mode.  Subtracting the proper subalgebras gives the
+    tuples that generate A exactly.  PGL_2 moves each tuple in its
+    stratum's orbit: free (q^3 - q) on air and borel; q(q+1) and q(q-1) on
+    split and non-split tori, whose normalisers act through the swap of
+    two eigenvalues; q^2 - 1 on F_q[e], where the Borel scales e; fixed on
+    scalars.  Shares no code with the census."""
+    def within(order, units):
+        return (units if mode == "group" else order) ** m
+
+    scalar = within(q, q - 1)
+    split = within(q**2, (q - 1) ** 2) - scalar
+    nonsplit = within(q**2, q**2 - 1) - scalar
+    dual = within(q**2, q * (q - 1)) - scalar
+    borel = within(q**3, q * (q - 1) ** 2) - q * split - dual - scalar
+    pgl = q**3 - q
+    air = (within(q**4, (q**2 - 1) * (q**2 - q)) - scalar - q * (q + 1) // 2 * split
+           - q * (q - 1) // 2 * nonsplit - (q + 1) * dual - (q + 1) * borel)
+    unipotent = MoldLabel.UNIPOTENT_F2 if q == 2 else MoldLabel.UNIPOTENT
+    sizes = {label: {} for label in MoldLabel}
+    sizes[MoldLabel.AIR][pgl] = air // pgl
+    sizes[MoldLabel.BOREL][pgl] = borel // (q * (q - 1))
+    sizes[MoldLabel.SEMISIMPLE][q * (q + 1)] = split // 2
+    sizes[MoldLabel.SEMISIMPLE][q * (q - 1)] = nonsplit // 2
+    sizes[unipotent][q * q - 1] = dual // (q - 1)
+    sizes[MoldLabel.SCALAR][1] = scalar
+    return {label: {s: c for s, c in by_size.items() if c} for label, by_size in sizes.items()}
 
 
 @pytest.fixture

@@ -1,14 +1,17 @@
 """Census: packed classifier vs exact classifier, counts, orbits, caching."""
 
 import json
+import time
 from itertools import product
 
 import pytest
 
 from moldkit import Mat2, MoldLabel, RepTuple, census, classify
 from moldkit.census import (
+    DEFAULT_BUDGET,
     CensusKey,
     _invariant_vector_packed,
+    _orbit_pass,
     classify_packed,
     consistency_report,
     field_tables,
@@ -18,7 +21,16 @@ from moldkit.census import (
 from moldkit.cli import run_command
 from moldkit.errors import BudgetExceeded
 
-from conftest import F2, F3, F5
+from conftest import F2, F3, F5, orbit_reference, stratum_polynomials, stratum_reference
+
+MODES = ("monoid", "group")
+# Every key whose space has at most 10^5 tuples.
+SMALL_KEYS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1)]
+# Every key within the default budget up to q = 7, and (11, 1).
+BUDGET_KEYS = [(q, m) for q in (2, 3, 5, 7) for m in range(1, 7)
+               if q ** (4 * m) <= DEFAULT_BUDGET] + [(11, 1)]
+# Orbit passes that take well under a second each.
+ORBIT_KEYS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
 
 
 @pytest.fixture(autouse=True)
@@ -263,3 +275,67 @@ def test_semisimple_orbits_share_representative_vector_group_mode():
             for member in orbit:
                 assert _invariant_vector_packed(T, member, key.mode) == vector
         assert orbits == orbit_census(key, use_cache=False).orbits[MoldLabel.SEMISIMPLE]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("q,m", SMALL_KEYS)
+def test_census_equals_brute_force_oracles(q, m, mode):
+    key = CensusKey(q, m, mode)
+    points, orbits, size_counts, semisimple = orbit_reference(key)
+    assert stratum_reference(key) == points
+    assert stratum_census(key, use_cache=False).points == points
+    counts = orbit_census(key, use_cache=False)
+    assert (counts.points, counts.orbits, counts.orbit_size_counts) == (points, orbits, size_counts)
+    counts = consistency_report(key, use_cache=False).counts
+    assert (counts.points, counts.orbits, counts.orbit_size_counts) == (points, orbits, size_counts)
+    assert _orbit_pass(key, DEFAULT_BUDGET)[1] == semisimple
+
+
+def test_points_only_miss_classifies_one_tuple_of_classes_each(monkeypatch):
+    calls = []
+
+    def counted(T, idxs):
+        calls.append(idxs)
+        return classify_packed(T, idxs)
+
+    monkeypatch.setattr(census, "classify_packed", counted)
+    key = CensusKey(3, 2)
+    first = stratum_census(key)
+    assert len(calls) == 27**2 == len(set(calls))
+    T = field_tables(3)
+    assert all(T.entries[i][3] == 0 for idxs in calls for i in idxs)
+    assert stratum_census(key).points == first.points
+    assert len(calls) == 27**2
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_stratum_points_equal_the_subalgebra_polynomials(mode):
+    for q, m in BUDGET_KEYS:
+        sizes = stratum_polynomials(q, m, mode)
+        points = {label: sum(s * c for s, c in by_size.items()) for label, by_size in sizes.items()}
+        assert stratum_census(CensusKey(q, m, mode), use_cache=False).points == points, (q, m)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_orbits_equal_the_subalgebra_polynomials(mode):
+    for q, m in ORBIT_KEYS:
+        sizes = stratum_polynomials(q, m, mode)
+        counts = orbit_census(CensusKey(q, m, mode), use_cache=False)
+        assert counts.orbit_size_counts == sizes, (q, m)
+        assert counts.orbits == {label: sum(by_size.values()) for label, by_size in sizes.items()}
+
+
+def test_census_budget_on_huge_ranks_is_one_line_and_fast(capsys):
+    assert run_command(["census", "--q", "5", "--m", "3"]) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: census space q^(4m) = 244140625 exceeds budget 10000000\n")
+    for flags, size in ((["--m", "4000"], "2^16000"),
+                        (["--m", "1000000000", "--report"], "2^4000000000")):
+        start = time.perf_counter()
+        assert run_command(["census", "--q", "2", *flags]) == (1, "")
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: census space q^(4m) = {size} exceeds budget 10000000\n")
+    assert run_command(["census", "--q", "2", "--m", "3000", "--no-cache"]) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: census space q^(4m) = {2 ** 12000} exceeds budget 10000000\n")
