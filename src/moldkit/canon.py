@@ -9,6 +9,7 @@ from typing import Optional
 
 from . import linalg
 from .errors import (
+    BudgetExceeded,
     CharNotTwo,
     CharTwo,
     ChartOverlapEmpty,
@@ -19,6 +20,7 @@ from .errors import (
     NotUnipotentF2,
 )
 from .fields import FieldElement
+from .invariants import MAX_TRACES, increasing_subsequences
 from .mat2 import Mat2, _mat, companion_normalize, eta
 from .mold import MoldLabel, classify
 from .words import RepTuple, Word
@@ -129,18 +131,18 @@ def ss_equivalent(t1: RepTuple, t2: RepTuple) -> bool:
 
 
 def split_witness_word(t: RepTuple) -> Word:
-    """First generator with m != 0, else the first increasing product.
-
-    Deterministic: single generators in index order, then increasing index
-    subsequences in lexicographic order.
-    """
+    """First generator with m != 0, else the first increasing product in
+    the order of increasing_subsequences.  Raises BudgetExceeded when the
+    2^n - 1 subsequences of n generators pass MAX_TRACES."""
     for i, g in enumerate(t.gens, start=1):
         if g.m:
             return Word((i,))
     n = len(t.gens)
-    for sub in sorted(c for k in range(2, n + 1) for c in combinations(range(1, n + 1), k)):
-        w = Word(sub)
-        if t.evaluate(w).m:
+    if 2**n - 1 > MAX_TRACES:
+        raise BudgetExceeded(f"split witness search over {n} matrices needs 2^{n} - 1 "
+                             f"products, over the budget of {MAX_TRACES}")
+    for sub in increasing_subsequences(n):
+        if len(sub) > 1 and t.evaluate(w := Word(sub)).m:
             return w
     raise NoSplitGenerator("no generator or increasing product has m != 0")
 

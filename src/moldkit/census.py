@@ -92,43 +92,26 @@ class FieldTables:
         self.invertible = [i for i, s in enumerate(self.singular) if not s]
         self._pgl_perms: Optional[list[list[int]]] = None
 
-    def _pack(self, e: tuple[int, int, int, int]) -> int:
-        a, b, c, d = e
-        return ((a * self.p + b) * self.p + c) * self.p + d
-
-    def _inv(self, e):
-        a, b, c, d = e
-        p = self.p
-        di = pow((a * d - b * c) % p, p - 2, p)
-        return (d * di % p, (-b) * di % p, (-c) * di % p, a * di % p)
-
-    def mul(self, e1, e2):
-        a, b, c, d = e1
-        e, f, g, h = e2
-        p = self.p
-        return ((a * e + b * g) % p, (a * f + b * h) % p,
-                (c * e + d * g) % p, (c * f + d * h) % p)
-
     def pgl_perms(self) -> list[list[int]]:
         """Conjugation permutation of the matrix index space, one per
-        element of PGL_2(F_p) (invertible matrices with first nonzero
-        entry scaled to 1, in index order)."""
+        element g of PGL_2(F_p): M -> g^-1 M g = adj(g) M g / det g, for g
+        over the invertible matrices whose first nonzero entry (a, or b
+        when a = 0) is 1, in index order."""
         if self._pgl_perms is not None:
             return self._pgl_perms
         p = self.p
-        reps = set()
-        for i in self.invertible:
-            e = self.entries[i]
-            lead = next(x for x in e if x)
-            s = pow(lead, p - 2, p)
-            reps.add(self._pack(tuple(x * s % p for x in e)))
         perms = []
-        for r in sorted(reps):
-            g = self.entries[r]
-            gi = self._inv(g)
-            perm = [self._pack(self.mul(self.mul(gi, self.entries[i]), g))
-                    for i in range(self.n)]
-            perms.append(perm)
+        for a, b, c, d in (self.entries[i] for i in self.invertible):
+            if (a or b) != 1:
+                continue
+            s = pow(a * d - b * c, -1, p)
+            # Row vectors (u, v) times g, packed as u p + v.  The rows of
+            # adj(g) M / det g are s (d row_1 - b row_2) and s (a row_2 - c row_1).
+            times_g = [(u * a + v * c) % p * p + (u * b + v * d) % p
+                       for u in range(p) for v in range(p)]
+            perms.append([times_g[(d * x - b * z) * s % p * p + (d * y - b * w) * s % p] * p * p
+                          + times_g[(a * z - c * x) * s % p * p + (a * w - c * y) * s % p]
+                          for x, y, z, w in self.entries])
         self._pgl_perms = perms
         return perms
 
@@ -189,7 +172,7 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
     _check_budget(key, budget)
     T = field_tables(key.q)
     p = T.p
-    classes = Counter(T._pack(((a - d) % p, b, c, 0))
+    classes = Counter((((a - d) % p * p + b) * p + c) * p
                       for a, b, c, d in (T.entries[i] for i in _matrix_indices(T, key.mode)))
     counts = {label: 0 for label in MoldLabel}
     for idxs, weights in zip(product(classes, repeat=key.m),
@@ -215,7 +198,11 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[
     tuples.
     """
     _check_budget(key, budget)
-    T = field_tables(key.q)
+    q = key.q
+    if (table := (q**3 - q) * q**4) > budget:
+        raise BudgetExceeded(f"census conjugation table (q^3 - q) q^4 = {table} entries "
+                             f"exceeds budget {budget}")
+    T = field_tables(q)
     perms = T.pgl_perms()
     n, m = T.n, key.m
     if key.mode == GROUP:

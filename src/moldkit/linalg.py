@@ -6,14 +6,15 @@ for Q) as in the mold and moduli kernels.  Matrices are lists of such
 rows.  Everything is Gauss-Jordan over an exact field, so results are
 exact, canonical and deterministic.
 
-Over Q, rref runs no Fraction arithmetic.  It scales each row to
-integers by the lcm of its denominators (_int_scaled, which the Q mold
-and moduli kernels share), eliminates fraction-free with
-row_i = v row_i - f row_r, dividing each new row by the gcd of its
-entries, and builds one Fraction per output entry, as x / pivot.  The
-reduced row echelon form of a row space is unique, so the rows and pivots
-are those of Gauss-Jordan over Fractions.  Q results are always
-Fractions, for int entries and literal 0s too.
+One fraction-free elimination serves both fields: each pivot row clears
+its column from the others as row_i = v row_i - f row_r, and the new row
+is reduced mod p over F_p, or divided by the gcd of its entries over Q,
+where rows are first scaled to integers by the lcm of their denominators
+(_int_scaled, shared with the Q mold and moduli kernels), so no Fraction
+arithmetic runs.  Output rows are normalised once, by pow(pivot, -1, p)
+or as Fractions x / pivot.  The reduced row echelon form of a row space
+is unique, so the rows and pivots are those of normalise-first
+Gauss-Jordan.  Q results are Fractions, for int entries and literal 0s too.
 """
 
 from __future__ import annotations
@@ -32,49 +33,38 @@ def _int_scaled(values) -> tuple[list[int], int]:
     return [x.numerator * (s // x.denominator) for x in values], s
 
 
-def _reduce(xs: list, p: int | None) -> list:
-    """Canonical values of exact ring results: x mod p over F_p; Fraction
-    arithmetic already keeps Q results reduced."""
-    return [x % p for x in xs] if p else xs
-
-
 def rref(rows: Sequence[Vector], p: int | None) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     work = [list(r) for r in rows] if p else [_int_scaled(r)[0] for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in range(len(work[0]) if work else 0):
         pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        if p:
-            scale = pow(work[r][c], -1, p)
-            row = work[r] = _reduce([x * scale for x in work[r]], p)
-        else:
-            row = work[r]
-            v = row[c]
+        row = work[r]
+        v = row[c]
         for i in range(len(work)):
             if i != r and (f := work[i][c]):
+                new = [v * x - f * y for x, y in zip(work[i], row)]
                 if p:
-                    work[i] = _reduce([x - f * y for x, y in zip(work[i], row)], p)
+                    work[i] = [x % p for x in new]
                 else:
-                    new = [v * x - f * y for x, y in zip(work[i], row)]
                     g = gcd(*new)
                     work[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    if p:
-        return [tuple(row) for row in work[:r]], pivots
     zero, out = Fraction(0), []
     for row, c in zip(work, pivots):
         v = row[c]
-        out.append(tuple(Fraction(x, v) if x else zero for x in row))
+        if p:
+            s = pow(v, -1, p)
+            out.append(tuple(x * s % p for x in row))
+        else:
+            out.append(tuple(Fraction(x, v) if x else zero for x in row))
     return out, pivots
 
 
@@ -88,7 +78,7 @@ def in_span(basis_rref: Sequence[Vector], pivots: Sequence[int], v: Vector,
     residue = list(v)
     for row, c in zip(basis_rref, pivots):
         if f := residue[c]:
-            residue = _reduce([x - f * y for x, y in zip(residue, row)], p)
+            residue = [(x - f * y) % p if p else x - f * y for x, y in zip(residue, row)]
     return not any(residue)
 
 

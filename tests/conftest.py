@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, census, span_closure
+from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, census, conjugate, span_closure
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -92,37 +92,42 @@ def det4_oracle(rows):
     return acc
 
 
-def rref_reference(rows):
-    """Plain Fraction Gauss-Jordan over Q: (nonzero rows, pivot columns),
-    the reference the integer-scaled linalg.rref must equal exactly."""
-    work = [[Fraction(x) for x in r] for r in rows]
+def rref_reference(rows, p=None):
+    """Normalise-first Gauss-Jordan, on residues over F_p or on Fractions
+    over Q (p None): (nonzero rows, pivot columns), the reference the
+    fraction-free linalg.rref must equal exactly."""
+    def reduce(xs):
+        return [x % p for x in xs] if p else xs
+
+    work = [list(r) if p else [Fraction(x) for x in r] for r in rows]
     pivots, r = [], 0
     for c in range(len(work[0]) if work else 0):
         pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        scale = 1 / work[r][c]
-        work[r] = [x * scale for x in work[r]]
+        scale = pow(work[r][c], -1, p) if p else 1 / work[r][c]
+        work[r] = reduce([x * scale for x in work[r]])
         for i in range(len(work)):
             if i != r and work[i][c]:
                 f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+                work[i] = reduce([x - f * y for x, y in zip(work[i], work[r])])
         pivots.append(c)
         r += 1
     return [tuple(row) for row in work[:r]], pivots
 
 
-def nullspace_reference(rows, ncols):
-    """Nullspace basis over Q read off rref_reference, one vector per free
-    column in increasing order."""
-    red, pivots = rref_reference(rows)
+def nullspace_reference(rows, ncols, p=None):
+    """Nullspace basis read off rref_reference, one vector per free column
+    in increasing order."""
+    red, pivots = rref_reference(rows, p)
+    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [zero] * ncols
+        v[fc] = one
         for row, c in zip(red, pivots):
-            v[c] = -row[fc]
+            v[c] = -row[fc] % p if p else -row[fc]
         basis.append(tuple(v))
     return basis
 
@@ -187,6 +192,23 @@ def orbit_reference(key):
         if label is MoldLabel.SEMISIMPLE:
             semisimple.append(rep)
     return points, orbits, size_counts, semisimple
+
+
+def pgl_perms_reference(q):
+    """Conjugation permutations of the packed index space of M_2(F_q), one
+    per element of PGL_2(F_q): every invertible g scaled so its first
+    nonzero entry is 1, de-duplicated, sorted by packed index and applied
+    as mat2.conjugate(g, M) = g^-1 M g."""
+    spec = FieldSpec.prime(q)
+    mats = all_mats(spec)
+    index = {M.values(): i for i, M in enumerate(mats)}
+    reps = set()
+    for M in mats:
+        if M.det:
+            vals = M.values()
+            s = pow(next(x for x in vals if x), -1, q)
+            reps.add(index[tuple(x * s % q for x in vals)])
+    return [[index[conjugate(mats[r], M).values()] for M in mats] for r in sorted(reps)]
 
 
 def stratum_polynomials(q, m, mode):

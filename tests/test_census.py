@@ -10,6 +10,7 @@ from moldkit import Mat2, MoldLabel, RepTuple, census, classify
 from moldkit.census import (
     DEFAULT_BUDGET,
     CensusKey,
+    FieldTables,
     _invariant_vector_packed,
     _orbit_pass,
     classify_packed,
@@ -21,7 +22,15 @@ from moldkit.census import (
 from moldkit.cli import run_command
 from moldkit.errors import BudgetExceeded
 
-from conftest import F2, F3, F5, orbit_reference, stratum_polynomials, stratum_reference
+from conftest import (
+    F2,
+    F3,
+    F5,
+    orbit_reference,
+    pgl_perms_reference,
+    stratum_polynomials,
+    stratum_reference,
+)
 
 MODES = ("monoid", "group")
 # Every key whose space has at most 10^5 tuples.
@@ -151,6 +160,13 @@ def test_orbit_census_invariant_under_generator_permutation():
         counts[classify_packed(T, rev)] += 1
     for label in MoldLabel:
         assert counts[label] == r.orbits[label]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_pgl_perms_equal_the_conjugation_reference(q):
+    perms = FieldTables(q).pgl_perms()
+    assert len(perms) == q**3 - q
+    assert perms == pgl_perms_reference(q)
 
 
 def test_budget_exceeded():
@@ -339,3 +355,14 @@ def test_census_budget_on_huge_ranks_is_one_line_and_fast(capsys):
     assert run_command(["census", "--q", "2", "--m", "3000", "--no-cache"]) == (1, "")
     assert capsys.readouterr().err == (
         f"error: census space q^(4m) = {2 ** 12000} exceeds budget 10000000\n")
+
+
+def test_census_conjugation_table_counts_against_the_budget(capsys):
+    for flag in ("--orbits", "--report"):
+        start = time.perf_counter()
+        assert run_command(["census", "--q", "11", "--m", "1", flag]) == (1, "")
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == ("error: census conjugation table (q^3 - q) q^4 "
+                                           "= 19326120 entries exceeds budget 10000000\n")
+    code, out = run_command(["census", "--q", "11", "--m", "1"])
+    assert code == 0 and json.loads(out)["total"] == 11**4

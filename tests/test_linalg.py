@@ -134,6 +134,44 @@ def test_q_rref_and_nullspace_equal_the_fraction_reference(rng):
         assert all(type(x) is Fraction for row in red + null for x in row)
 
 
+def _fp_systems(rng, p):
+    """Systems over F_p: empty, all-zero and full-rank ones, then random rows
+    with some dependent on the others and all-zero rows mixed in."""
+    systems = [([], 3), ([(0,) * 4] * 3, 4)]
+    for ncols in range(1, 7):
+        rows = [[int(j == i) if j <= i else rng.randrange(p) for j in range(ncols)]
+                for i in range(ncols)]
+        for _ in range(ncols - 1):
+            i, j = rng.sample(range(ncols), 2)
+            k = rng.randrange(p)
+            rows[i] = [(x + k * y) % p for x, y in zip(rows[i], rows[j])]
+        rng.shuffle(rows)
+        systems.append(([tuple(r) for r in rows], ncols))
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        rows = [tuple(rng.randrange(p) for _ in range(ncols)) for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = rng.randrange(p)
+            rows.append(tuple((x + k * y) % p for x, y in zip(a, b)))
+        rows += [(0,) * ncols] * rng.randint(0, 2)
+        rng.shuffle(rows)
+        systems.append((rows, ncols))
+    return systems
+
+
+@pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
+def test_fp_rref_and_nullspace_equal_the_normalise_first_reference(rng, p):
+    systems = _fp_systems(rng, p)
+    assert [linalg.rank(rows, p) for rows, _ in systems[:8]] == [0, 0, 1, 2, 3, 4, 5, 6]
+    for rows, ncols in systems:
+        red, pivots = linalg.rref(rows, p)
+        null = linalg.nullspace(rows, ncols, p)
+        assert (red, pivots) == rref_reference(rows, p)
+        assert null == nullspace_reference(rows, ncols, p)
+        assert all(type(x) is int and 0 <= x < p for row in red + null for x in row)
+
+
 def test_q_kernels_run_no_fraction_arithmetic(monkeypatch, rng):
     systems = [_q_system(rng)[0] for _ in range(100)]
     tuples = [[g.values() for g in t.gens]

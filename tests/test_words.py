@@ -1,12 +1,13 @@
 """Words, tuple validation and the split-witness search."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from moldkit import FieldElement, Mat2, RepTuple, Word, fields, mat2
 from moldkit.canon import split_witness_word
-from moldkit.errors import NoSplitGenerator, NonInvertibleGenerator
+from moldkit.errors import BudgetExceeded, NoSplitGenerator, NonInvertibleGenerator
 from moldkit.words import words_up_to
 
 from conftest import F3, F5, Q
@@ -76,3 +77,16 @@ def test_split_witness_product_branch():
     N = Mat2.from_rows([[0, 1], [0, 0]], Q)
     with pytest.raises(NoSplitGenerator):
         split_witness_word(RepTuple((A, A + N)))
+
+
+def test_split_witness_search_over_the_trace_budget_raises_fast():
+    # Strictly upper-triangular generators: every product has m = 0, so
+    # only the 2^17 - 1 subsequence search could find a witness.
+    gens = tuple(Mat2.from_rows([[0, k], [0, 0]], Q) for k in range(1, 18))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        split_witness_word(RepTuple(gens))
+    assert time.perf_counter() - start < 0.1
+    # A generator with m != 0 is found at any rank.
+    S = Mat2.from_rows([[1, 0], [0, 2]], Q)
+    assert split_witness_word(RepTuple(gens + (S,))) == Word((18,))
