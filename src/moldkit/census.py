@@ -7,12 +7,16 @@ below q^4; a packed tuple is classified by the discriminant kernel of
 of :mod:`moldkit.invariants`, both on raw entries, so the census and the
 library share one classifier and one trace computation.
 
-Neither pass steps through every tuple in Python.  The point count
-classifies one tuple per m-tuple of trace-free classes and weights it by
-the tuples it stands for (:func:`stratum_census`).  The orbit pass jumps
-from one orbit's least member to the next unvisited tuple with
-``bytearray.find`` and classifies one representative per orbit
-(:func:`_orbit_pass`).
+Neither pass steps through every tuple.  Both run over m-tuples of
+trace-free classes: a class is a matrix up to adding a multiple of I,
+named by its member with d = 0, and the label of a tuple depends only on
+the classes of its matrices.  The point count classifies one tuple per
+class tuple and weights it by the tuples it stands for
+(:func:`stratum_census`).  The orbit pass jumps from one class orbit to
+the next unvisited class tuple with ``bytearray.find``, classifies its
+d = 0 member once and counts the tuple orbits over the class orbit from
+its stabiliser (:func:`_orbit_pass`).  Its table has (q^3 - q) q^3
+entries, one class image per element of PGL_2(F_q) and class.
 """
 
 from __future__ import annotations
@@ -21,10 +25,10 @@ import json
 import math
 import os
 import sys
-from collections import Counter
+from array import array
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 from typing import Optional
 
@@ -80,6 +84,21 @@ class StratumCounts:
                 for label in MoldLabel}
 
 
+def _index_typecode(limit: int) -> str:
+    """Narrowest unsigned array typecode whose items hold 0..limit."""
+    for code in "BHILQ":
+        if limit < 256 ** array(code).itemsize:
+            return code
+    raise BudgetExceeded(f"census class index {limit} exceeds the widest array item")
+
+
+def _linear_form(p: int, u: int, v: int, w: int, scale: int) -> list[int]:
+    """scale ((u x + v y + w z) mod p) for every (x, y, z) in F_p^3, in
+    lexicographic order: p rows of p values, one per residue of u x + v y."""
+    rows = [[(t + w * z) % p * scale for z in range(p)] for t in range(p)]
+    return list(chain.from_iterable(rows[(u * x + v * y) % p] for x in range(p) for y in range(p)))
+
+
 class FieldTables:
     """Packed-integer tables for M_2(F_p): index = ((a*p + b)*p + c)*p + d."""
 
@@ -88,32 +107,39 @@ class FieldTables:
         self.n = p**4
         # Lexicographic, so entries[i] unpacks index i.
         self.entries = entries = list(product(range(p), repeat=4))
-        self.singular = bytes((a * d - b * c) % p == 0 for a, b, c, d in entries)
-        self.invertible = [i for i, s in enumerate(self.singular) if not s]
-        self._pgl_perms: Optional[list[list[int]]] = None
+        self.invertible = [i for i, (a, b, c, d) in enumerate(entries) if (a * d - b * c) % p]
+        self._pgl_perms: Optional[list[tuple[array, array]]] = None
 
-    def pgl_perms(self) -> list[list[int]]:
-        """Conjugation permutation of the matrix index space, one per
-        element g of PGL_2(F_p): M -> g^-1 M g = adj(g) M g / det g, for g
-        over the invertible matrices whose first nonzero entry (a, or b
-        when a = 0) is 1, in index order."""
+    def pgl_perms(self) -> list[tuple[array, array]]:
+        """Conjugation action of PGL_2(F_p) on the p^3 trace-free classes:
+        one pair (images, mu) of arrays per element g.
+
+        Class index (x p + y) p + z names the class of M = (x, y, z, 0),
+        its member with d = 0.  g^-1 M g = adj(g) M g / det g is the d = 0
+        member of class images[i] plus mu[i] I, so mu[i] is its d entry.
+        g runs over the invertible matrices whose first nonzero entry (a,
+        or b when a = 0) is 1, in index order.  Both arrays have the
+        narrowest typecode holding p^3 - 1.
+        """
         if self._pgl_perms is not None:
             return self._pgl_perms
         p = self.p
-        perms = []
+        code = _index_typecode(p**3 - 1)
+        table = []
         for a, b, c, d in (self.entries[i] for i in self.invertible):
             if (a or b) != 1:
                 continue
             s = pow(a * d - b * c, -1, p)
-            # Row vectors (u, v) times g, packed as u p + v.  The rows of
-            # adj(g) M / det g are s (d row_1 - b row_2) and s (a row_2 - c row_1).
-            times_g = [(u * a + v * c) % p * p + (u * b + v * d) % p
-                       for u in range(p) for v in range(p)]
-            perms.append([times_g[(d * x - b * z) * s % p * p + (d * y - b * w) * s % p] * p * p
-                          + times_g[(a * z - c * x) * s % p * p + (a * w - c * y) * s % p]
-                          for x, y, z, w in self.entries])
-        self._pgl_perms = perms
-        return perms
+            # adj(g) M g / det g is linear in M = (x, y, z, 0).  On E11, E12
+            # and E21 it is s (ad, bd, -ac, -bc), s (cd, d^2, -c^2, -cd) and
+            # s (-ab, -b^2, a^2, ab), which give a - d, b, c and d below.
+            alpha = _linear_form(p, s * (a * d + b * c), 2 * s * c * d, -2 * s * a * b, p * p)
+            beta = _linear_form(p, s * b * d, s * d * d, -s * b * b, p)
+            gamma = _linear_form(p, -s * a * c, -s * c * c, s * a * a, 1)
+            table.append((array(code, [x + y + z for x, y, z in zip(alpha, beta, gamma)]),
+                          array(code, _linear_form(p, -s * b * c, -s * c * d, s * a * b, 1))))
+        self._pgl_perms = table
+        return table
 
 
 _TABLES: dict[int, FieldTables] = {}
@@ -130,8 +156,14 @@ def classify_packed(T: FieldTables, idxs: tuple[int, ...]) -> MoldLabel:
     return _classify_entries(T.p, [T.entries[i] for i in idxs])
 
 
-def _matrix_indices(T: FieldTables, mode: str) -> list[int]:
-    return T.invertible if mode == GROUP else list(range(T.n))
+def _class_fibres(p: int, mode: str) -> list[tuple[int, ...]]:
+    """The translates lambda by which each trace-free class lies in the
+    space, indexed by class: (x + lambda, y, z, lambda) for class (x, y, z),
+    every lambda in monoid mode, the invertible ones in group mode."""
+    if mode == GROUP:
+        return [tuple(lam for lam in range(p) if ((x + lam) * lam - y * z) % p)
+                for x, y, z in product(range(p), repeat=3)]
+    return [tuple(range(p))] * p**3
 
 
 def _check_budget(key: CensusKey, budget: int) -> None:
@@ -162,9 +194,8 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
     (a - d, b, c) of its matrices (see mold._classify_entries), so it is
     unchanged by A -> A + lambda I.  Each class is represented by its
     member with d = 0 and weighted by how many matrices of the space it
-    holds: q each in monoid mode, counted from the invertible matrices in
-    group mode.  A tuple of classes stands for the product of their
-    weights in tuples, so q^(3m) calls count all q^(4m) or |GL_2|^m.
+    holds (_class_fibres).  A tuple of classes stands for the product of
+    their weights in tuples, so q^(3m) calls count all q^(4m) or |GL_2|^m.
     """
     cached = _load_cache(key) if use_cache else None
     if cached is not None:
@@ -172,8 +203,7 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
     _check_budget(key, budget)
     T = field_tables(key.q)
     p = T.p
-    classes = Counter((((a - d) % p * p + b) * p + c) * p
-                      for a, b, c, d in (T.entries[i] for i in _matrix_indices(T, key.mode)))
+    classes = {c * p: len(lams) for c, lams in enumerate(_class_fibres(p, key.mode)) if lams}
     counts = {label: 0 for label in MoldLabel}
     for idxs, weights in zip(product(classes, repeat=key.m),
                              product(classes.values(), repeat=key.m)):
@@ -185,65 +215,82 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
 
 
 def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[int, ...]]]:
-    """Orbit counts of the whole space, and the semi-simple representatives.
+    """Orbit counts of the whole space, and one packed tuple per
+    semi-simple orbit.
 
-    A tuple is a flat index below n^m (n = q^4), its matrices the base-n
-    digits.  The pass jumps with bytearray.find to the next unvisited
-    tuple, which is the canonical (least) representative of its orbit, and
-    expands it through all conjugation permutations at once.  Orbits are
-    disjoint, so the images not yet visited are exactly the new orbit's
-    members.  In group mode every tuple with a singular matrix starts
-    visited; conjugation keeps matrices invertible, so no orbit reaches
-    one, and the representatives come in the order of the invertible
-    tuples.
+    A class tuple is a flat index below n^m (n = q^3), its classes the
+    base-n digits.  The pass jumps with bytearray.find to the next
+    unvisited class tuple c and expands it through the whole class table
+    at once: orbits are disjoint, so the images not yet visited are the
+    class orbit, of size s.  The g that fix c move each tuple over c,
+    (A_i + lambda_i I), to (A_i + (lambda_i + mu_i(g)) I), where A_i is
+    the d = 0 member of c_i.  mu is a homomorphism from the stabiliser
+    to F_q^m, zero unless q = 2 (traces give 2 mu_i(g) = 0); its image
+    has k elements and acts freely.  The W tuples over c
+    (_class_fibres) thus form W / k orbits of size s k over the class
+    orbit, all with the label of the d = 0 member; a class tuple with
+    W = 0 (over F_2 in group mode) holds no tuple.
     """
     _check_budget(key, budget)
     q = key.q
-    if (table := (q**3 - q) * q**4) > budget:
-        raise BudgetExceeded(f"census conjugation table (q^3 - q) q^4 = {table} entries "
+    if (size := (q**3 - q) * q**3) > budget:
+        raise BudgetExceeded(f"census conjugation table (q^3 - q) q^3 = {size} entries "
                              f"exceeds budget {budget}")
     T = field_tables(q)
-    perms = T.pgl_perms()
-    n, m = T.n, key.m
-    if key.mode == GROUP:
-        # Built one leading matrix at a time: the (k+1)-tuple mask is the
-        # k-tuple mask behind each invertible matrix, all ones behind each
-        # singular one.
-        visited = bytearray(T.singular)
-        for _ in range(1, m):
-            ones = b"\x01" * len(visited)
-            visited = bytearray().join(ones if s else visited for s in T.singular)
-    else:
-        visited = bytearray(n**m)
+    table = T.pgl_perms()
+    fibres = _class_fibres(q, key.mode)
+    n, m = q**3, key.m
+    visited = bytearray(n**m)
     points = {label: 0 for label in MoldLabel}
     orbits = {label: 0 for label in MoldLabel}
     size_counts: dict[MoldLabel, dict[int, int]] = {label: {} for label in MoldLabel}
     semisimple = []
-    flat = visited.find(0)
+    flat = 0
     while flat >= 0:
-        idxs = ()
+        classes = ()
         f = flat
         for _ in range(m):
-            idxs = (f % n, *idxs)
+            classes = (f % n, *classes)
             f //= n
         size = 0
-        for perm in perms:
+        stab_mu = set()
+        for images, mu in table:
             f = 0
-            for i in idxs:
-                f = f * n + perm[i]
+            for c in classes:
+                f = f * n + images[c]
             if not visited[f]:
                 visited[f] = 1
                 size += 1
-        label = classify_packed(T, idxs)
-        points[label] += size
-        orbits[label] += 1
-        size_counts[label][size] = size_counts[label].get(size, 0) + 1
-        if label is MoldLabel.SEMISIMPLE:
-            semisimple.append(idxs)
+            if f == flat:
+                stab_mu.add(tuple(mu[c] for c in classes))
+        lams = [fibres[c] for c in classes]
+        if weight := math.prod(map(len, lams)):
+            label = classify_packed(T, tuple(c * q for c in classes))
+            k = len(stab_mu)
+            points[label] += size * weight
+            orbits[label] += weight // k
+            by_size = size_counts[label]
+            by_size[size * k] = by_size.get(size * k, 0) + weight // k
+            if label is MoldLabel.SEMISIMPLE:
+                semisimple.extend(_fibre_representatives(q, classes, lams, stab_mu))
         flat = visited.find(0, flat + 1)
     counts = StratumCounts(key=key, points=points, total=_space_size(key),
                            orbits=orbits, orbit_size_counts=size_counts)
     return counts, semisimple
+
+
+def _fibre_representatives(q: int, classes: tuple[int, ...], lams: list[tuple[int, ...]],
+                           stab_mu: set[tuple[int, ...]]):
+    """One packed tuple per orbit among the tuples over a class tuple: one
+    translate vector lambda from the product of lams per coset of the
+    stabiliser's mu image, as the packed matrices (x + lambda_i, y, z,
+    lambda_i) of the classes (x, y, z)."""
+    n = q**3
+    seen = set()
+    for lam in product(*lams):
+        if lam not in seen:
+            seen.update(tuple((t + u) % q for t, u in zip(lam, mu)) for mu in stab_mu)
+            yield tuple((c + t * q * q) % n * q + t for c, t in zip(classes, lam))
 
 
 def orbit_census(key: CensusKey, budget: int = DEFAULT_BUDGET,

@@ -102,13 +102,7 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple]:
     """Determinants and increasing-product traces of raw (a, b, c, d)
     entries over F_p (canonical residues), or Q (Fractions) if p is None,
     after appending the inverses in group mode; the kernel of
-    invariant_vector and of the census's packed vectors.
-
-    Each product is its prefix times one more matrix, so n matrices cost
-    2^n - 1 - n multiplications.  Over Q every matrix is scaled to
-    integer entries first and each trace divided by its product of
-    scales, so no gcd is taken inside a product.
-    """
+    invariant_vector and of the census's packed vectors."""
     n = 2 * len(mats) if group else len(mats)
     if 2**n - 1 > MAX_TRACES:
         raise BudgetExceeded(f"invariant vector of {n} matrices needs 2^{n} - 1 traces, "
@@ -122,23 +116,40 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple]:
     if p:
         dets = [x % p for x in dets]
         mats = [tuple(x % p for x in e) for e in mats]
+    traces = [(a + d) % p if p else Fraction(a + d, scale)
+              for (a, b, c, d), scale in _increasing_products(p, mats)]
+    return tuple(dets), tuple(traces)
+
+
+def _increasing_products(p: int | None, mats):
+    """Yield (entries, scale) for every strictly increasing product of raw
+    (a, b, c, d) entries, in the lexicographic order of
+    increasing_subsequences; the product is entries / scale.
+
+    The walk is depth first and each product is its prefix times one more
+    matrix, so n matrices cost 2^n - 1 - n multiplications, and a caller
+    that stops early pays only for the products it read.  Over F_p
+    (residues) the scale is 1.  Over Q every matrix is scaled to integer
+    entries first, so no gcd is taken inside a product.
+    """
+    n = len(mats)
+    if p:
         scales = [1] * n
     else:
         mats, scales = zip(*map(_int_scaled, mats))
-    traces = []
     stack = [(mats[i], scales[i], i + 1) for i in reversed(range(n))]
     while stack:
-        (a, b, c, d), scale, nxt = stack.pop()
-        traces.append((a + d) % p if p else Fraction(a + d, scale))
+        entries, scale, nxt = stack.pop()
+        yield entries, scale
+        a, b, c, d = entries
         for j in reversed(range(nxt, n)):
             e, f, g, h = mats[j]
             if p:
-                prod = ((a * e + b * g) % p, (a * f + b * h) % p,
-                        (c * e + d * g) % p, (c * f + d * h) % p)
+                entries = ((a * e + b * g) % p, (a * f + b * h) % p,
+                           (c * e + d * g) % p, (c * f + d * h) % p)
             else:
-                prod = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            stack.append((prod, scale * scales[j], j + 1))
-    return tuple(dets), tuple(traces)
+                entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            stack.append((entries, scale * scales[j], j + 1))
 
 
 def det_from_traces(t1: FieldElement, t2: FieldElement, t3: FieldElement) -> FieldElement:

@@ -68,20 +68,6 @@ def rref(rows: Sequence[Vector], p: int | None) -> tuple[list[Vector], list[int]
     return out, pivots
 
 
-def rank(rows: Sequence[Vector], p: int | None) -> int:
-    return len(rref(rows, p)[0])
-
-
-def in_span(basis_rref: Sequence[Vector], pivots: Sequence[int], v: Vector,
-            p: int | None) -> bool:
-    """Membership test against an already-reduced basis."""
-    residue = list(v)
-    for row, c in zip(basis_rref, pivots):
-        if f := residue[c]:
-            residue = [(x - f * y) % p if p else x - f * y for x, y in zip(residue, row)]
-    return not any(residue)
-
-
 def nullspace(rows: Sequence[Vector], ncols: int, p: int | None) -> list[Vector]:
     """Basis of {x : rows @ x = 0}, in deterministic free-column order."""
     red, pivots = rref(rows, p)

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
 import pytest
 
-from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, census, conjugate, span_closure
+from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, census, conjugate, linalg, span_closure
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -132,6 +133,20 @@ def nullspace_reference(rows, ncols, p=None):
     return basis
 
 
+def rank(rows, p):
+    """Rank of a list of raw-value rows over F_p (Q when p is None)."""
+    return len(linalg.rref(rows, p)[0])
+
+
+def in_span(basis_rref, pivots, v, p):
+    """Whether v lies in the row space of an already-reduced basis."""
+    residue = list(v)
+    for row, c in zip(basis_rref, pivots):
+        if f := residue[c]:
+            residue = [(x - f * y) % p if p else x - f * y for x, y in zip(residue, row)]
+    return not any(residue)
+
+
 def closure_label(t):
     """Six-way label read off the span closure: dim 4 air, 3 borel, 1
     scalar; dim 2 is semi-simple when some basis element has m != 0, else
@@ -160,14 +175,47 @@ def word_images(t, max_len):
     return images
 
 
+def space_indices(T, mode):
+    """Packed indices of the matrices a census key's tuples draw from."""
+    return T.invertible if mode == "group" else range(T.n)
+
+
 def stratum_reference(key):
     """Points per label of a census key, one classify_packed call per tuple
     of the space."""
     T = census.field_tables(key.q)
     points = {label: 0 for label in MoldLabel}
-    for idxs in product(census._matrix_indices(T, key.mode), repeat=key.m):
+    for idxs in product(space_indices(T, key.mode), repeat=key.m):
         points[census.classify_packed(T, idxs)] += 1
     return points
+
+
+@cache
+def conjugation_perms(q):
+    """Conjugation permutation of the packed index space of M_2(F_q), one
+    per element g of PGL_2(F_q): M -> g^-1 M g = adj(g) M g / det g, for g
+    over the invertible matrices whose first nonzero entry (a, or b when
+    a = 0) is 1, in index order.  Equal to pgl_perms_reference(q)."""
+    T = census.field_tables(q)
+    perms = []
+    for a, b, c, d in (T.entries[i] for i in T.invertible):
+        if (a or b) != 1:
+            continue
+        s = pow(a * d - b * c, -1, q)
+        # Row vectors (u, v) times g, packed as u q + v.  The rows of
+        # adj(g) M / det g are s (d row_1 - b row_2) and s (a row_2 - c row_1).
+        times_g = [(u * a + v * c) % q * q + (u * b + v * d) % q
+                   for u in range(q) for v in range(q)]
+        perms.append([times_g[(d * x - b * z) * s % q * q + (d * y - b * w) * s % q] * q * q
+                      + times_g[(a * z - c * x) * s % q * q + (a * w - c * y) * s % q]
+                      for x, y, z, w in T.entries])
+    return perms
+
+
+def least_image(perms, idxs):
+    """The least image of a packed tuple under the permutations: the
+    canonical member of its conjugation orbit."""
+    return min(tuple(perm[i] for i in idxs) for perm in perms)
 
 
 def orbit_reference(key):
@@ -175,10 +223,10 @@ def orbit_reference(key):
     census key, partitioning the space by each tuple's least image under
     every conjugation permutation; representatives in increasing order."""
     T = census.field_tables(key.q)
-    perms = T.pgl_perms()
+    perms = conjugation_perms(key.q)
     sizes = {}
-    for idxs in product(census._matrix_indices(T, key.mode), repeat=key.m):
-        least = min(tuple(perm[i] for i in idxs) for perm in perms)
+    for idxs in product(space_indices(T, key.mode), repeat=key.m):
+        least = least_image(perms, idxs)
         sizes[least] = sizes.get(least, 0) + 1
     points = {label: 0 for label in MoldLabel}
     orbits = {label: 0 for label in MoldLabel}
@@ -194,11 +242,28 @@ def orbit_reference(key):
     return points, orbits, size_counts, semisimple
 
 
-def pgl_perms_reference(q):
-    """Conjugation permutations of the packed index space of M_2(F_q), one
-    per element of PGL_2(F_q): every invertible g scaled so its first
-    nonzero entry is 1, de-duplicated, sorted by packed index and applied
-    as mat2.conjugate(g, M) = g^-1 M g."""
+def class_orbits_reference(q, m):
+    """The PGL_2(F_q) orbits of m-tuples of trace-free classes, each as the
+    set of its class tuples.  A class is the packed index of its member
+    with d = 0 (the matrix index with its d digit dropped), and the class of
+    any matrix is that of its trace-free coordinates (a - d, b, c)."""
+    T = census.field_tables(q)
+    perms = conjugation_perms(q)
+
+    def cls(i):
+        a, b, c, d = T.entries[i]
+        return ((a - d) % q * q + b) * q + c
+
+    orbits = {}
+    for tup in product(range(q**3), repeat=m):
+        orbit = frozenset(tuple(cls(perm[c * q]) for c in tup) for perm in perms)
+        orbits[min(orbit)] = orbit
+    return list(orbits.values())
+
+
+def pgl_reference_elements(q):
+    """The elements of PGL_2(F_q) as matrices: every invertible g scaled so
+    its first nonzero entry is 1, de-duplicated and sorted by packed index."""
     spec = FieldSpec.prime(q)
     mats = all_mats(spec)
     index = {M.values(): i for i, M in enumerate(mats)}
@@ -208,7 +273,16 @@ def pgl_perms_reference(q):
             vals = M.values()
             s = pow(next(x for x in vals if x), -1, q)
             reps.add(index[tuple(x * s % q for x in vals)])
-    return [[index[conjugate(mats[r], M).values()] for M in mats] for r in sorted(reps)]
+    return [mats[r] for r in sorted(reps)]
+
+
+def pgl_perms_reference(q):
+    """Conjugation permutations of the packed index space of M_2(F_q), one
+    per element g of pgl_reference_elements(q), applied as
+    mat2.conjugate(g, M) = g^-1 M g."""
+    mats = all_mats(FieldSpec.prime(q))
+    index = {M.values(): i for i, M in enumerate(mats)}
+    return [[index[conjugate(g, M).values()] for M in mats] for g in pgl_reference_elements(q)]
 
 
 def stratum_polynomials(q, m, mode):

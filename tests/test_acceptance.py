@@ -43,7 +43,7 @@ from moldkit.census import (
 from moldkit.cli import run_command
 from moldkit.words import words_up_to
 
-from conftest import F2, F3, F5, Q, all_mats, rand_invertible, rand_mat
+from conftest import F2, F3, F5, Q, all_mats, conjugation_perms, rand_invertible, rand_mat
 
 
 @pytest.fixture(autouse=True)
@@ -104,7 +104,7 @@ def test_criterion_03_trace_equivalence_field_level():
     checked = 0
     for q, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         T = field_tables(q)
-        perms = T.pgl_perms()
+        perms = conjugation_perms(q)
         rep_to_vec = {}
         vec_to_rep = {}
         for idxs in stratum_tuples(q, m, MoldLabel.SEMISIMPLE):
@@ -364,7 +364,7 @@ def test_criterion_09_conjugator_certificates():
     for m in (1, 2):
         by_rep = {}
         T = field_tables(2)
-        perms = T.pgl_perms()
+        perms = conjugation_perms(2)
         for idxs in stratum_tuples(2, m, MoldLabel.SEMISIMPLE):
             rep = min(tuple(p[i] for i in idxs) for p in perms)
             by_rep.setdefault(rep, []).append(idxs)

@@ -1,16 +1,19 @@
 """Census: packed classifier vs exact classifier, counts, orbits, caching."""
 
+import hashlib
 import json
 import time
+from array import array
 from itertools import product
 
 import pytest
 
-from moldkit import Mat2, MoldLabel, RepTuple, census, classify
+from moldkit import Mat2, MoldLabel, RepTuple, census, classify, conjugate
 from moldkit.census import (
     DEFAULT_BUDGET,
     CensusKey,
     FieldTables,
+    _index_typecode,
     _invariant_vector_packed,
     _orbit_pass,
     classify_packed,
@@ -26,8 +29,12 @@ from conftest import (
     F2,
     F3,
     F5,
+    class_orbits_reference,
+    conjugation_perms,
+    least_image,
     orbit_reference,
     pgl_perms_reference,
+    pgl_reference_elements,
     stratum_polynomials,
     stratum_reference,
 )
@@ -39,7 +46,8 @@ SMALL_KEYS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1)]
 BUDGET_KEYS = [(q, m) for q in (2, 3, 5, 7) for m in range(1, 7)
                if q ** (4 * m) <= DEFAULT_BUDGET] + [(11, 1)]
 # Orbit passes that take well under a second each.
-ORBIT_KEYS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
+ORBIT_KEYS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1),
+              (7, 2)]
 
 
 @pytest.fixture(autouse=True)
@@ -146,7 +154,7 @@ def test_orbit_census_invariant_under_generator_permutation():
     key = CensusKey(2, 2)
     r = orbit_census(key)
     T = field_tables(2)
-    perms = T.pgl_perms()
+    perms = conjugation_perms(2)
     # Recount orbits with the reversed tuple order; the relabelled space
     # has the same orbit structure.
     seen = set()
@@ -164,9 +172,42 @@ def test_orbit_census_invariant_under_generator_permutation():
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_pgl_perms_equal_the_conjugation_reference(q):
-    perms = FieldTables(q).pgl_perms()
+    perms = conjugation_perms(q)
     assert len(perms) == q**3 - q
     assert perms == pgl_perms_reference(q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_class_table_equals_the_conjugation_reference(q):
+    """Row g of the class table holds, for each class (x, y, z), the class
+    (a - d, b, c) and the d entry of mat2.conjugate(g, M), M = (x, y, z, 0)."""
+    table = FieldTables(q).pgl_perms()
+    elements = pgl_reference_elements(q)
+    assert len(table) == len(elements) == q**3 - q
+    spec = elements[0].spec
+    for (images, mu), g in zip(table, elements):
+        want = [conjugate(g, Mat2.from_rows([[x, y], [z, 0]], spec)).values()
+                for x, y, z in product(range(q), repeat=3)]
+        assert list(images) == [((a - d) % q * q + b) * q + c for a, b, c, d in want]
+        assert list(mu) == [d for _, _, _, d in want]
+
+
+def test_class_table_typecode_holds_every_class_index():
+    """The table's arrays take the narrowest typecode holding q^3 - 1:
+    'H' overflows from q = 41 (q^3 = 68921) and a byte from q = 7, so
+    the choice is checked on the limits, not on a built table."""
+    assert {a.typecode for row in FieldTables(5).pgl_perms() for a in row} == {"B"}
+    for q in (2, 5, 7, 37, 41, 257, 65537, 2642237):
+        limit = q**3 - 1
+        code = _index_typecode(limit)
+        assert array(code, [limit])[0] == limit
+        for narrower in "BHILQ":
+            if array(narrower).itemsize < array(code).itemsize:
+                with pytest.raises(OverflowError):
+                    array(narrower, [limit])
+    assert array(_index_typecode(41**3 - 1)).itemsize >= 4
+    with pytest.raises(BudgetExceeded):
+        _index_typecode(2**64)
 
 
 def test_budget_exceeded():
@@ -259,8 +300,13 @@ def test_report_classifies_each_orbit_representative_once(monkeypatch):
     assert code == 0
     report = json.loads(out)
     assert report["report"]["passed"] is True
-    assert len(calls) == sum(report["orbits"].values())
-    assert len(set(calls)) == len(calls)
+    # One call per orbit of class tuples, on its members with d = 0.
+    T = field_tables(3)
+    assert all(T.entries[i][3] == 0 for idxs in calls for i in idxs)
+    orbits = class_orbits_reference(3, 2)
+    orbit_of = {tup: k for k, orbit in enumerate(orbits) for tup in orbit}
+    assert len(calls) == len(orbits)
+    assert {orbit_of[tuple(i // 3 for i in idxs)] for idxs in calls} == set(range(len(orbits)))
 
 
 def test_report_carries_the_checked_counts():
@@ -278,7 +324,7 @@ def test_report_carries_the_checked_counts():
 def test_semisimple_orbits_share_representative_vector_group_mode():
     for key in (CensusKey(3, 1, "group"), CensusKey(3, 2, "group")):
         T = field_tables(key.q)
-        perms = T.pgl_perms()
+        perms = conjugation_perms(key.q)
         orbits = 0
         for idxs in product(T.invertible, repeat=key.m):
             if classify_packed(T, idxs) is not MoldLabel.SEMISIMPLE:
@@ -304,7 +350,11 @@ def test_census_equals_brute_force_oracles(q, m, mode):
     assert (counts.points, counts.orbits, counts.orbit_size_counts) == (points, orbits, size_counts)
     counts = consistency_report(key, use_cache=False).counts
     assert (counts.points, counts.orbits, counts.orbit_size_counts) == (points, orbits, size_counts)
-    assert _orbit_pass(key, DEFAULT_BUDGET)[1] == semisimple
+    # Exactly one representative per semi-simple orbit: their least images
+    # are the reference's representatives, each once.
+    representatives = _orbit_pass(key, DEFAULT_BUDGET)[1]
+    perms = conjugation_perms(q)
+    assert sorted(least_image(perms, rep) for rep in representatives) == semisimple
 
 
 def test_points_only_miss_classifies_one_tuple_of_classes_each(monkeypatch):
@@ -358,11 +408,89 @@ def test_census_budget_on_huge_ranks_is_one_line_and_fast(capsys):
 
 
 def test_census_conjugation_table_counts_against_the_budget(capsys):
+    # q = 17 is the first field whose class table passes the default budget.
     for flag in ("--orbits", "--report"):
         start = time.perf_counter()
-        assert run_command(["census", "--q", "11", "--m", "1", flag]) == (1, "")
+        assert run_command(["census", "--q", "17", "--m", "1", flag]) == (1, "")
         assert time.perf_counter() - start < 1.0
-        assert capsys.readouterr().err == ("error: census conjugation table (q^3 - q) q^4 "
-                                           "= 19326120 entries exceeds budget 10000000\n")
-    code, out = run_command(["census", "--q", "11", "--m", "1"])
-    assert code == 0 and json.loads(out)["total"] == 11**4
+        assert capsys.readouterr().err == ("error: census conjugation table (q^3 - q) q^3 "
+                                           "= 24054048 entries exceeds budget 10000000\n")
+    code, out = run_command(["census", "--q", "17", "--m", "1"])
+    assert code == 0 and json.loads(out)["total"] == 17**4
+
+
+def test_orbits_at_q11_equal_the_subalgebra_polynomials():
+    for m, flags in ((1, []), (2, ["--budget", str(11**8)])):
+        code, out = run_command(["census", "--q", "11", "--m", str(m), "--orbits", "--no-cache",
+                                 *flags])
+        assert code == 0
+        sizes = stratum_polynomials(11, m, "monoid")
+        assert json.loads(out)["orbit_size_counts"] == {
+            label.value: {str(s): c for s, c in sorted(by_size.items())}
+            for label, by_size in sizes.items()}, m
+
+
+# sha256 of the stdout of `moldkit census --orbits --report --no-cache` and
+# of the cache file a `--report` run writes, for every key within the default
+# budget with q <= 7, as the full-space orbit pass printed and wrote them.
+REPORT_DIGESTS = {
+    (2, 1, "monoid"): ("a6a2f87dd171b2cb7cd7ab927b7e0549db6bed2f7644cb0b8831de1267ea141e",
+                       "0a7cfae616007571b9e80e5f40164a59b8a5f537ee61c7651eddb7d659a4ad6f"),
+    (2, 1, "group"): ("18e964eedfb37c0de7e77aa0569f1a8c4f8041634199dcc5ce689d81b03a9fdf",
+                      "2bc992a0e5b495051e32eb1811e76e238c306044d88bdb34946ea6a3ce236b52"),
+    (2, 2, "monoid"): ("a076048390bc96ca956072be7f3c8cd695feaeb77f2ad7131b4596c1413a33db",
+                       "f2329e0a694b94abc6b811ba18c3cd18351c20cd8f3032ec0c82492b407288ee"),
+    (2, 2, "group"): ("47d343d91680c607f17cb47a2a55d39288dd17c77b0d63d4e0176273dffc00be",
+                      "34be522e28b0e5545aab343e7acd23a2126231c1cc243da75b291a5753236424"),
+    (2, 3, "monoid"): ("917259eb7f143b88a98dd32cf25f66bc5de3526ca59fafbdc7999aac5ce3414c",
+                       "953898b8e3a2fb1d5f0c5a0d2fd01f71a060cce3282aa5168c67b51481b7ffbf"),
+    (2, 3, "group"): ("b00ce6967efb400753765678dcdda8adbe966592d067be9bc2f5f8658bcdca11",
+                      "5bbca0113c715fdd8c9e339837cfdd1e4990e82763395dff06525373b9b96fef"),
+    (2, 4, "monoid"): ("a9a583f34b8e9500e621a4c1bb34e413fef8409d26767b415e798c893390f987",
+                       "8592c1b4d2557e81e3c70365cb0bd54c93f32386b559eef260e680bf7c9b3748"),
+    (2, 4, "group"): ("da0111cf5e3f7935495f2898f871875986a54aec1ac386297cfce612f0ac3a59",
+                      "907e89ea0d2ce0e3a7331bf1b2e5d02881c98ddd5d57bebfa3d5d5bd23d58d1d"),
+    (2, 5, "monoid"): ("9b8d0e8e5d63d610de1539dca40b138aa0f77c2e6b7a48e30caa16bac2897bdc",
+                       "9642f166063f8ddddbcce3a6b2c46606fb7925964a039e43c07fc635c2be4a42"),
+    (2, 5, "group"): ("bc4a7f5177e34ac6a0e6360224223b514eb048eec80cb222b61a97daefdc1643",
+                      "0306d2b4b5c1409c7cca6e705f512328a83b7f30049b2e78cab83f1ed8783738"),
+    (3, 1, "monoid"): ("f6f2d93550fcf6a7e4d5c5904c45d7f67e06e10d0d418e5471f53bd51de7368c",
+                       "9e85dc4f5eb96e783cc08da588b2772da3f136fe055ddd13844a9302a81a4b9d"),
+    (3, 1, "group"): ("3da5643fa67a6b18a3ff172b333b375b21edce9bea3321341a2ca988aa9c5af7",
+                      "284549377e9f3853d6adc8f46aee7a7a1ed4f2e83d16d103a8d73fd5b4e484ac"),
+    (3, 2, "monoid"): ("82822fa470cd7d6b533a54ad69cc0dd2d3a8e61b3d7d9cd952ad75883d15db81",
+                       "c5092f9f801fabf1ea6504f1b8e96b38841b56f33786a1bc95de0516abce7a14"),
+    (3, 2, "group"): ("e21966c7c0a3b5a5a47d1144e1237c0df44cf29cee6613fbb97a186974a9386d",
+                      "c6a41439d4a0408803de527c6be3674a7321b4e996e8ff6935c4771f977c95c2"),
+    (3, 3, "monoid"): ("ceb437c926d110c798558d78645a14d70f0318ded54d4be2cb9fc4ebeb0b8e2e",
+                       "4e6c9801de8d43991493197bd2617515c4df3c999801c780a41c5b3b0762fc95"),
+    (3, 3, "group"): ("d487bc1f475acbe90356b6332b05af33dbe6a0bec308f0eb593a77aa9d1ad01e",
+                      "d0b064483062ef4f1713375511a2872f328cc0f069d2c8773669688a0fc87bb3"),
+    (5, 1, "monoid"): ("0059efa7938d9a8f76af0f5464973ee8eddf2086effca1d058c151771c7c7d02",
+                       "a3a2ca6858a5dc9d3e38e5f97b7899d8917b077e0e6ec93b78d97da1b8c947e6"),
+    (5, 1, "group"): ("015fcf04df88c9bbc4c7e837f84ce40883c6896de8d6d848a178f646c258720a",
+                      "81cd8dd7ef874b4b391cad0802cb82d3a35130f744dbdbfb0e8daf8f6c0ff2f2"),
+    (5, 2, "monoid"): ("197fcb3b2d2c719043c96181e8bcdd855efdd6ee6b75081a31aee50bea918606",
+                       "83cafd7bc486df7390b6d5b7840f739cc0f9eef49ade299ebcd4ea2f504e1d7a"),
+    (5, 2, "group"): ("fef283163afe60c37a5e014f1bbfb606213b86551d5ae6c2204c2c43bac4300c",
+                      "2d2cec2ab5889f352959aec863cd27ad158b163cfff035d8817d041607699427"),
+    (7, 1, "monoid"): ("3518cb6cbc932aa96f33835211a99533c42a237b0bfddeb6e037d74425c45075",
+                       "62a92275092197ddd68e87a2e7460c478e23aa388161fbf8edc0cafd54f7de46"),
+    (7, 1, "group"): ("fbf7b63e3f72a4874877a8407433392ebfe45c759a84871dd924d1e4532dcc6b",
+                      "d8bfba681a2984a82899cbe0cf9debaf8309b2fc4d387fbdca625e64c18086a0"),
+    (7, 2, "monoid"): ("5d033100ddd855a22b38f63b8c7f78deeaf2af3a9d9bab8a5f072d9ef64ce72f",
+                       "316d3adebd01d1413c2e56f1552fb1590e9ac4ba73e6ef8bffc4814f5bdfba07"),
+    (7, 2, "group"): ("b5eee2a5ce40a8814f4ebc7e7f1aefc711001aed11f9ec15abfc790d42de3cbd",
+                      "2aa6eb06333059b2649b610236529db3af1c8a5b5535c4afe910768540a21f5d"),
+}
+
+
+@pytest.mark.parametrize("q,m,mode", sorted(REPORT_DIGESTS))
+def test_report_stdout_and_cache_bytes_are_pinned(q, m, mode, tmp_path):
+    stdout_digest, cache_digest = REPORT_DIGESTS[q, m, mode]
+    argv = ["census", "--q", str(q), "--m", str(m), "--mode", mode]
+    code, out = run_command([*argv, "--orbits", "--report", "--no-cache"])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+    assert run_command([*argv, "--report"]) == (0, out)
+    cache = tmp_path / "cache" / f"census_q{q}_m{m}_{mode}.json"
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == cache_digest

@@ -15,9 +15,11 @@ from conftest import (
     F3,
     F65521,
     Q,
+    in_span,
     nullspace_reference,
     rand_invertible,
     rand_mat,
+    rank,
     rref_reference,
     stratum_samples,
 )
@@ -48,14 +50,14 @@ def test_rref_and_nullspace_return_canonical_values(rng, spec):
         rows, ncols = _random_system(rng, spec)
         red, pivots = linalg.rref(rows, spec.p)
         null = linalg.nullspace(rows, ncols, spec.p)
-        assert len(red) == len(pivots) == linalg.rank(rows, spec.p)
+        assert len(red) == len(pivots) == rank(rows, spec.p)
         assert len(red) + len(null) == ncols
         assert all(canonical(x) for row in red + null for x in row)
         for v in null:
             for row in rows:
                 assert spec.reduce(sum(a * x for a, x in zip(row, v))) == 0
         for row in rows:
-            assert linalg.in_span(red, pivots, row, spec.p)
+            assert in_span(red, pivots, row, spec.p)
 
 
 def test_conjugacy_solver_builds_no_field_element_in_linalg(monkeypatch, rng):
@@ -163,7 +165,7 @@ def _fp_systems(rng, p):
 @pytest.mark.parametrize("p", [2, 3, 65521, 2**31 - 1])
 def test_fp_rref_and_nullspace_equal_the_normalise_first_reference(rng, p):
     systems = _fp_systems(rng, p)
-    assert [linalg.rank(rows, p) for rows, _ in systems[:8]] == [0, 0, 1, 2, 3, 4, 5, 6]
+    assert [rank(rows, p) for rows, _ in systems[:8]] == [0, 0, 1, 2, 3, 4, 5, 6]
     for rows, ncols in systems:
         red, pivots = linalg.rref(rows, p)
         null = linalg.nullspace(rows, ncols, p)

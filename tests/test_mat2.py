@@ -25,9 +25,11 @@ from conftest import (
     F65521,
     Q,
     all_mats,
+    in_span,
     nonscalar_mats,
     rand_invertible,
     rand_mat,
+    rank,
 )
 
 
@@ -119,11 +121,11 @@ def test_commutant_basis():
     assert len(null) == 2
     red, piv = linalg.rref(null, Q.p)
     for B in basis:
-        assert linalg.in_span(red, piv, B.values(), Q.p)
+        assert in_span(red, piv, B.values(), Q.p)
 
     D = Mat2.from_rows([[1, 0], [0, 2]], Q)
     red, piv = linalg.rref([M.values() for M in commutant_basis(D)], Q.p)
-    assert linalg.in_span(red, piv, Mat2.from_rows([[5, 0], [0, 7]], Q).values(), Q.p)
+    assert in_span(red, piv, Mat2.from_rows([[5, 0], [0, 7]], Q).values(), Q.p)
 
     with pytest.raises(ScalarInput):
         commutant_basis(Mat2.identity(Q))
@@ -135,7 +137,7 @@ def test_commutant_is_exactly_span_I_A(rng):
         red, piv = linalg.rref([M.values() for M in commutant_basis(A)], F2.p)
         for X in all_mats(F2):
             if A * X == X * A:
-                assert linalg.in_span(red, piv, X.values(), F2.p)
+                assert in_span(red, piv, X.values(), F2.p)
 
 
 def test_commutator_image_examples():
@@ -258,15 +260,15 @@ def test_commutator_image_test_matches_rank_oracle(rng, spec):
         for Y in (image, rand_mat(rng, spec, 10**6), image + Mat2.identity(spec),
                   image + A, image + trace_free, Mat2.zero(spec)):
             augmented = [row + (y,) for row, y in zip(rows, Y.values())]
-            assert commutator_image_test(A, Y) == (linalg.rank(rows, spec.p)
-                                                   == linalg.rank(augmented, spec.p))
+            assert commutator_image_test(A, Y) == (rank(rows, spec.p)
+                                                   == rank(augmented, spec.p))
 
 
 def _check_span_coords(M, X):
     spec = X.spec
     red, piv = linalg.rref([Mat2.identity(spec).values(), X.values()], spec.p)
     coords = M.span_coords(X)
-    assert (coords is not None) == linalg.in_span(red, piv, M.values(), spec.p)
+    assert (coords is not None) == in_span(red, piv, M.values(), spec.p)
     if coords is not None:
         x, y = coords
         assert Mat2.identity(spec).scale(x) + X.scale(y) == M

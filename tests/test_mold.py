@@ -30,9 +30,11 @@ from conftest import (
     Q,
     all_mats,
     closure_label,
+    in_span,
     invertible_mats,
     rand_invertible,
     rand_mat,
+    rank,
     stratum_samples,
     word_images,
 )
@@ -54,19 +56,19 @@ def test_span_closure_is_closed_and_unital(rng):
             t = RepTuple((rand_mat(rng, spec), rand_mat(rng, spec)))
             basis = span_closure(t).basis
             red, piv = linalg.rref([B.values() for B in basis], spec.p)
-            assert linalg.in_span(red, piv, Mat2.identity(spec).values(), spec.p)
+            assert in_span(red, piv, Mat2.identity(spec).values(), spec.p)
             for X in basis:
                 for Y in basis:
-                    assert linalg.in_span(red, piv, (X * Y).values(), spec.p)
+                    assert in_span(red, piv, (X * Y).values(), spec.p)
             for g in t.gens:
-                assert linalg.in_span(red, piv, g.values(), spec.p)
+                assert in_span(red, piv, g.values(), spec.p)
 
 
 def test_span_closure_matches_word_image_span(rng):
     # Oracle: the span of all word images up to length 4 (dim <= 4 makes
     # longer words redundant once the span is multiplicatively closed).
     def oracle_dim(t):
-        return linalg.rank([M.values() for M in word_images(t, 4)], t.spec.p)
+        return rank([M.values() for M in word_images(t, 4)], t.spec.p)
 
     mats2 = all_mats(F2)
     for A in mats2:
@@ -83,7 +85,7 @@ def minors_rank_le2_oracle(t, max_len=3):
     images = word_images(t, max_len)
     for trip in combinations(range(len(images)), 3):
         cols = [images[i].values() for i in trip]
-        if linalg.rank(cols, t.spec.p) > 2:
+        if rank(cols, t.spec.p) > 2:
             return False
     return True
 

@@ -8,9 +8,10 @@ import pytest
 from moldkit import FieldElement, Mat2, RepTuple, Word, fields, mat2
 from moldkit.canon import split_witness_word
 from moldkit.errors import BudgetExceeded, NoSplitGenerator, NonInvertibleGenerator
+from moldkit.invariants import increasing_subsequences
 from moldkit.words import words_up_to
 
-from conftest import F3, F5, Q
+from conftest import F3, F5, F65521, Q, rand_invertible, rand_mat
 
 
 def test_word_parsing_and_validation():
@@ -90,3 +91,51 @@ def test_split_witness_search_over_the_trace_budget_raises_fast():
     # A generator with m != 0 is found at any rank.
     S = Mat2.from_rows([[1, 0], [0, 2]], Q)
     assert split_witness_word(RepTuple(gens + (S,))) == Word((18,))
+
+
+def split_witness_reference(t):
+    """The from-scratch search: each increasing product of two or more
+    generators evaluated on its own, in increasing_subsequences order."""
+    for sub in increasing_subsequences(len(t.gens)):
+        if len(sub) > 1 and t.evaluate(Word(sub)).m:
+            return Word(sub)
+    return None
+
+
+@pytest.mark.parametrize("spec", [F5, F65521, Q], ids=str)
+def test_split_witness_products_equal_the_from_scratch_search(rng, spec):
+    """Generators x I + y N with N nilpotent all have m = 0, so only a
+    product can be a witness; a few shared directions N make many products
+    m = 0 too, and the first witness comes late in the order."""
+    E = Mat2.from_rows([[0, 1], [0, 0]], spec)
+    I = Mat2.identity(spec)
+    found = missed = 0
+    for _ in range(60):
+        directions = []
+        for _ in range(rng.randint(1, 3)):
+            P = rand_invertible(rng, spec)
+            directions.append(P.inverse() * E * P)
+        gens = tuple(I.scale(rand_mat(rng, spec).a11)
+                     + rng.choice(directions).scale(rand_mat(rng, spec).a12)
+                     for _ in range(rng.randint(2, 7)))
+        t = RepTuple(gens)
+        assert not any(g.m for g in gens)
+        expected = split_witness_reference(t)
+        if expected is None:
+            missed += 1
+            with pytest.raises(NoSplitGenerator):
+                split_witness_word(t)
+        else:
+            found += 1
+            assert split_witness_word(t) == expected
+    assert found and missed
+
+
+def test_split_witness_search_at_the_trace_budget_is_fast():
+    # 16 strictly upper-triangular generators over Q: all 2^16 - 1
+    # products have m = 0.
+    gens = tuple(Mat2.from_rows([[0, k], [0, 0]], Q) for k in range(1, 17))
+    start = time.perf_counter()
+    with pytest.raises(NoSplitGenerator):
+        split_witness_word(RepTuple(gens))
+    assert time.perf_counter() - start < 1.0
