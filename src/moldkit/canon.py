@@ -20,7 +20,7 @@ from .errors import (
     NotUnipotentF2,
 )
 from .fields import FieldElement
-from .invariants import MAX_TRACES, _increasing_products, increasing_subsequences
+from .invariants import MAX_TRACES, _increasing_products
 from .mat2 import Mat2, _mat, companion_normalize, eta
 from .mold import MoldLabel, classify
 from .words import RepTuple, Word
@@ -132,9 +132,9 @@ def ss_equivalent(t1: RepTuple, t2: RepTuple) -> bool:
 
 def split_witness_word(t: RepTuple) -> Word:
     """First generator with m != 0, else the first increasing product in
-    the order of increasing_subsequences, each product its prefix times one
-    more generator.  Raises BudgetExceeded when the 2^n - 1 subsequences of
-    n generators pass MAX_TRACES."""
+    the lexicographic order of index subsequences, each product its prefix
+    times one more generator.  Raises BudgetExceeded when the 2^n - 1
+    subsequences of n generators pass MAX_TRACES."""
     for i, g in enumerate(t.gens, start=1):
         if g.m:
             return Word((i,))
@@ -143,8 +143,7 @@ def split_witness_word(t: RepTuple) -> Word:
         raise BudgetExceeded(f"split witness search over {n} matrices needs 2^{n} - 1 "
                              f"products, over the budget of {MAX_TRACES}")
     p = t.spec.p
-    products = _increasing_products(p, [g.values() for g in t.gens])
-    for sub, ((a, b, c, d), _) in zip(increasing_subsequences(n), products):
+    for sub, (a, b, c, d), _ in _increasing_products(p, [g.values() for g in t.gens]):
         # m = (a - d)^2 + 4 b c; over Q a scale multiplies it by its square.
         m = (a - d) ** 2 + 4 * b * c
         if m % p if p else m:

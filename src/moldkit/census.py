@@ -1,11 +1,11 @@
 """Exhaustive census of tuple spaces over small prime fields.
 
 Tuples of 2x2 matrices over F_q are counted into the six mold strata and
-partitioned into conjugation orbits.  Matrices are packed integer indices
-below q^4; a packed tuple is classified by the discriminant kernel of
-:mod:`moldkit.mold` and its trace coordinates come from the moduli kernel
-of :mod:`moldkit.invariants`, both on raw entries, so the census and the
-library share one classifier and one trace computation.
+partitioned into conjugation orbits.  A tuple is classified by the
+discriminant kernel of :mod:`moldkit.mold` and its trace coordinates come
+from the moduli kernel of :mod:`moldkit.invariants`, both on raw entries,
+so the census and the library share one classifier and one trace
+computation.
 
 Neither pass steps through every tuple.  Both run over m-tuples of
 trace-free classes: a class is a matrix up to adding a multiple of I,
@@ -100,14 +100,13 @@ def _linear_form(p: int, u: int, v: int, w: int, scale: int) -> list[int]:
 
 
 class FieldTables:
-    """Packed-integer tables for M_2(F_p): index = ((a*p + b)*p + c)*p + d."""
+    """The p^3 trace-free classes of M_2(F_p) and the conjugation action of
+    PGL_2(F_p) on them."""
 
     def __init__(self, p: int):
         self.p = p
-        self.n = p**4
-        # Lexicographic, so entries[i] unpacks index i.
-        self.entries = entries = list(product(range(p), repeat=4))
-        self.invertible = [i for i, (a, b, c, d) in enumerate(entries) if (a * d - b * c) % p]
+        # Lexicographic, so classes[(x p + y) p + z] = (x, y, z, 0).
+        self.classes = [(x, y, z, 0) for x, y, z in product(range(p), repeat=3)]
         self._pgl_perms: Optional[list[tuple[array, array]]] = None
 
     def pgl_perms(self) -> list[tuple[array, array]]:
@@ -117,17 +116,17 @@ class FieldTables:
         Class index (x p + y) p + z names the class of M = (x, y, z, 0),
         its member with d = 0.  g^-1 M g = adj(g) M g / det g is the d = 0
         member of class images[i] plus mu[i] I, so mu[i] is its d entry.
-        g runs over the invertible matrices whose first nonzero entry (a,
-        or b when a = 0) is 1, in index order.  Both arrays have the
-        narrowest typecode holding p^3 - 1.
+        g = (a, b, c, d) runs over the invertible matrices whose first
+        nonzero entry (a, or b when a = 0) is 1, in lexicographic order.
+        Both arrays have the narrowest typecode holding p^3 - 1.
         """
         if self._pgl_perms is not None:
             return self._pgl_perms
         p = self.p
         code = _index_typecode(p**3 - 1)
         table = []
-        for a, b, c, d in (self.entries[i] for i in self.invertible):
-            if (a or b) != 1:
+        for a, b, c, d in product((0, 1), range(p), range(p), range(p)):
+            if (a or b) != 1 or not (a * d - b * c) % p:
                 continue
             s = pow(a * d - b * c, -1, p)
             # adj(g) M g / det g is linear in M = (x, y, z, 0).  On E11, E12
@@ -151,9 +150,10 @@ def field_tables(p: int) -> FieldTables:
     return _TABLES[p]
 
 
-def classify_packed(T: FieldTables, idxs: tuple[int, ...]) -> MoldLabel:
-    """Mold label of a packed tuple; the kernel of mold.classify."""
-    return _classify_entries(T.p, [T.entries[i] for i in idxs])
+def classify_packed(T: FieldTables, classes: tuple[int, ...]) -> MoldLabel:
+    """Mold label of the tuples over a tuple of class indices, from the
+    d = 0 member of each class; the kernel of mold.classify."""
+    return _classify_entries(T.p, [T.classes[c] for c in classes])
 
 
 def _class_fibres(p: int, mode: str) -> list[tuple[int, ...]]:
@@ -202,21 +202,20 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
         return cached
     _check_budget(key, budget)
     T = field_tables(key.q)
-    p = T.p
-    classes = {c * p: len(lams) for c, lams in enumerate(_class_fibres(p, key.mode)) if lams}
+    weights = {c: len(lams) for c, lams in enumerate(_class_fibres(T.p, key.mode)) if lams}
     counts = {label: 0 for label in MoldLabel}
-    for idxs, weights in zip(product(classes, repeat=key.m),
-                             product(classes.values(), repeat=key.m)):
-        counts[classify_packed(T, idxs)] += math.prod(weights)
+    for classes, ws in zip(product(weights, repeat=key.m),
+                           product(weights.values(), repeat=key.m)):
+        counts[classify_packed(T, classes)] += math.prod(ws)
     result = StratumCounts(key=key, points=counts, total=_space_size(key))
     if use_cache:
         _store_cache(key, result)
     return result
 
 
-def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[int, ...]]]:
-    """Orbit counts of the whole space, and one packed tuple per
-    semi-simple orbit.
+def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[tuple, ...]]]:
+    """Orbit counts of the whole space, and the raw entries of one tuple
+    per semi-simple orbit.
 
     A class tuple is a flat index below n^m (n = q^3), its classes the
     base-n digits.  The pass jumps with bytearray.find to the next
@@ -265,32 +264,32 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[
                 stab_mu.add(tuple(mu[c] for c in classes))
         lams = [fibres[c] for c in classes]
         if weight := math.prod(map(len, lams)):
-            label = classify_packed(T, tuple(c * q for c in classes))
+            label = classify_packed(T, classes)
             k = len(stab_mu)
             points[label] += size * weight
             orbits[label] += weight // k
             by_size = size_counts[label]
             by_size[size * k] = by_size.get(size * k, 0) + weight // k
             if label is MoldLabel.SEMISIMPLE:
-                semisimple.extend(_fibre_representatives(q, classes, lams, stab_mu))
+                members = [T.classes[c] for c in classes]
+                semisimple.extend(_fibre_representatives(q, members, lams, stab_mu))
         flat = visited.find(0, flat + 1)
     counts = StratumCounts(key=key, points=points, total=_space_size(key),
                            orbits=orbits, orbit_size_counts=size_counts)
     return counts, semisimple
 
 
-def _fibre_representatives(q: int, classes: tuple[int, ...], lams: list[tuple[int, ...]],
+def _fibre_representatives(q: int, members: list[tuple], lams: list[tuple[int, ...]],
                            stab_mu: set[tuple[int, ...]]):
-    """One packed tuple per orbit among the tuples over a class tuple: one
+    """One tuple per orbit among the tuples over a class tuple: one
     translate vector lambda from the product of lams per coset of the
-    stabiliser's mu image, as the packed matrices (x + lambda_i, y, z,
-    lambda_i) of the classes (x, y, z)."""
-    n = q**3
+    stabiliser's mu image, as the raw entries (x + lambda_i, y, z,
+    lambda_i) of the d = 0 members (x, y, z, 0) of the classes."""
     seen = set()
     for lam in product(*lams):
         if lam not in seen:
             seen.update(tuple((t + u) % q for t, u in zip(lam, mu)) for mu in stab_mu)
-            yield tuple((c + t * q * q) % n * q + t for c, t in zip(classes, lam))
+            yield tuple(((x + t) % q, y, z, t) for (x, y, z, _), t in zip(members, lam))
 
 
 def orbit_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
@@ -303,12 +302,6 @@ def orbit_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
     if use_cache:
         _store_cache(key, result)
     return result
-
-
-def _invariant_vector_packed(T: FieldTables, idxs: tuple[int, ...], mode: str):
-    """(dets, increasing-product traces) of a packed tuple; the kernel of
-    invariant_vector."""
-    return _moduli_entries(T.p, [T.entries[i] for i in idxs], mode == GROUP)
 
 
 @dataclass(frozen=True)
@@ -371,8 +364,8 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
         passed=not bad_air,
     ))
 
-    T = field_tables(q)
-    vectors = {_invariant_vector_packed(T, idxs, key.mode) for idxs in semisimple}
+    vectors = {(dets, traces) for dets, _, traces in
+               (_moduli_entries(q, mats, key.mode == GROUP) for mats in semisimple)}
     checks.append(CheckResult(
         name="semisimple_trace_separation",
         source="trace coordinates separate semi-simple orbits",

@@ -73,36 +73,29 @@ class InvariantVector:
         return dict(self.traces)
 
 
-def increasing_subsequences(n: int) -> list[tuple[int, ...]]:
-    """All nonempty increasing subsequences of (1..n), lexicographically."""
-    subs = [c for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
-    return sorted(subs)
-
-
 def invariant_vector(t: RepTuple) -> InvariantVector:
     """Moduli coordinates of a tuple.
 
     In group mode the generator list is first augmented with the inverses
     (A_1, ..., A_m, A_1^-1, ..., A_m^-1) so that traces of increasing
-    products generate all word traces verbatim.  The traces come in the
-    lexicographic order of ``increasing_subsequences(n)``, each product
+    products generate all word traces verbatim.  The traces come keyed by
+    their index subsequences in lexicographic order, each product
     extending its prefix by one matrix, depth first.  For n augmented
     generators that is 2^n - 1 traces; above MAX_TRACES the call raises
     BudgetExceeded before computing any of them.
     """
     spec = t.spec
-    dets, traces = _moduli_entries(spec.p, [g.values() for g in t.gens], t.mode == GROUP)
+    dets, keys, traces = _moduli_entries(spec.p, [g.values() for g in t.gens], t.mode == GROUP)
     return InvariantVector(
         dets=tuple(_fe(v, spec) for v in dets),
-        traces=tuple(zip(increasing_subsequences(len(dets)),
-                         (_fe(v, spec) for v in traces))))
+        traces=tuple(zip(keys, (_fe(v, spec) for v in traces))))
 
 
-def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple]:
-    """Determinants and increasing-product traces of raw (a, b, c, d)
-    entries over F_p (canonical residues), or Q (Fractions) if p is None,
-    after appending the inverses in group mode; the kernel of
-    invariant_vector and of the census's packed vectors."""
+def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tuple]:
+    """Determinants, increasing-product keys and their traces of raw (a,
+    b, c, d) entries over F_p (canonical residues), or Q (Fractions) if p
+    is None, after appending the inverses in group mode; the kernel of
+    invariant_vector and of the census's semi-simple vectors."""
     n = 2 * len(mats) if group else len(mats)
     if 2**n - 1 > MAX_TRACES:
         raise BudgetExceeded(f"invariant vector of {n} matrices needs 2^{n} - 1 traces, "
@@ -116,15 +109,15 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple]:
     if p:
         dets = [x % p for x in dets]
         mats = [tuple(x % p for x in e) for e in mats]
-    traces = [(a + d) % p if p else Fraction(a + d, scale)
-              for (a, b, c, d), scale in _increasing_products(p, mats)]
-    return tuple(dets), tuple(traces)
+    keys, traces = zip(*((key, (a + d) % p if p else Fraction(a + d, scale))
+                         for key, (a, b, c, d), scale in _increasing_products(p, mats)))
+    return tuple(dets), keys, traces
 
 
 def _increasing_products(p: int | None, mats):
-    """Yield (entries, scale) for every strictly increasing product of raw
-    (a, b, c, d) entries, in the lexicographic order of
-    increasing_subsequences; the product is entries / scale.
+    """Yield (key, entries, scale) for every strictly increasing product of
+    raw (a, b, c, d) entries, in the lexicographic order of the keys, its
+    1-based index subsequences; the product is entries / scale.
 
     The walk is depth first and each product is its prefix times one more
     matrix, so n matrices cost 2^n - 1 - n multiplications, and a caller
@@ -137,19 +130,19 @@ def _increasing_products(p: int | None, mats):
         scales = [1] * n
     else:
         mats, scales = zip(*map(_int_scaled, mats))
-    stack = [(mats[i], scales[i], i + 1) for i in reversed(range(n))]
+    stack = [((i + 1,), mats[i], scales[i]) for i in reversed(range(n))]
     while stack:
-        entries, scale, nxt = stack.pop()
-        yield entries, scale
+        key, entries, scale = stack.pop()
+        yield key, entries, scale
         a, b, c, d = entries
-        for j in reversed(range(nxt, n)):
+        for j in reversed(range(key[-1], n)):
             e, f, g, h = mats[j]
             if p:
                 entries = ((a * e + b * g) % p, (a * f + b * h) % p,
                            (c * e + d * g) % p, (c * f + d * h) % p)
             else:
                 entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            stack.append((entries, scale * scales[j], j + 1))
+            stack.append(((*key, j + 1), entries, scale * scales[j]))
 
 
 def det_from_traces(t1: FieldElement, t2: FieldElement, t3: FieldElement) -> FieldElement:

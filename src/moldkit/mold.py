@@ -71,46 +71,45 @@ def rank_le2_test(t: RepTuple) -> bool:
 
 def _classify_entries(p: Optional[int], mats) -> MoldLabel:
     """Mold label of raw (a, b, c, d) entry tuples over F_p, or Q if p is
-    None; values are reduced mod p only where they are tested for zero.
+    None, from one pass over their trace-free rows (a - d, b, c), which
+    span the algebra modulo I.
 
-    With u, v the trace-free coordinates (a - d, b, c) of A, B and
-    w = u x v, delta2(A, B) = -det(AB - BA) = w0^2 + w1 w2, and
-    tau3(A, B, C) = tr(A(BC - CB)) is the determinant of three such
-    coordinate rows.  The rows span the algebra modulo I: with no
-    discriminant nonzero, rank >= 2 is borel, 0 is scalar, and 1 is
-    span{I, X}, semi-simple iff some m = (a - d)^2 + 4bc != 0.
-
-    Over Q each matrix is first scaled to integer entries by a positive s,
-    which scales its u by s, w by s_u s_v, delta2 by (s_u s_v)^2, tau3 by
-    s_u s_v s_x and m by s^2: every zero test is unchanged, and no
+    With w = u x v for the rows of A and B, delta2(A, B) = -det(AB - BA) =
+    w0^2 + w1 w2, and tau3(A, B, C) = tr(A(BC - CB)) is the determinant of
+    three rows.  The pass keeps the first nonzero row u and the first
+    nonzero w = u x x; a later row x with w . x != 0 makes the rank 3: air.
+    A change of basis of a plane scales w by its determinant, so rank 2 is
+    air iff w0^2 + w1 w2 != 0, else borel; rank 1 is span{I, X}, semi-simple
+    iff m = (a - d)^2 + 4bc != 0 at u; rank 0 is scalar.  Over Q each
+    matrix is first scaled to integer entries by a positive s, which scales
+    its row by s, w by s_u s_x and m by s^2: no zero test changes, and no
     Fraction arithmetic runs.
     """
     if p is None:
         mats = [linalg._int_scaled(e)[0] for e in mats]
-    tf = [(a - d, b, c) for a, b, c, d in mats]
-    rank2 = False
-    for (u0, u1, u2), (v0, v1, v2) in combinations(tf, 2):
-        w0, w1, w2 = u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0
-        if p:
-            w0, w1, w2 = w0 % p, w1 % p, w2 % p
-        if w0 or w1 or w2:
-            if (w0 * w0 + w1 * w2) % p if p else w0 * w0 + w1 * w2:
-                return MoldLabel.AIR
-            rank2 = True
-    if rank2:
-        for (u0, u1, u2), (v0, v1, v2), (x0, x1, x2) in combinations(tf, 3):
-            t = u0 * (v1 * x2 - v2 * x1) + u1 * (v2 * x0 - v0 * x2) + u2 * (v0 * x1 - v1 * x0)
+    u = w = None
+    for a, b, c, d in mats:
+        x0, x1, x2 = ((a - d) % p, b % p, c % p) if p else (a - d, b, c)
+        if w:
+            t = w0 * x0 + w1 * x1 + w2 * x2
             if t % p if p else t:
                 return MoldLabel.AIR
-        return MoldLabel.BOREL
-    label = MoldLabel.SCALAR
-    for u0, u1, u2 in tf:
-        m = u0 * u0 + 4 * u1 * u2
-        if m % p if p else m:
-            return MoldLabel.SEMISIMPLE
-        if (u0 % p or u1 % p or u2 % p) if p else (u0 or u1 or u2):
-            label = MoldLabel.UNIPOTENT_F2 if p == 2 else MoldLabel.UNIPOTENT
-    return label
+        elif u:
+            w0, w1, w2 = u1 * x2 - u2 * x1, u2 * x0 - u0 * x2, u0 * x1 - u1 * x0
+            if p:
+                w0, w1, w2 = w0 % p, w1 % p, w2 % p
+            w = w0 or w1 or w2
+        elif x0 or x1 or x2:
+            u = u0, u1, u2 = x0, x1, x2
+    if w:
+        t = w0 * w0 + w1 * w2
+        return MoldLabel.AIR if (t % p if p else t) else MoldLabel.BOREL
+    if not u:
+        return MoldLabel.SCALAR
+    t = u0 * u0 + 4 * u1 * u2
+    if t % p if p else t:
+        return MoldLabel.SEMISIMPLE
+    return MoldLabel.UNIPOTENT_F2 if p == 2 else MoldLabel.UNIPOTENT
 
 
 def classify(t: RepTuple) -> MoldLabel:
@@ -121,19 +120,34 @@ def classify(t: RepTuple) -> MoldLabel:
 def air_witness(t: RepTuple) -> Optional[tuple[str, tuple[int, ...], FieldElement]]:
     """First nonvanishing discriminant witnessing full matrix algebra.
 
-    Returns ("delta", (i, j), value) for a generator pair or
-    ("tau", (i, j, k), value) for a generator triple, or None.
+    Returns ("delta", (i, j), value) for the first generator pair with
+    delta2 != 0, else ("tau", (i, j, k), value) for the first triple with
+    tau3 != 0, or None.  The zero tests are the kernel's on a generator and
+    on pairs (air iff delta2 != 0, dim <= 2 iff parallel trace-free rows);
+    only the value comes from delta2 or tau3.  As i the search skips
+    scalars and lines already scanned without a partner.  Through a line
+    pass at most two planes with delta2 = 0, so at most four such lines
+    precede the first pair, and an air tuple without a pair has exactly
+    three lines, whose first generators are the first triple.
     """
-    gens = t.gens
-    for i, j in combinations(range(1, len(gens) + 1), 2):
-        v = delta2(gens[i - 1], gens[j - 1])
-        if v:
-            return ("delta", (i, j), v)
-    for i, j, k in combinations(range(1, len(gens) + 1), 3):
-        v = tau3(gens[i - 1], gens[j - 1], gens[k - 1])
-        if v:
-            return ("tau", (i, j, k), v)
-    return None
+    p, gens = t.spec.p, t.gens
+    mats = [g.values() for g in gens]
+    if _classify_entries(p, mats) is not MoldLabel.AIR:
+        return None
+
+    def label(*idx: int) -> MoldLabel:
+        return _classify_entries(p, [mats[i] for i in idx])
+
+    scanned: list[int] = []
+    for i in range(len(mats)):
+        if label(i) is MoldLabel.SCALAR or any(label(k, i).dim <= 2 for k in scanned):
+            continue
+        for j in range(i + 1, len(mats)):
+            if label(i, j) is MoldLabel.AIR:
+                return ("delta", (i + 1, j + 1), delta2(gens[i], gens[j]))
+        scanned.append(i)
+    i, j, k = scanned
+    return ("tau", (i + 1, j + 1, k + 1), tau3(gens[i], gens[j], gens[k]))
 
 
 def air_by_discriminants(t: RepTuple) -> bool:

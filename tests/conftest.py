@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
-from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, census, conjugate, linalg, span_closure
+from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, conjugate, linalg, mold, span_closure
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -175,18 +175,60 @@ def word_images(t, max_len):
     return images
 
 
-def space_indices(T, mode):
+def increasing_subsequences(n):
+    """All nonempty increasing subsequences of (1..n), lexicographically:
+    the order of the depth-first product walk in invariants, built here
+    from combinations and a sort."""
+    subs = [c for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
+    return sorted(subs)
+
+
+@cache
+def packed_entries(q):
+    """The raw entries (a, b, c, d) of M_2(F_q), indexed by the packed
+    index ((a q + b) q + c) q + d."""
+    return list(product(range(q), repeat=4))
+
+
+def pack(q, entries):
+    """Packed index of raw entries (a, b, c, d) over F_q."""
+    a, b, c, d = entries
+    return ((a * q + b) * q + c) * q + d
+
+
+def space_indices(q, mode):
     """Packed indices of the matrices a census key's tuples draw from."""
-    return T.invertible if mode == "group" else range(T.n)
+    if mode == "group":
+        return [i for i, (a, b, c, d) in enumerate(packed_entries(q)) if (a * d - b * c) % q]
+    return range(q**4)
+
+
+def class_of(q, idx):
+    """Class index (x q + y) q + z of the packed matrix idx, from its
+    trace-free coordinates (a - d, b, c)."""
+    a, b, c, d = packed_entries(q)[idx]
+    return ((a - d) % q * q + b) * q + c
+
+
+def classify_indices(q, idxs):
+    """Mold label of a tuple of packed indices, through mold's kernel."""
+    entries = packed_entries(q)
+    return mold._classify_entries(q, [entries[i] for i in idxs])
+
+
+def lift_tuple(q, idxs, mode="monoid"):
+    """The RepTuple of a tuple of packed indices over F_q."""
+    spec, entries = FieldSpec.prime(q), packed_entries(q)
+    return RepTuple(tuple(Mat2.from_rows([entries[i][:2], entries[i][2:]], spec) for i in idxs),
+                    mode)
 
 
 def stratum_reference(key):
-    """Points per label of a census key, one classify_packed call per tuple
-    of the space."""
-    T = census.field_tables(key.q)
+    """Points per label of a census key, one classifier call per tuple of
+    the space."""
     points = {label: 0 for label in MoldLabel}
-    for idxs in product(space_indices(T, key.mode), repeat=key.m):
-        points[census.classify_packed(T, idxs)] += 1
+    for idxs in product(space_indices(key.q, key.mode), repeat=key.m):
+        points[classify_indices(key.q, idxs)] += 1
     return points
 
 
@@ -196,10 +238,10 @@ def conjugation_perms(q):
     per element g of PGL_2(F_q): M -> g^-1 M g = adj(g) M g / det g, for g
     over the invertible matrices whose first nonzero entry (a, or b when
     a = 0) is 1, in index order.  Equal to pgl_perms_reference(q)."""
-    T = census.field_tables(q)
+    entries = packed_entries(q)
     perms = []
-    for a, b, c, d in (T.entries[i] for i in T.invertible):
-        if (a or b) != 1:
+    for a, b, c, d in entries:
+        if (a or b) != 1 or not (a * d - b * c) % q:
             continue
         s = pow(a * d - b * c, -1, q)
         # Row vectors (u, v) times g, packed as u q + v.  The rows of
@@ -208,7 +250,7 @@ def conjugation_perms(q):
                    for u in range(q) for v in range(q)]
         perms.append([times_g[(d * x - b * z) * s % q * q + (d * y - b * w) * s % q] * q * q
                       + times_g[(a * z - c * x) * s % q * q + (a * w - c * y) * s % q]
-                      for x, y, z, w in T.entries])
+                      for x, y, z, w in entries])
     return perms
 
 
@@ -222,10 +264,9 @@ def orbit_reference(key):
     """(points, orbits, orbit_size_counts, semi-simple representatives) of a
     census key, partitioning the space by each tuple's least image under
     every conjugation permutation; representatives in increasing order."""
-    T = census.field_tables(key.q)
     perms = conjugation_perms(key.q)
     sizes = {}
-    for idxs in product(space_indices(T, key.mode), repeat=key.m):
+    for idxs in product(space_indices(key.q, key.mode), repeat=key.m):
         least = least_image(perms, idxs)
         sizes[least] = sizes.get(least, 0) + 1
     points = {label: 0 for label in MoldLabel}
@@ -233,7 +274,7 @@ def orbit_reference(key):
     size_counts = {label: {} for label in MoldLabel}
     semisimple = []
     for rep in sorted(sizes):
-        label = census.classify_packed(T, rep)
+        label = classify_indices(key.q, rep)
         points[label] += sizes[rep]
         orbits[label] += 1
         size_counts[label][sizes[rep]] = size_counts[label].get(sizes[rep], 0) + 1
@@ -247,16 +288,10 @@ def class_orbits_reference(q, m):
     set of its class tuples.  A class is the packed index of its member
     with d = 0 (the matrix index with its d digit dropped), and the class of
     any matrix is that of its trace-free coordinates (a - d, b, c)."""
-    T = census.field_tables(q)
     perms = conjugation_perms(q)
-
-    def cls(i):
-        a, b, c, d = T.entries[i]
-        return ((a - d) % q * q + b) * q + c
-
     orbits = {}
     for tup in product(range(q**3), repeat=m):
-        orbit = frozenset(tuple(cls(perm[c * q]) for c in tup) for perm in perms)
+        orbit = frozenset(tuple(class_of(q, perm[c * q]) for c in tup) for perm in perms)
         orbits[min(orbit)] = orbit
     return list(orbits.values())
 

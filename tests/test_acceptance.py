@@ -32,18 +32,24 @@ from moldkit import (
     unipotent_decompose,
     unipotent_reconstruct,
 )
-from moldkit.census import (
-    CensusKey,
-    classify_packed,
-    field_tables,
-    orbit_census,
-    stratum_census,
-    _invariant_vector_packed,
-)
+from moldkit.census import CensusKey, orbit_census, stratum_census
 from moldkit.cli import run_command
+from moldkit.invariants import _moduli_entries
 from moldkit.words import words_up_to
 
-from conftest import F2, F3, F5, Q, all_mats, conjugation_perms, rand_invertible, rand_mat
+from conftest import (
+    F2,
+    F3,
+    F5,
+    Q,
+    all_mats,
+    classify_indices,
+    conjugation_perms,
+    lift_tuple,
+    packed_entries,
+    rand_invertible,
+    rand_mat,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -57,15 +63,9 @@ def _verdict(num, name, ok, detail=""):
     assert ok, f"criterion {num} {name} failed{suffix}"
 
 
-def lift_tuple(T, idxs, spec):
-    return RepTuple(tuple(
-        Mat2.from_rows([T.entries[i][:2], T.entries[i][2:]], spec) for i in idxs))
-
-
 def stratum_tuples(q, m, label):
-    T = field_tables(q)
-    return [idxs for idxs in product(range(T.n), repeat=m)
-            if classify_packed(T, idxs) is label]
+    return [idxs for idxs in product(range(q**4), repeat=m)
+            if classify_indices(q, idxs) is label]
 
 
 def test_criterion_01_stratification_partition():
@@ -103,13 +103,13 @@ def test_criterion_03_trace_equivalence_field_level():
     ok = True
     checked = 0
     for q, m in [(2, 1), (2, 2), (3, 1), (3, 2)]:
-        T = field_tables(q)
+        entries = packed_entries(q)
         perms = conjugation_perms(q)
         rep_to_vec = {}
         vec_to_rep = {}
         for idxs in stratum_tuples(q, m, MoldLabel.SEMISIMPLE):
             rep = min(tuple(p[i] for i in idxs) for p in perms)
-            vec = _invariant_vector_packed(T, idxs, "monoid")
+            vec = _moduli_entries(q, [entries[i] for i in idxs], False)
             checked += 1
             if rep in rep_to_vec and rep_to_vec[rep] != vec:
                 ok = False  # one orbit, two invariant vectors
@@ -223,13 +223,11 @@ def test_criterion_05_identity_suite():
 
 
 def _unipotent_round_trip(q, m):
-    spec = F3 if q == 3 else F5
-    T = field_tables(q)
     failures = 0
     tuples = stratum_tuples(q, m, MoldLabel.UNIPOTENT)
     words = list(words_up_to(m, 4))
     for idxs in tuples:
-        t = lift_tuple(T, idxs, spec)
+        t = lift_tuple(q, idxs)
         cd = unipotent_decompose(t)
         for i, g in enumerate(t.gens, start=1):
             if unipotent_reconstruct(cd, Word((i,))) != g:
@@ -251,12 +249,11 @@ def _unipotent_round_trip(q, m):
 
 
 def _uf2_round_trip(m):
-    T = field_tables(2)
     failures = 0
     tuples = stratum_tuples(2, m, MoldLabel.UNIPOTENT_F2)
     words = list(words_up_to(m, 4))
     for idxs in tuples:
-        t = lift_tuple(T, idxs, F2)
+        t = lift_tuple(2, idxs)
         ch = uf2_decompose(t)
         d_alpha = ch.d(ch.base_word)
         for i, g in enumerate(t.gens, start=1):
@@ -302,7 +299,7 @@ def test_criterion_07_chart_cocycle():
     tuples_checked = 0
     for m in (1, 2):
         for idxs in stratum_tuples(2, m, MoldLabel.UNIPOTENT_F2):
-            t = lift_tuple(field_tables(2), idxs, F2)
+            t = lift_tuple(2, idxs)
             ch = uf2_decompose(t)
             value_words = list(words_up_to(m, 2))
             overlap_words = [w for w in words_up_to(m, 3)
@@ -363,15 +360,14 @@ def test_criterion_09_conjugator_certificates():
     # Semi-simple certificates across whole orbits over F2 (m = 1, 2).
     for m in (1, 2):
         by_rep = {}
-        T = field_tables(2)
         perms = conjugation_perms(2)
         for idxs in stratum_tuples(2, m, MoldLabel.SEMISIMPLE):
             rep = min(tuple(p[i] for i in idxs) for p in perms)
             by_rep.setdefault(rep, []).append(idxs)
         for rep, members in by_rep.items():
-            t_rep = lift_tuple(T, rep, F2)
+            t_rep = lift_tuple(2, rep)
             for other in members:
-                t_other = lift_tuple(T, other, F2)
+                t_other = lift_tuple(2, other)
                 P = ss_conjugator(t_rep, t_other)
                 assert P is not None
                 emitted += 1

@@ -8,13 +8,12 @@ from itertools import product
 
 import pytest
 
-from moldkit import Mat2, MoldLabel, RepTuple, census, classify, conjugate
+from moldkit import Mat2, MoldLabel, census, classify, conjugate
 from moldkit.census import (
     DEFAULT_BUDGET,
     CensusKey,
     FieldTables,
     _index_typecode,
-    _invariant_vector_packed,
     _orbit_pass,
     classify_packed,
     consistency_report,
@@ -24,17 +23,21 @@ from moldkit.census import (
 )
 from moldkit.cli import run_command
 from moldkit.errors import BudgetExceeded
+from moldkit.invariants import _moduli_entries
 
 from conftest import (
-    F2,
-    F3,
-    F5,
+    class_of,
     class_orbits_reference,
+    classify_indices,
     conjugation_perms,
     least_image,
+    lift_tuple,
     orbit_reference,
+    pack,
+    packed_entries,
     pgl_perms_reference,
     pgl_reference_elements,
+    space_indices,
     stratum_polynomials,
     stratum_reference,
 )
@@ -55,47 +58,44 @@ def _isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("MOLDKIT_CACHE", str(tmp_path / "cache"))
 
 
-def lift(T, idx, spec):
-    return Mat2.from_rows([T.entries[idx][:2], T.entries[idx][2:]], spec)
-
-
 def test_classify_packed_agrees_with_exact():
-    for spec in (F2, F3):
-        T = field_tables(spec.p)
-        for i in range(T.n):
-            assert classify_packed(T, (i,)) is classify(RepTuple((lift(T, i, spec),)))
-        for i in range(T.n):
-            for j in range(T.n):
-                expected = classify(RepTuple((lift(T, i, spec), lift(T, j, spec))))
-                assert classify_packed(T, (i, j)) is expected
+    """Every matrix and every pair over F_2 and F_3: the label of the
+    class tuple is the exact label of the tuple."""
+    for q in (2, 3):
+        T = field_tables(q)
+        for i in range(q**4):
+            assert classify_packed(T, (class_of(q, i),)) is classify(lift_tuple(q, (i,)))
+        for i in range(q**4):
+            for j in range(q**4):
+                expected = classify(lift_tuple(q, (i, j)))
+                assert classify_packed(T, (class_of(q, i), class_of(q, j))) is expected
 
 
 def test_packed_invariant_vector_agrees_with_exact(rng):
     from moldkit import invariant_vector
-    from moldkit.census import _invariant_vector_packed
 
-    T = field_tables(3)
+    entries = packed_entries(3)
     for mode in ("monoid", "group"):
-        pool = T.invertible if mode == "group" else list(range(T.n))
+        pool = list(space_indices(3, mode))
         for _ in range(200):
             idxs = (rng.choice(pool), rng.choice(pool))
-            dets, traces = _invariant_vector_packed(T, idxs, mode)
-            t = RepTuple(tuple(lift(T, i, F3) for i in idxs), mode)
-            vec = invariant_vector(t)
+            dets, keys, traces = _moduli_entries(3, [entries[i] for i in idxs], mode == "group")
+            vec = invariant_vector(lift_tuple(3, idxs, mode))
             assert dets == tuple(d.value for d in vec.dets)
+            assert keys == tuple(sub for sub, _ in vec.traces)
             assert traces == tuple(v.value for _, v in vec.traces)
 
 
 def test_classify_packed_agrees_with_exact_f5_sampled(rng):
     T = field_tables(5)
     for _ in range(400):
-        i, j = rng.randrange(T.n), rng.randrange(T.n)
-        expected = classify(RepTuple((lift(T, i, F5), lift(T, j, F5))))
-        assert classify_packed(T, (i, j)) is expected
+        i, j = rng.randrange(5**4), rng.randrange(5**4)
+        expected = classify(lift_tuple(5, (i, j)))
+        assert classify_packed(T, (class_of(5, i), class_of(5, j))) is expected
     for _ in range(100):
-        i, j, k = (rng.randrange(T.n) for _ in range(3))
-        expected = classify(RepTuple((lift(T, i, F5), lift(T, j, F5), lift(T, k, F5))))
-        assert classify_packed(T, (i, j, k)) is expected
+        idxs = tuple(rng.randrange(5**4) for _ in range(3))
+        expected = classify(lift_tuple(5, idxs))
+        assert classify_packed(T, tuple(class_of(5, i) for i in idxs)) is expected
 
 
 def test_stratum_census_pinned_counts():
@@ -153,19 +153,18 @@ def test_air_orbits_are_free():
 def test_orbit_census_invariant_under_generator_permutation():
     key = CensusKey(2, 2)
     r = orbit_census(key)
-    T = field_tables(2)
     perms = conjugation_perms(2)
     # Recount orbits with the reversed tuple order; the relabelled space
     # has the same orbit structure.
     seen = set()
     counts = {label: 0 for label in MoldLabel}
-    for idxs in product(range(T.n), repeat=2):
+    for idxs in product(range(2**4), repeat=2):
         rev = idxs[::-1]
         orbit = frozenset(tuple(p[i] for i in rev) for p in perms)
         if orbit in seen:
             continue
         seen.add(orbit)
-        counts[classify_packed(T, rev)] += 1
+        counts[classify_indices(2, rev)] += 1
     for label in MoldLabel:
         assert counts[label] == r.orbits[label]
 
@@ -291,22 +290,22 @@ def test_consistency_report_passes():
 def test_report_classifies_each_orbit_representative_once(monkeypatch):
     calls = []
 
-    def counted(T, idxs):
-        calls.append(idxs)
-        return classify_packed(T, idxs)
+    def counted(T, classes):
+        calls.append(classes)
+        return classify_packed(T, classes)
 
     monkeypatch.setattr(census, "classify_packed", counted)
     code, out = run_command(["census", "--q", "3", "--m", "2", "--report", "--no-cache"])
     assert code == 0
     report = json.loads(out)
     assert report["report"]["passed"] is True
-    # One call per orbit of class tuples, on its members with d = 0.
-    T = field_tables(3)
-    assert all(T.entries[i][3] == 0 for idxs in calls for i in idxs)
+    # One call per orbit of class tuples, on tuples of class indices.
+    assert all(type(classes) is tuple and len(classes) == 2
+               and all(0 <= c < 3**3 for c in classes) for classes in calls)
     orbits = class_orbits_reference(3, 2)
     orbit_of = {tup: k for k, orbit in enumerate(orbits) for tup in orbit}
     assert len(calls) == len(orbits)
-    assert {orbit_of[tuple(i // 3 for i in idxs)] for idxs in calls} == set(range(len(orbits)))
+    assert {orbit_of[classes] for classes in calls} == set(range(len(orbits)))
 
 
 def test_report_carries_the_checked_counts():
@@ -323,19 +322,19 @@ def test_report_carries_the_checked_counts():
 
 def test_semisimple_orbits_share_representative_vector_group_mode():
     for key in (CensusKey(3, 1, "group"), CensusKey(3, 2, "group")):
-        T = field_tables(key.q)
+        entries = packed_entries(key.q)
         perms = conjugation_perms(key.q)
         orbits = 0
-        for idxs in product(T.invertible, repeat=key.m):
-            if classify_packed(T, idxs) is not MoldLabel.SEMISIMPLE:
+        for idxs in product(space_indices(key.q, key.mode), repeat=key.m):
+            if classify_indices(key.q, idxs) is not MoldLabel.SEMISIMPLE:
                 continue
             orbit = {tuple(p[i] for i in idxs) for p in perms}
             if idxs != min(orbit):
                 continue
             orbits += 1
-            vector = _invariant_vector_packed(T, idxs, key.mode)
+            vector = _moduli_entries(key.q, [entries[i] for i in idxs], True)
             for member in orbit:
-                assert _invariant_vector_packed(T, member, key.mode) == vector
+                assert _moduli_entries(key.q, [entries[i] for i in member], True) == vector
         assert orbits == orbit_census(key, use_cache=False).orbits[MoldLabel.SEMISIMPLE]
 
 
@@ -354,22 +353,23 @@ def test_census_equals_brute_force_oracles(q, m, mode):
     # are the reference's representatives, each once.
     representatives = _orbit_pass(key, DEFAULT_BUDGET)[1]
     perms = conjugation_perms(q)
-    assert sorted(least_image(perms, rep) for rep in representatives) == semisimple
+    assert sorted(least_image(perms, tuple(pack(q, mat) for mat in rep))
+                  for rep in representatives) == semisimple
 
 
 def test_points_only_miss_classifies_one_tuple_of_classes_each(monkeypatch):
     calls = []
 
-    def counted(T, idxs):
-        calls.append(idxs)
-        return classify_packed(T, idxs)
+    def counted(T, classes):
+        calls.append(classes)
+        return classify_packed(T, classes)
 
     monkeypatch.setattr(census, "classify_packed", counted)
     key = CensusKey(3, 2)
     first = stratum_census(key)
     assert len(calls) == 27**2 == len(set(calls))
-    T = field_tables(3)
-    assert all(T.entries[i][3] == 0 for idxs in calls for i in idxs)
+    assert all(type(classes) is tuple and len(classes) == 2
+               and all(0 <= c < 3**3 for c in classes) for classes in calls)
     assert stratum_census(key).points == first.points
     assert len(calls) == 27**2
 

@@ -266,3 +266,18 @@ def test_reports_are_deterministic(tmp_path):
         code2, out2 = run_command(argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+def test_classify_command_at_rank_2000_is_fast(tmp_path):
+    # 1998 copies of diag(1, 0), then E12 and E21: the classifier meets rank
+    # 3 at the last generator and the witness is the last pair.
+    gens = [[[1, 0], [0, 0]]] * 1998 + [[[0, 1], [0, 0]], [[0, 0], [1, 0]]]
+    doc = {"field": {"p": 65521}, "mode": "monoid", "generators": gens}
+    path = write_doc(tmp_path, "rank2000.json", doc)
+    start = time.perf_counter()
+    code, out = run_command(["classify", path])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    report = json.loads(out)
+    assert report["label"] == "air"
+    assert report["witness"] == {"kind": "delta", "indices": [1999, 2000], "value": 1}

@@ -21,7 +21,7 @@ from moldkit import (
     trace_word,
 )
 from moldkit.errors import BudgetExceeded, VanishingM
-from moldkit.invariants import MAX_TRACES, increasing_subsequences
+from moldkit.invariants import MAX_TRACES
 
 from conftest import (
     F2,
@@ -31,6 +31,7 @@ from conftest import (
     Q,
     all_mats,
     det4_oracle,
+    increasing_subsequences,
     invertible_mats,
     rand_invertible,
     rand_mat,

@@ -1,5 +1,6 @@
 """Span closure, rank tests, six-way classification and air criteria."""
 
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -14,10 +15,12 @@ from moldkit import (
     classify,
     common_invariant_line,
     conjugate,
+    delta2,
     general_conjugator,
     rank_le2_test,
     span_closure,
     ss_conjugator,
+    tau3,
 )
 from moldkit import linalg
 from moldkit import mold
@@ -27,6 +30,7 @@ from conftest import (
     F2,
     F3,
     F5,
+    F65521,
     Q,
     all_mats,
     closure_label,
@@ -159,8 +163,6 @@ def test_air_by_discriminants_examples():
     assert witness[0] == "delta" and witness[1] == (1, 2)
 
     # tau-necessity: pairwise delta2 vanish but the triple is air.
-    from moldkit import delta2, tau3
-
     A = Mat2.from_rows([[1, 0], [0, 2]], Q)
     B = Mat2.from_rows([[1, 0], [1, 2]], Q)
     C = Mat2.from_rows([[2, 1], [0, 1]], Q)
@@ -343,3 +345,100 @@ def test_split_semisimple_tuples_have_a_common_invariant_line(rng, p):
         for g in t.gens:
             w = (g.a11 * line[0] + g.a12 * line[1], g.a21 * line[0] + g.a22 * line[1])
             assert not (w[0] * line[1] - w[1] * line[0])
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F5, Q], ids=str)
+def test_classify_long_tuples_match_closure_label(rng, spec):
+    """Tuples of rank 4-8: scalars and multiples x I + y X of the first
+    generator X of a stratum sample come before the sample, so the pass
+    meets rank 2 and rank 3 late.  The prefix lies in the algebra of the
+    sample, so the label is the sample's, and the span closure agrees."""
+    I = Mat2.identity(spec)
+    seen = set()
+    for _ in range(6):
+        for rank in (1, 2, 3):
+            for t in stratum_samples(rng, spec, rank):
+                X = t.gens[0]
+                prefix = []
+                for _ in range(rng.randint(4, 8) - rank):
+                    x, y = rand_mat(rng, spec).values()[:2]
+                    scalar = I.scale(spec.element(x))
+                    prefix.append(scalar if rng.random() < 0.5
+                                  else scalar + X.scale(spec.element(y)))
+                long = RepTuple(tuple(prefix) + t.gens)
+                label = classify(long)
+                assert label is closure_label(long) is classify(t)
+                seen.add(label)
+    unipotent = MoldLabel.UNIPOTENT_F2 if spec.p == 2 else MoldLabel.UNIPOTENT
+    assert seen == set(MoldLabel) - ({MoldLabel.UNIPOTENT, MoldLabel.UNIPOTENT_F2} - {unipotent})
+
+
+def _under_a_second(fn, t):
+    start = time.perf_counter()
+    out = fn(t)
+    assert time.perf_counter() - start < 1.0
+    return out
+
+
+def test_classify_is_linear_at_rank_2000(rng):
+    """2000 upper-triangular generators span a borel plane, so no pair and
+    no triple decides early: the one pass must still end under 1 s."""
+    p = F65521.p
+    gens = tuple(Mat2.from_rows([[rng.randrange(p), rng.randrange(p)], [0, rng.randrange(p)]],
+                                F65521) for _ in range(2000))
+    t = RepTuple(gens)
+    assert _under_a_second(classify, t) is MoldLabel.BOREL
+    assert _under_a_second(air_witness, t) is None
+
+
+def _witness_cases():
+    E12 = Mat2.from_rows([[0, 1], [0, 0]], F65521)
+    E21 = Mat2.from_rows([[0, 0], [1, 0]], F65521)
+    scalars = tuple(Mat2.identity(F65521).scale(F65521.element(k)) for k in range(1998))
+    parallel = (Mat2.from_rows([[1, 0], [0, 0]], F65521),) * 1998
+    # Pairwise delta2 = 0 and tau3 = 1 over Q.
+    A = Mat2.from_rows([[1, 0], [0, 2]], Q)
+    B = Mat2.from_rows([[1, 0], [1, 2]], Q)
+    C = Mat2.from_rows([[2, 1], [0, 1]], Q)
+    q_scalars = tuple(Mat2.identity(Q).scale(Q.element(Fraction(k, 3))) for k in range(1997))
+    return {
+        "scalars": (scalars + (E12, E21), ("delta", (1999, 2000), F65521.one())),
+        "parallel": (parallel + (E12, E21), ("delta", (1999, 2000), F65521.one())),
+        "tau": (q_scalars + (A, B, C), ("tau", (1998, 1999, 2000), Q.one())),
+    }
+
+
+@pytest.mark.parametrize("case", ["scalars", "parallel", "tau"])
+def test_air_witness_is_linear_at_rank_2000(case):
+    """The witness comes last after 1997 or 1998 generators: scalars (zero
+    rows), copies of diag(1, 0) (one line without a partner), or scalars
+    before a triple whose pairs all have delta2 = 0.  Each search ends
+    under 1 s with the lexicographically first witness."""
+    gens, witness = _witness_cases()[case]
+    assert _under_a_second(air_witness, RepTuple(gens)) == witness
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_air_witness_lines_without_a_partner_are_few(p):
+    """The counts that bound air_witness's pair search, by brute force over
+    the lines of trace-free classes (x, y, z, 0) over F_p.  At most four
+    lines (two over F_2) have delta2 = 0 with both members of a pair whose
+    delta2 != 0, so at most four partnerless lines come before the first
+    pair.  A set of lines of rank 3 whose pairs all have delta2 = 0 has
+    exactly three members, so a tuple with a tau witness only has three
+    lines."""
+    spec = FieldSpec.prime(p)
+    lines = [Mat2.from_rows([[x, y], [z, 0]], spec) for x, y, z in product(range(p), repeat=3)
+             if (x or y or z) and next(v for v in (x, y, z) if v) == 1]
+    n = len(lines)
+    iso = [[not delta2(A, B) for B in lines] for A in lines]
+    both = max(sum(iso[k][i] and iso[k][j] for k in range(n) if k not in (i, j))
+               for i, j in combinations(range(n), 2) if not iso[i][j])
+    assert both == (2 if p == 2 else 4)
+    triangles = 0
+    for i, j, k in combinations(range(n), 3):
+        if iso[i][j] and iso[i][k] and iso[j][k] and tau3(lines[i], lines[j], lines[k]):
+            triangles += 1
+            assert not any(iso[x][i] and iso[x][j] and iso[x][k]
+                           for x in range(n) if x not in (i, j, k))
+    assert triangles > 0

@@ -8,10 +8,9 @@ import pytest
 from moldkit import FieldElement, Mat2, RepTuple, Word, fields, mat2
 from moldkit.canon import split_witness_word
 from moldkit.errors import BudgetExceeded, NoSplitGenerator, NonInvertibleGenerator
-from moldkit.invariants import increasing_subsequences
 from moldkit.words import words_up_to
 
-from conftest import F3, F5, F65521, Q, rand_invertible, rand_mat
+from conftest import F3, F5, F65521, Q, increasing_subsequences, rand_invertible, rand_mat
 
 
 def test_word_parsing_and_validation():
