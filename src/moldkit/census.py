@@ -10,12 +10,16 @@ computation.
 Neither pass steps through every tuple.  Both run over m-tuples of
 trace-free classes: a class is a matrix up to adding a multiple of I,
 named by its member with d = 0, and the label of a tuple depends only on
-the classes of its matrices.  The point count classifies one tuple per
-class tuple and weights it by the tuples it stands for
-(:func:`stratum_census`).  The orbit pass jumps from one class orbit to
-the next unvisited class tuple with ``bytearray.find``, classifies its
-d = 0 member once and counts the tuple orbits over the class orbit from
-its stabiliser (:func:`_orbit_pass`).  Its table has (q^3 - q) q^3
+the classes of its matrices.  Labels, weights and orbits are conjugation
+invariant, so both fix the first class to one representative r of each
+of the q + 1 PGL_2(F_q) orbits of classes (4 over F_2;
+FieldTables.class_orbits) and let the other m - 1 run over all q^3: (q + 1)
+q^(3(m-1)) class tuples instead of q^(3m).  The point count classifies
+each once and weights it by the tuples it stands for, times |O_r|
+(:func:`stratum_census`); it needs no table.  The orbit pass jumps to the
+next unvisited tail with ``bytearray.find``, classifies its d = 0 member
+once and counts the tuple orbits over its class orbit from the
+stabiliser of r (:func:`_orbit_pass`).  Its table has (q^3 - q) q^3
 entries, one class image per element of PGL_2(F_q) and class.
 """
 
@@ -109,6 +113,25 @@ class FieldTables:
         self.classes = [(x, y, z, 0) for x, y, z in product(range(p), repeat=3)]
         self._pgl_perms: Optional[list[tuple[array, array]]] = None
 
+    def class_orbits(self) -> dict[int, int]:
+        """The PGL_2(F_p) orbits of classes as {least class index: orbit
+        size}, in index order; closed-form in O(p), so no table is built.
+
+        For odd p conjugation preserves the discriminant x^2 + 4yz of class
+        (x, y, z), and the nonzero classes of one discriminant form one
+        orbit: p^2 - 1 nilpotent ones, least (0, 0, 1), and per delta != 0
+        the class of (0, 1, delta / 4), split (p (p + 1) classes) when
+        delta is a square and non-split (p (p - 1)) when not.  Over F_2 the
+        orbits are {0}, the nonzero classes with x = 0, those with x = 1
+        and yz = 0, and (1, 1, 1).
+        """
+        p = self.p
+        if p == 2:
+            return {0: 1, 1: 3, 4: 3, 7: 1}
+        squares = {z * z % p for z in range(1, p)}
+        return {0: 1, 1: p * p - 1,
+                **{p + z: p * (p + 1) if z in squares else p * (p - 1) for z in range(1, p)}}
+
     def pgl_perms(self) -> list[tuple[array, array]]:
         """Conjugation action of PGL_2(F_p) on the p^3 trace-free classes:
         one pair (images, mu) of arrays per element g.
@@ -188,14 +211,17 @@ def _space_size(key: CensusKey) -> int:
 def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
                    use_cache: bool = True) -> StratumCounts:
     """Count the points of every label, one classifier call per m-tuple of
-    trace-free classes.
+    trace-free classes whose first class is an orbit representative.
 
     The label of a tuple depends only on the trace-free coordinates
     (a - d, b, c) of its matrices (see mold._classify_entries), so it is
     unchanged by A -> A + lambda I.  Each class is represented by its
     member with d = 0 and weighted by how many matrices of the space it
     holds (_class_fibres).  A tuple of classes stands for the product of
-    their weights in tuples, so q^(3m) calls count all q^(4m) or |GL_2|^m.
+    their weights in tuples.  Labels and weights are conjugation
+    invariant, so the first class runs over one class r per PGL_2 orbit
+    (FieldTables.class_orbits), weighted by the orbit size too: (q + 1)
+    q^(3(m-1)) calls count all q^(4m) or |GL_2|^m tuples, with no table.
     """
     cached = _load_cache(key) if use_cache else None
     if cached is not None:
@@ -203,9 +229,11 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
     _check_budget(key, budget)
     T = field_tables(key.q)
     weights = {c: len(lams) for c, lams in enumerate(_class_fibres(T.p, key.mode)) if lams}
+    firsts = {r: size * weights[r] for r, size in T.class_orbits().items() if r in weights}
+    rest = key.m - 1
     counts = {label: 0 for label in MoldLabel}
-    for classes, ws in zip(product(weights, repeat=key.m),
-                           product(weights.values(), repeat=key.m)):
+    for classes, ws in zip(product(firsts, *[weights] * rest),
+                           product(firsts.values(), *[weights.values()] * rest)):
         counts[classify_packed(T, classes)] += math.prod(ws)
     result = StratumCounts(key=key, points=counts, total=_space_size(key))
     if use_cache:
@@ -217,18 +245,23 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[
     """Orbit counts of the whole space, and the raw entries of one tuple
     per semi-simple orbit.
 
-    A class tuple is a flat index below n^m (n = q^3), its classes the
-    base-n digits.  The pass jumps with bytearray.find to the next
-    unvisited class tuple c and expands it through the whole class table
-    at once: orbits are disjoint, so the images not yet visited are the
-    class orbit, of size s.  The g that fix c move each tuple over c,
+    Every orbit of class tuples meets the tuples whose first class is the
+    representative r of an orbit of classes (FieldTables.class_orbits),
+    and those it meets form one orbit of the stabiliser of r, the rows of
+    the class table that fix r.  So the pass runs, per r, over the tails
+    (c_2, ..., c_m), each a flat index below n^(m-1) (n = q^3), the
+    classes its base-n digits.  It jumps with bytearray.find to the next
+    unvisited tail and expands it through the stabiliser at once: orbits
+    are disjoint, so the images not yet visited are its orbit under the
+    stabiliser, and the class orbit of c = (r, tail) has size s, |O_r|
+    times as many.  The g that fix c move each tuple over c,
     (A_i + lambda_i I), to (A_i + (lambda_i + mu_i(g)) I), where A_i is
-    the d = 0 member of c_i.  mu is a homomorphism from the stabiliser
-    to F_q^m, zero unless q = 2 (traces give 2 mu_i(g) = 0); its image
-    has k elements and acts freely.  The W tuples over c
-    (_class_fibres) thus form W / k orbits of size s k over the class
-    orbit, all with the label of the d = 0 member; a class tuple with
-    W = 0 (over F_2 in group mode) holds no tuple.
+    the d = 0 member of c_i, r's included.  mu is a homomorphism from the
+    stabiliser of c to F_q^m, zero unless q = 2 (traces give
+    2 mu_i(g) = 0); its image has k elements and acts freely.  The W
+    tuples over c (_class_fibres) thus form W / k orbits of size s k over
+    the class orbit, all with the label of the d = 0 member; a class tuple
+    with W = 0 (over F_2 in group mode) holds no tuple.
     """
     _check_budget(key, budget)
     q = key.q
@@ -239,41 +272,45 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[
     table = T.pgl_perms()
     fibres = _class_fibres(q, key.mode)
     n, m = q**3, key.m
-    visited = bytearray(n**m)
     points = {label: 0 for label in MoldLabel}
     orbits = {label: 0 for label in MoldLabel}
     size_counts: dict[MoldLabel, dict[int, int]] = {label: {} for label in MoldLabel}
     semisimple = []
-    flat = 0
-    while flat >= 0:
-        classes = ()
-        f = flat
-        for _ in range(m):
-            classes = (f % n, *classes)
-            f //= n
-        size = 0
-        stab_mu = set()
-        for images, mu in table:
-            f = 0
-            for c in classes:
-                f = f * n + images[c]
-            if not visited[f]:
-                visited[f] = 1
-                size += 1
-            if f == flat:
-                stab_mu.add(tuple(mu[c] for c in classes))
-        lams = [fibres[c] for c in classes]
-        if weight := math.prod(map(len, lams)):
-            label = classify_packed(T, classes)
-            k = len(stab_mu)
-            points[label] += size * weight
-            orbits[label] += weight // k
-            by_size = size_counts[label]
-            by_size[size * k] = by_size.get(size * k, 0) + weight // k
-            if label is MoldLabel.SEMISIMPLE:
-                members = [T.classes[c] for c in classes]
-                semisimple.extend(_fibre_representatives(q, members, lams, stab_mu))
-        flat = visited.find(0, flat + 1)
+    for r, r_size in T.class_orbits().items():
+        stabiliser = [(images, mu) for images, mu in table if images[r] == r]
+        visited = bytearray(n ** (m - 1))
+        flat = 0
+        while flat >= 0:
+            tail = ()
+            f = flat
+            for _ in range(m - 1):
+                tail = (f % n, *tail)
+                f //= n
+            classes = (r, *tail)
+            size = 0
+            stab_mu = set()
+            for images, mu in stabiliser:
+                f = 0
+                for c in tail:
+                    f = f * n + images[c]
+                if not visited[f]:
+                    visited[f] = 1
+                    size += 1
+                if f == flat:
+                    stab_mu.add(tuple(mu[c] for c in classes))
+            size *= r_size
+            lams = [fibres[c] for c in classes]
+            if weight := math.prod(map(len, lams)):
+                label = classify_packed(T, classes)
+                k = len(stab_mu)
+                points[label] += size * weight
+                orbits[label] += weight // k
+                by_size = size_counts[label]
+                by_size[size * k] = by_size.get(size * k, 0) + weight // k
+                if label is MoldLabel.SEMISIMPLE:
+                    members = [T.classes[c] for c in classes]
+                    semisimple.extend(_fibre_representatives(q, members, lams, stab_mu))
+            flat = visited.find(0, flat + 1)
     counts = StratumCounts(key=key, points=points, total=_space_size(key),
                            orbits=orbits, orbit_size_counts=size_counts)
     return counts, semisimple

@@ -296,6 +296,62 @@ def class_orbits_reference(q, m):
     return list(orbits.values())
 
 
+def pgl_generators(q):
+    """[[1, 1], [0, 1]], [[1, 0], [1, 1]] and diag(1, w), w the least
+    generator of F_q^x: the transvections generate SL_2(F_q) and diag(1, w)
+    reaches every determinant, so together they generate GL_2(F_q)."""
+    spec = FieldSpec.prime(q)
+    w = next(w for w in range(1, q) if len({pow(w, k, q) for k in range(q - 1)}) == q - 1)
+    return [Mat2.from_rows(rows, spec)
+            for rows in ([[1, 1], [0, 1]], [[1, 0], [1, 1]], [[1, 0], [0, w]])]
+
+
+def projective_closure(q, generators):
+    """The values of the elements of PGL_2(F_q) that products of the
+    generators reach, each scaled so its first nonzero entry is 1."""
+    def scaled(g):
+        vals = g.values()
+        s = pow(next(x for x in vals if x), -1, q)
+        return tuple(x * s % q for x in vals)
+
+    identity = Mat2.identity(FieldSpec.prime(q))
+    seen, frontier = {scaled(identity)}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for gh in (g * h for h in generators):
+            if (key := scaled(gh)) not in seen:
+                seen.add(key)
+                frontier.append(gh)
+    return seen
+
+
+def class_orbits_under(q, generators):
+    """The orbits of the q^3 trace-free classes under conjugation
+    (mat2.conjugate) by the group the generators generate, as frozensets
+    of class indices (x q + y) q + z."""
+    spec = FieldSpec.prime(q)
+    members = [Mat2.from_rows([[x, y], [z, 0]], spec) for x, y, z in product(range(q), repeat=3)]
+
+    def image(g, c):
+        a, b, cc, d = conjugate(g, members[c]).values()
+        return ((a - d) % q * q + b) * q + cc
+
+    orbits, seen = set(), set()
+    for c in range(q**3):
+        if c in seen:
+            continue
+        orbit, frontier = {c}, [c]
+        while frontier:
+            x = frontier.pop()
+            for g in generators:
+                if (y := image(g, x)) not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
 def pgl_reference_elements(q):
     """The elements of PGL_2(F_q) as matrices: every invertible g scaled so
     its first nonzero entry is 1, de-duplicated and sorted by packed index."""

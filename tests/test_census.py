@@ -28,6 +28,7 @@ from moldkit.invariants import _moduli_entries
 from conftest import (
     class_of,
     class_orbits_reference,
+    class_orbits_under,
     classify_indices,
     conjugation_perms,
     least_image,
@@ -35,8 +36,10 @@ from conftest import (
     orbit_reference,
     pack,
     packed_entries,
+    pgl_generators,
     pgl_perms_reference,
     pgl_reference_elements,
+    projective_closure,
     space_indices,
     stratum_polynomials,
     stratum_reference,
@@ -189,6 +192,25 @@ def test_class_table_equals_the_conjugation_reference(q):
                 for x, y, z in product(range(q), repeat=3)]
         assert list(images) == [((a - d) % q * q + b) * q + c for a, b, c, d in want]
         assert list(mu) == [d for _, _, _, d in want]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_class_orbits_are_the_least_members_and_sizes_of_the_orbits(q):
+    """class_orbits maps the least class of each PGL_2(F_q) orbit of
+    classes to the orbit's size, from the orbits of a generating set
+    (under the whole reference action too, where that is cheap)."""
+    generators = pgl_generators(q)
+    assert projective_closure(q, generators) == {g.values() for g in pgl_reference_elements(q)}
+    orbits = class_orbits_under(q, generators)
+    if q <= 5:
+        perms = pgl_perms_reference(q)
+        assert orbits == {frozenset(class_of(q, perm[c * q]) for perm in perms)
+                          for c in range(q**3)}
+    reps = FieldTables(q).class_orbits()
+    assert reps == {min(orbit): len(orbit) for orbit in sorted(orbits, key=min)}
+    assert list(reps) == sorted(reps)
+    assert sum(reps.values()) == q**3
+    assert len(reps) == (4 if q == 2 else q + 1)
 
 
 def test_class_table_typecode_holds_every_class_index():
@@ -367,11 +389,49 @@ def test_points_only_miss_classifies_one_tuple_of_classes_each(monkeypatch):
     monkeypatch.setattr(census, "classify_packed", counted)
     key = CensusKey(3, 2)
     first = stratum_census(key)
-    assert len(calls) == 27**2 == len(set(calls))
+    # The first class runs over one class per orbit, the second over all 27.
+    assert len(calls) == 4 * 27 == len(set(calls))
     assert all(type(classes) is tuple and len(classes) == 2
                and all(0 <= c < 3**3 for c in classes) for classes in calls)
+    firsts = {classes[0] for classes in calls}
+    assert sorted(len(orbit & {(c,) for c in firsts})
+                  for orbit in class_orbits_reference(3, 1)) == [1, 1, 1, 1]
+    assert {classes[1] for classes in calls} == set(range(27))
     assert stratum_census(key).points == first.points
-    assert len(calls) == 27**2
+    assert len(calls) == 4 * 27
+
+
+@pytest.mark.parametrize("q", [2, 3, 17])
+def test_points_census_at_rank_1_classifies_one_class_per_orbit(q, monkeypatch):
+    calls = []
+
+    def counted(T, classes):
+        calls.append(classes)
+        return classify_packed(T, classes)
+
+    monkeypatch.setattr(census, "classify_packed", counted)
+    stratum_census(CensusKey(q, 1), use_cache=False)
+    assert calls == [(r,) for r in field_tables(q).class_orbits()]
+
+
+@pytest.mark.parametrize("q,m,mode", [(3, 3, "monoid"), (5, 2, "group")])
+def test_orbit_pass_classifies_one_class_tuple_per_orbit_from_a_representative(q, m, mode,
+                                                                               monkeypatch):
+    calls = []
+
+    def counted(T, classes):
+        calls.append(classes)
+        return classify_packed(T, classes)
+
+    monkeypatch.setattr(census, "classify_packed", counted)
+    _orbit_pass(CensusKey(q, m, mode), DEFAULT_BUDGET)
+    reps = field_tables(q).class_orbits()
+    assert all(len(classes) == m and classes[0] in reps for classes in calls)
+    perms = [[class_of(q, perm[c * q]) for c in range(q**3)] for perm in conjugation_perms(q)]
+    assert len({least_image(perms, classes) for classes in calls}) == len(calls)
+    # Burnside: the orbits number the mean count of class tuples a g fixes.
+    fixed = sum(sum(perm[c] == c for c in range(q**3)) ** m for perm in perms)
+    assert fixed % len(perms) == 0 and len(calls) == fixed // len(perms)
 
 
 @pytest.mark.parametrize("mode", MODES)
