@@ -20,7 +20,7 @@ from .errors import (
     NotUnipotentF2,
 )
 from .fields import FieldElement
-from .invariants import MAX_TRACES, _increasing_products
+from .invariants import MAX_TRACES, _increasing_products, _split_entries
 from .mat2 import Mat2, _mat, companion_normalize, eta
 from .mold import MoldLabel, classify
 from .words import RepTuple, Word
@@ -103,28 +103,14 @@ def _require_semisimple(t: RepTuple) -> None:
 
 
 def _split_coordinates(t: RepTuple) -> tuple:
-    """(field, mode, s, det A_s, (tr A_j)_j, (tr A_s A_j)_j) as raw values,
-    with A_s the first generator whose m is nonzero.
-
-    On the semi-simple stratum such a generator exists, every A_j lies in
-    span{I, A_s}, and A_j is recovered from tr A_j and tr A_s A_j
-    (reconstruct_from_traces).  So these O(m) values are a complete
-    conjugacy invariant there, deciding what equality of the full
-    invariant vectors decides.
-    """
-    r = t.spec.reduce
-    vals = [g.values() for g in t.gens]
-    s = next(i for i, (a, b, c, d) in enumerate(vals) if r((a - d) ** 2 + 4 * b * c))
-    a, b, c, d = vals[s]
-    return (t.spec, t.mode, s, r(a * d - b * c), tuple(r(e + h) for e, _, _, h in vals),
-            tuple(r(a * e + b * g + c * f + d * h) for e, f, g, h in vals))
+    """(field, mode) and the split coordinates of _split_entries, which
+    decide on the semi-simple stratum what the full invariant vectors do."""
+    return (t.spec, t.mode, *_split_entries(t.spec.p, [g.values() for g in t.gens]))
 
 
 def ss_equivalent(t1: RepTuple, t2: RepTuple) -> bool:
-    """Conjugacy on the semi-simple stratum from the split-generator trace
-    coordinates: the first generator A_s with m != 0, det A_s, and
-    tr A_j, tr A_s A_j for every generator.  O(m) work; decides the same
-    relation as equality of the full invariant vectors."""
+    """Conjugacy on the semi-simple stratum from the split coordinates in
+    O(m) work; the same relation as equality of the full invariant vectors."""
     _require_semisimple(t1)
     _require_semisimple(t2)
     return _split_coordinates(t1) == _split_coordinates(t2)

@@ -2,25 +2,23 @@
 
 Tuples of 2x2 matrices over F_q are counted into the six mold strata and
 partitioned into conjugation orbits.  A tuple is classified by the
-discriminant kernel of :mod:`moldkit.mold` and its trace coordinates come
-from the moduli kernel of :mod:`moldkit.invariants`, both on raw entries,
-so the census and the library share one classifier and one trace
-computation.
+discriminant kernel of :mod:`moldkit.mold` and its semi-simple invariant
+comes from the split-coordinate kernel of :mod:`moldkit.invariants`, both
+on raw entries, so the census and the library share one classifier and
+one invariant.
 
 Neither pass steps through every tuple.  Both run over m-tuples of
 trace-free classes: a class is a matrix up to adding a multiple of I,
-named by its member with d = 0, and the label of a tuple depends only on
-the classes of its matrices.  Labels, weights and orbits are conjugation
-invariant, so both fix the first class to one representative r of each
-of the q + 1 PGL_2(F_q) orbits of classes (4 over F_2;
-FieldTables.class_orbits) and let the other m - 1 run over all q^3: (q + 1)
-q^(3(m-1)) class tuples instead of q^(3m).  The point count classifies
-each once and weights it by the tuples it stands for, times |O_r|
-(:func:`stratum_census`); it needs no table.  The orbit pass jumps to the
-next unvisited tail with ``bytearray.find``, classifies its d = 0 member
-once and counts the tuple orbits over its class orbit from the
-stabiliser of r (:func:`_orbit_pass`).  Its table has (q^3 - q) q^3
-entries, one class image per element of PGL_2(F_q) and class.
+named by its member with d = 0.  The label of a tuple depends only on the
+classes of its matrices, and labels and weights are conjugation
+invariant.  The point count (:func:`stratum_census`) classifies the
+(q + 1) q^(3(m-1)) class tuples whose first class is the least of its
+PGL_2(F_q) orbit (FieldTables.class_orbits; 4 orbits over F_2), each
+weighted by the tuples it stands for times that orbit's size; it needs no
+table.  The orbit pass (:func:`_orbit_pass`) walks down the stabiliser
+chain and classifies each orbit of class tuples once, at its least
+member.  Its table has (q^3 - q) q^3 entries, one class image per element
+of PGL_2(F_q) and class.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Optional
 
 from .errors import BudgetExceeded
 from .fields import is_prime
-from .invariants import _moduli_entries
+from .invariants import _split_entries
 from .mold import MoldLabel, _classify_entries
 from .words import GROUP, MONOID
 
@@ -245,23 +243,22 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[
     """Orbit counts of the whole space, and the raw entries of one tuple
     per semi-simple orbit.
 
-    Every orbit of class tuples meets the tuples whose first class is the
-    representative r of an orbit of classes (FieldTables.class_orbits),
-    and those it meets form one orbit of the stabiliser of r, the rows of
-    the class table that fix r.  So the pass runs, per r, over the tails
-    (c_2, ..., c_m), each a flat index below n^(m-1) (n = q^3), the
-    classes its base-n digits.  It jumps with bytearray.find to the next
-    unvisited tail and expands it through the stabiliser at once: orbits
-    are disjoint, so the images not yet visited are its orbit under the
-    stabiliser, and the class orbit of c = (r, tail) has size s, |O_r|
-    times as many.  The g that fix c move each tuple over c,
-    (A_i + lambda_i I), to (A_i + (lambda_i + mu_i(g)) I), where A_i is
-    the d = 0 member of c_i, r's included.  mu is a homomorphism from the
-    stabiliser of c to F_q^m, zero unless q = 2 (traces give
-    2 mu_i(g) = 0); its image has k elements and acts freely.  The W
-    tuples over c (_class_fibres) thus form W / k orbits of size s k over
-    the class orbit, all with the label of the d = 0 member; a class tuple
-    with W = 0 (over F_2 in group mode) holds no tuple.
+    The pass walks down the stabiliser chain of PGL_2(F_q) acting on class
+    tuples (c_1, ..., c_m).  H_0 is the whole class table, and H_i the
+    rows of H_(i-1) that also fix c_i.  At position i the class c_i runs
+    over the least member of each orbit of H_(i-1) on the classes, so the
+    walk meets every orbit of class tuples once, at its least member in
+    lexicographic order, and the orbit has size s, the product of the
+    orbit sizes |H_(i-1) c_i|.  The walk keeps an explicit stack, so deep
+    ranks need no recursion, and it skips the classes that hold no matrix
+    of the space (over F_2 in group mode): conjugation carries the
+    translates of a class onto those of its image.  The g in H_m move each
+    tuple over c, (A_i + lambda_i I), to (A_i + (lambda_i + mu_i(g)) I),
+    where A_i is the d = 0 member of c_i.  mu is a homomorphism from H_m
+    to F_q^m, zero unless q = 2 (traces give 2 mu_i(g) = 0); its image
+    has k elements and acts freely.  The W tuples over c (_class_fibres)
+    thus form W / k orbits of size s k over the class orbit, all with the
+    label of the d = 0 member.
     """
     _check_budget(key, budget)
     q = key.q
@@ -269,48 +266,44 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[
         raise BudgetExceeded(f"census conjugation table (q^3 - q) q^3 = {size} entries "
                              f"exceeds budget {budget}")
     T = field_tables(q)
-    table = T.pgl_perms()
     fibres = _class_fibres(q, key.mode)
-    n, m = q**3, key.m
+    live = [c for c, lams in enumerate(fibres) if lams]
+    m = key.m
     points = {label: 0 for label in MoldLabel}
     orbits = {label: 0 for label in MoldLabel}
     size_counts: dict[MoldLabel, dict[int, int]] = {label: {} for label in MoldLabel}
     semisimple = []
-    for r, r_size in T.class_orbits().items():
-        stabiliser = [(images, mu) for images, mu in table if images[r] == r]
-        visited = bytearray(n ** (m - 1))
-        flat = 0
-        while flat >= 0:
-            tail = ()
-            f = flat
-            for _ in range(m - 1):
-                tail = (f % n, *tail)
-                f //= n
-            classes = (r, *tail)
-            size = 0
-            stab_mu = set()
-            for images, mu in stabiliser:
-                f = 0
-                for c in tail:
-                    f = f * n + images[c]
-                if not visited[f]:
-                    visited[f] = 1
-                    size += 1
-                if f == flat:
-                    stab_mu.add(tuple(mu[c] for c in classes))
-            size *= r_size
-            lams = [fibres[c] for c in classes]
-            if weight := math.prod(map(len, lams)):
-                label = classify_packed(T, classes)
-                k = len(stab_mu)
-                points[label] += size * weight
-                orbits[label] += weight // k
-                by_size = size_counts[label]
-                by_size[size * k] = by_size.get(size * k, 0) + weight // k
-                if label is MoldLabel.SEMISIMPLE:
-                    members = [T.classes[c] for c in classes]
-                    semisimple.extend(_fibre_representatives(q, members, lams, stab_mu))
-            flat = visited.find(0, flat + 1)
+    # A frame (i, c, s, H) puts c at position i of chain, whose positions 1
+    # to i then hold a prefix with orbit size s and stabiliser H; position
+    # 0 stands for the empty prefix.
+    chain = [0] * (m + 1)
+    stack = [(0, 0, 1, T.pgl_perms())]
+    while stack:
+        i, c, size, stabiliser = stack.pop()
+        chain[i] = c
+        if i < m:
+            seen, frames = set(), []
+            for c in live:
+                if c not in seen:
+                    orbit = {images[c] for images, _ in stabiliser}
+                    seen |= orbit
+                    frames.append((i + 1, c, size * len(orbit),
+                                   [g for g in stabiliser if g[0][c] == c]))
+            stack += reversed(frames)
+            continue
+        classes = tuple(chain[1:])
+        stab_mu = {tuple(mu[c] for c in classes) for _, mu in stabiliser}
+        k = len(stab_mu)
+        lams = [fibres[c] for c in classes]
+        weight = math.prod(map(len, lams))
+        label = classify_packed(T, classes)
+        points[label] += size * weight
+        orbits[label] += weight // k
+        by_size = size_counts[label]
+        by_size[size * k] = by_size.get(size * k, 0) + weight // k
+        if label is MoldLabel.SEMISIMPLE:
+            members = [T.classes[c] for c in classes]
+            semisimple.extend(_fibre_representatives(q, members, lams, stab_mu))
     counts = StratumCounts(key=key, points=points, total=_space_size(key),
                            orbits=orbits, orbit_size_counts=size_counts)
     return counts, semisimple
@@ -365,8 +358,10 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
                        use_cache: bool = True) -> Report:
     """Pass/fail checks tying the census to the structural theory, from
     one orbit pass; the cache holds no representatives, so it is only
-    written.  Trace coordinates are conjugation invariants, so the
-    semi-simple representatives carry every vector of their stratum."""
+    written.  The split coordinates (invariants._split_entries) are
+    conjugation invariants, so the semi-simple representatives carry every
+    value of their stratum.  They are a function of the full trace vector,
+    so orbits they separate, the full vectors separate too."""
     counts, semisimple = _orbit_pass(key, budget)
     if use_cache:
         _store_cache(key, counts)
@@ -401,8 +396,7 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
         passed=not bad_air,
     ))
 
-    vectors = {(dets, traces) for dets, _, traces in
-               (_moduli_entries(q, mats, key.mode == GROUP) for mats in semisimple)}
+    vectors = {_split_entries(q, mats) for mats in semisimple}
     checks.append(CheckResult(
         name="semisimple_trace_separation",
         source="trace coordinates separate semi-simple orbits",

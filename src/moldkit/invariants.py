@@ -94,8 +94,7 @@ def invariant_vector(t: RepTuple) -> InvariantVector:
 def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tuple]:
     """Determinants, increasing-product keys and their traces of raw (a,
     b, c, d) entries over F_p (canonical residues), or Q (Fractions) if p
-    is None, after appending the inverses in group mode; the kernel of
-    invariant_vector and of the census's semi-simple vectors."""
+    is None, after appending the inverses in group mode."""
     n = 2 * len(mats) if group else len(mats)
     if 2**n - 1 > MAX_TRACES:
         raise BudgetExceeded(f"invariant vector of {n} matrices needs 2^{n} - 1 traces, "
@@ -112,6 +111,25 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tup
     keys, traces = zip(*((key, (a + d) % p if p else Fraction(a + d, scale))
                          for key, (a, b, c, d), scale in _increasing_products(p, mats)))
     return tuple(dets), keys, traces
+
+
+def _split_entries(p: int | None, mats) -> tuple:
+    """(s, det A_s, (tr A_j)_j, (tr A_s A_j)_j) of raw entries over F_p, or
+    Q if p is None, A_s the first matrix with m = (a - d)^2 + 4 b c != 0.
+    On the semi-simple stratum every A_j lies in span{I, A_s} and is fixed
+    by tr A_j and tr A_s A_j, so these O(m) values are a complete conjugacy
+    invariant there, and a function of the full moduli vector."""
+    for s, (a, b, c, d) in enumerate(mats):
+        m = (a - d) ** 2 + 4 * b * c
+        if m % p if p else m:
+            break
+    else:
+        raise ValueError("no matrix has m != 0; the tuple is not semi-simple")
+    det = a * d - b * c
+    traces = [(e + h) % p if p else e + h for e, _, _, h in mats]
+    pairs = [(a * e + b * g + c * f + d * h) % p if p else a * e + b * g + c * f + d * h
+             for e, f, g, h in mats]
+    return s, det % p if p else det, tuple(traces), tuple(pairs)
 
 
 def _increasing_products(p: int | None, mats):

@@ -23,7 +23,7 @@ from moldkit.census import (
 )
 from moldkit.cli import run_command
 from moldkit.errors import BudgetExceeded
-from moldkit.invariants import _moduli_entries
+from moldkit.invariants import _moduli_entries, _split_entries
 
 from conftest import (
     class_of,
@@ -414,9 +414,12 @@ def test_points_census_at_rank_1_classifies_one_class_per_orbit(q, monkeypatch):
     assert calls == [(r,) for r in field_tables(q).class_orbits()]
 
 
-@pytest.mark.parametrize("q,m,mode", [(3, 3, "monoid"), (5, 2, "group")])
+@pytest.mark.parametrize("q,m,mode", [(3, 3, "monoid"), (5, 2, "group"), (2, 5, "group")])
 def test_orbit_pass_classifies_one_class_tuple_per_orbit_from_a_representative(q, m, mode,
                                                                                monkeypatch):
+    """Over F_2 in group mode the zero class and (1, 1, 1) are fixed by all
+    of PGL_2, and the classes (1, y, z) with yz = 0 hold no invertible
+    matrix, so only the class tuples over tuples of the space count."""
     calls = []
 
     def counted(T, classes):
@@ -430,8 +433,44 @@ def test_orbit_pass_classifies_one_class_tuple_per_orbit_from_a_representative(q
     perms = [[class_of(q, perm[c * q]) for c in range(q**3)] for perm in conjugation_perms(q)]
     assert len({least_image(perms, classes) for classes in calls}) == len(calls)
     # Burnside: the orbits number the mean count of class tuples a g fixes.
-    fixed = sum(sum(perm[c] == c for c in range(q**3)) ** m for perm in perms)
+    live = {class_of(q, i) for i in space_indices(q, mode)}
+    fixed = sum(sum(perm[c] == c for c in live) ** m for perm in perms)
     assert fixed % len(perms) == 0 and len(calls) == fixed // len(perms)
+
+
+class _FirstLeaf(Exception):
+    pass
+
+
+@pytest.mark.parametrize("m", [40, 1100])
+@pytest.mark.parametrize("flag", ["--orbits", "--report"])
+def test_orbit_pass_at_a_huge_budgeted_rank_reaches_its_first_leaf(flag, m, monkeypatch):
+    """A budget of q^(4m) lets any rank through; the walk must then reach
+    its first class tuple without sizing anything by the space and without
+    recursing once per position."""
+    def first_leaf(T, classes):
+        raise _FirstLeaf(classes)
+
+    monkeypatch.setattr(census, "classify_packed", first_leaf)
+    argv = ["census", "--q", "2", "--m", str(m), flag, "--no-cache", "--budget", str(2 ** (4 * m))]
+    with pytest.raises(_FirstLeaf) as leaf:
+        run_command(argv)
+    assert leaf.value.args[0] == (0,) * m
+
+
+@pytest.mark.parametrize("q,m,mode", [(2, 4, "monoid"), (3, 3, "group"), (5, 2, "group")])
+def test_semisimple_representatives_have_distinct_full_and_split_vectors(q, m, mode):
+    """The report separates semi-simple orbits by their split coordinates;
+    the full moduli vectors of the same representatives separate them too."""
+    counts, representatives = _orbit_pass(CensusKey(q, m, mode), DEFAULT_BUDGET)
+    full = {_moduli_entries(q, mats, mode == "group") for mats in representatives}
+    split = {_split_entries(q, mats) for mats in representatives}
+    assert len(full) == len(split) == len(representatives) == counts.orbits[MoldLabel.SEMISIMPLE]
+
+
+def test_split_entries_need_a_matrix_with_nonzero_m():
+    with pytest.raises(ValueError):
+        _split_entries(3, [(1, 0, 0, 1), (0, 1, 0, 0)])
 
 
 @pytest.mark.parametrize("mode", MODES)
