@@ -1,24 +1,26 @@
 """Exhaustive census of tuple spaces over small prime fields.
 
 Tuples of 2x2 matrices over F_q are counted into the six mold strata and
-partitioned into conjugation orbits.  A tuple is classified by the
-discriminant kernel of :mod:`moldkit.mold` and its semi-simple invariant
-comes from the split-coordinate kernel of :mod:`moldkit.invariants`, both
-on raw entries, so the census and the library share one classifier and
-one invariant.
+partitioned into conjugation orbits.  Both passes run the step kernel of
+:mod:`moldkit.mold`, whose fold over trace-free rows is the library's
+classifier, and the semi-simple invariant comes from the split-coordinate
+kernel of :mod:`moldkit.invariants`, both on raw entries, so the census
+and the library share one classifier and one invariant.
 
-Neither pass steps through every tuple.  Both run over m-tuples of
-trace-free classes: a class is a matrix up to adding a multiple of I,
-named by its member with d = 0.  The label of a tuple depends only on the
-classes of its matrices, and labels and weights are conjugation
-invariant.  The point count (:func:`stratum_census`) classifies the
-(q + 1) q^(3(m-1)) class tuples whose first class is the least of its
-PGL_2(F_q) orbit (FieldTables.class_orbits; 4 orbits over F_2), each
-weighted by the tuples it stands for times that orbit's size; it needs no
-table.  The orbit pass (:func:`_orbit_pass`) walks down the stabiliser
-chain and classifies each orbit of class tuples once, at its least
-member.  Its table has (q^3 - q) q^3 entries, one class image per element
-of PGL_2(F_q) and class.
+Neither pass steps through every tuple.  Both work on trace-free classes:
+a class is a matrix up to adding a multiple of I, named by its member
+with d = 0.  The label of a tuple depends only on the classes of its
+matrices, and labels and weights are conjugation invariant.  The point
+count (:func:`stratum_census`) is a dynamic program over kernel states:
+the first class runs over the q + 1 orbit representatives of
+FieldTables.class_orbits (4 over F_2), and each further position maps a
+{state: weight} vector through per-state transition lists, so it needs
+no table and its work grows with the states reached, not with q^(3m).
+The orbit pass (:func:`_orbit_pass`) walks down the stabiliser chain and
+classifies each orbit of class tuples once, at its least member, except
+below a prefix that is air with a trivial stabiliser, whose subtree it
+counts in closed form.  Its table has (q^3 - q) q^3 entries, one class
+image per element of PGL_2(F_q) and class.
 """
 
 from __future__ import annotations
@@ -37,13 +39,15 @@ from typing import Optional
 from .errors import BudgetExceeded
 from .fields import is_prime
 from .invariants import _split_entries
-from .mold import MoldLabel, _classify_entries
+from .mold import _AIR, _SCALAR, MoldLabel, _classify_entries, _label, _step
 from .words import GROUP, MONOID
 
 # Cache files written under another schema are recomputed, not read.
 CACHE_SCHEMA = "0.1.0"
 
 DEFAULT_BUDGET = 10_000_000
+
+_LABELS = list(MoldLabel)
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,42 +210,81 @@ def _space_size(key: CensusKey) -> int:
     return key.q ** (4 * key.m)
 
 
+def _scaled(p: int, state: tuple) -> tuple:
+    """A kernel state with its vector scaled so that the first nonzero entry
+    is 1, or _AIR when it labels air: no later step or label tells such
+    states apart (mold._label)."""
+    if len(state) == 1:
+        return state
+    rank, v0, v1, v2 = state
+    if rank == 2 and _label(p, state) is MoldLabel.AIR:
+        return _AIR
+    s = pow(v0 or v1 or v2, -1, p)
+    return rank, v0 * s % p, v1 * s % p, v2 * s % p
+
+
 def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
                    use_cache: bool = True) -> StratumCounts:
-    """Count the points of every label, one classifier call per m-tuple of
-    trace-free classes whose first class is an orbit representative.
+    """Count the points of every label by a dynamic program over the
+    states of the classifier kernel (mold._step).
 
-    The label of a tuple depends only on the trace-free coordinates
-    (a - d, b, c) of its matrices (see mold._classify_entries), so it is
-    unchanged by A -> A + lambda I.  Each class is represented by its
-    member with d = 0 and weighted by how many matrices of the space it
-    holds (_class_fibres).  A tuple of classes stands for the product of
-    their weights in tuples.  Labels and weights are conjugation
-    invariant, so the first class runs over one class r per PGL_2 orbit
-    (FieldTables.class_orbits), weighted by the orbit size too: (q + 1)
-    q^(3(m-1)) calls count all q^(4m) or |GL_2|^m tuples, with no table.
+    The label of a tuple depends only on the trace-free rows (a - d, b, c)
+    of its matrices (see mold._classify_entries), so it is unchanged by
+    A -> A + lambda I.  Each class is represented by its member with
+    d = 0 and weighted by how many matrices of the space it holds
+    (_class_fibres).  Labels and weights are conjugation invariant, so the
+    first class runs over one class r per PGL_2 orbit
+    (FieldTables.class_orbits), weighted by the orbit size too: q + 1 steps
+    from the scalar state, with no table.  The result is a {state: weight}
+    vector, states scaled by _scaled (once per distinct step result within
+    the call).  Each further position multiplies it by transition lists,
+    built within the call for the states reached: one step per live class,
+    weights summed per next state.  Air absorbs, so its list is itself with
+    the total weight.
     """
     cached = _load_cache(key) if use_cache else None
     if cached is not None:
         return cached
     _check_budget(key, budget)
     T = field_tables(key.q)
-    weights = {c: len(lams) for c, lams in enumerate(_class_fibres(T.p, key.mode)) if lams}
-    firsts = {r: size * weights[r] for r, size in T.class_orbits().items() if r in weights}
-    rest = key.m - 1
-    counts = {label: 0 for label in MoldLabel}
-    for classes, ws in zip(product(firsts, *[weights] * rest),
-                           product(firsts.values(), *[weights.values()] * rest)):
-        counts[classify_packed(T, classes)] += math.prod(ws)
-    result = StratumCounts(key=key, points=counts, total=_space_size(key))
+    p = T.p
+    weights = {c: len(lams) for c, lams in enumerate(_class_fibres(p, key.mode)) if lams}
+    rows = [(T.classes[c][:3], w) for c, w in weights.items()]
+    vector: dict[tuple, int] = {}
+    for r, size in T.class_orbits().items():
+        if r in weights:
+            state = _scaled(p, _step(p, _SCALAR, T.classes[r][:3]))
+            vector[state] = vector.get(state, 0) + size * weights[r]
+    transitions = {_AIR: [(_AIR, sum(weights.values()))]}
+    scaled: dict[tuple, tuple] = {}
+    for _ in range(key.m - 1):
+        nxt: dict[tuple, int] = {}
+        for state, weight in vector.items():
+            if state not in transitions:
+                out: dict[tuple, int] = {}
+                for row, w in rows:
+                    to = _step(p, state, row)
+                    if to not in scaled:
+                        scaled[to] = _scaled(p, to)
+                    to = scaled[to]
+                    out[to] = out.get(to, 0) + w
+                transitions[state] = list(out.items())
+            for to, w in transitions[state]:
+                nxt[to] = nxt.get(to, 0) + weight * w
+        vector = nxt
+    counts = [0] * len(_LABELS)
+    for state, weight in vector.items():
+        counts[_LABELS.index(_label(p, state))] += weight
+    result = StratumCounts(key=key, points=dict(zip(_LABELS, counts)), total=_space_size(key))
     if use_cache:
         _store_cache(key, result)
     return result
 
 
-def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[tuple, ...]]]:
-    """Orbit counts of the whole space, and the raw entries of one tuple
-    per semi-simple orbit.
+def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]]:
+    """Orbit counts of the whole space, and the semi-simple leaves of the
+    walk as (class tuple, translate sets, stab_mu), the arguments of
+    _fibre_representatives after the table.
 
     The pass walks down the stabiliser chain of PGL_2(F_q) acting on class
     tuples (c_1, ..., c_m).  H_0 is the whole class table, and H_i the
@@ -258,7 +301,14 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[
     to F_q^m, zero unless q = 2 (traces give 2 mu_i(g) = 0); its image
     has k elements and acts freely.  The W tuples over c (_class_fibres)
     thus form W / k orbits of size s k over the class orbit, all with the
-    label of the d = 0 member.
+    label of the d = 0 member, which each leaf reads from classify_packed.
+
+    Each frame carries the kernel state (mold._step) of its prefix.  Air
+    absorbs, so when a proper prefix labels air and the walk finds H_i to
+    be the identity row alone, every tail below is a free orbit of size s
+    of its own: the subtree adds s W (sum of w)^(m - i) air points and
+    W (sum of w)^(m - i) orbits of size s, W being the prefix's weight and
+    w running over the live classes' weights, without visiting a leaf.
     """
     _check_budget(key, budget)
     q = key.q
@@ -268,57 +318,76 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple[
     T = field_tables(q)
     fibres = _class_fibres(q, key.mode)
     live = [c for c, lams in enumerate(fibres) if lams]
+    total = sum(len(fibres[c]) for c in live)
     m = key.m
-    points = {label: 0 for label in MoldLabel}
-    orbits = {label: 0 for label in MoldLabel}
-    size_counts: dict[MoldLabel, dict[int, int]] = {label: {} for label in MoldLabel}
+    air = _LABELS.index(MoldLabel.AIR)
+    points = [0] * len(_LABELS)
+    orbits = [0] * len(_LABELS)
+    size_counts: list[dict[int, int]] = [{} for _ in _LABELS]
     semisimple = []
-    # A frame (i, c, s, H) puts c at position i of chain, whose positions 1
-    # to i then hold a prefix with orbit size s and stabiliser H; position
-    # 0 stands for the empty prefix.
-    chain = [0] * (m + 1)
-    stack = [(0, 0, 1, T.pgl_perms())]
+    # A frame (i, c, s, W, state, H) puts c at position i < m of chain,
+    # whose positions 1 to i then hold a prefix with orbit size s, weight
+    # W, kernel state `state` and stabiliser H; position 0 stands for the
+    # empty prefix.  The children at position m are leaves, met in order
+    # in their parent's loop.
+    chain = [0] * m
+    stack = [(0, 0, 1, 1, _SCALAR, T.pgl_perms())]
     while stack:
-        i, c, size, stabiliser = stack.pop()
+        i, c, size, weight, state, stabiliser = stack.pop()
         chain[i] = c
-        if i < m:
-            seen, frames = set(), []
-            for c in live:
-                if c not in seen:
-                    orbit = {images[c] for images, _ in stabiliser}
-                    seen |= orbit
-                    frames.append((i + 1, c, size * len(orbit),
-                                   [g for g in stabiliser if g[0][c] == c]))
-            stack += reversed(frames)
+        if len(stabiliser) == 1 and _label(q, state) is MoldLabel.AIR:
+            n = weight * total ** (m - i)
+            points[air] += size * n
+            orbits[air] += n
+            by_size = size_counts[air]
+            by_size[size] = by_size.get(size, 0) + n
             continue
-        classes = tuple(chain[1:])
-        stab_mu = {tuple(mu[c] for c in classes) for _, mu in stabiliser}
-        k = len(stab_mu)
-        lams = [fibres[c] for c in classes]
-        weight = math.prod(map(len, lams))
-        label = classify_packed(T, classes)
-        points[label] += size * weight
-        orbits[label] += weight // k
-        by_size = size_counts[label]
-        by_size[size * k] = by_size.get(size * k, 0) + weight // k
-        if label is MoldLabel.SEMISIMPLE:
-            members = [T.classes[c] for c in classes]
-            semisimple.extend(_fibre_representatives(q, members, lams, stab_mu))
-    counts = StratumCounts(key=key, points=points, total=_space_size(key),
-                           orbits=orbits, orbit_size_counts=size_counts)
+        seen, children = set(), []
+        for c in live:
+            if c not in seen:
+                orbit = {images[c] for images, _ in stabiliser}
+                seen |= orbit
+                children.append((c, size * len(orbit)))
+        if i + 1 < m:
+            stack += reversed([(i + 1, c, s, weight * len(fibres[c]),
+                                _step(q, state, T.classes[c][:3]),
+                                [g for g in stabiliser if g[0][c] == c]) for c, s in children])
+            continue
+        prefix = tuple(chain[1:])
+        for c, s in children:
+            classes = prefix + (c,)
+            stab_mu = {tuple(map(mu.__getitem__, classes))
+                       for images, mu in stabiliser if images[c] == c}
+            k = len(stab_mu)
+            w = weight * len(fibres[c])
+            label = classify_packed(T, classes)
+            j = _LABELS.index(label)
+            points[j] += s * w
+            orbits[j] += w // k
+            by_size = size_counts[j]
+            by_size[s * k] = by_size.get(s * k, 0) + w // k
+            if label is MoldLabel.SEMISIMPLE:
+                semisimple.append((classes, [fibres[c] for c in classes], stab_mu))
+    counts = StratumCounts(key=key, points=dict(zip(_LABELS, points)), total=_space_size(key),
+                           orbits=dict(zip(_LABELS, orbits)),
+                           orbit_size_counts=dict(zip(_LABELS, size_counts)))
     return counts, semisimple
 
 
-def _fibre_representatives(q: int, members: list[tuple], lams: list[tuple[int, ...]],
-                           stab_mu: set[tuple[int, ...]]):
+def _fibre_representatives(T: FieldTables, classes: tuple[int, ...],
+                           lams: list[tuple[int, ...]], stab_mu: set[tuple[int, ...]]):
     """One tuple per orbit among the tuples over a class tuple: one
     translate vector lambda from the product of lams per coset of the
     stabiliser's mu image, as the raw entries (x + lambda_i, y, z,
-    lambda_i) of the d = 0 members (x, y, z, 0) of the classes."""
-    seen = set()
+    lambda_i) of the d = 0 members (x, y, z, 0) of the classes.  stab_mu
+    always holds the zero vector (the identity row), so when that is all
+    it holds, every lambda is its own coset."""
+    q, seen = T.p, set()
+    members = [T.classes[c] for c in classes]
     for lam in product(*lams):
         if lam not in seen:
-            seen.update(tuple((t + u) % q for t, u in zip(lam, mu)) for mu in stab_mu)
+            if len(stab_mu) > 1:
+                seen.update(tuple((t + u) % q for t, u in zip(lam, mu)) for mu in stab_mu)
             yield tuple(((x + t) % q, y, z, t) for (x, y, z, _), t in zip(members, lam))
 
 
@@ -362,10 +431,11 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
     conjugation invariants, so the semi-simple representatives carry every
     value of their stratum.  They are a function of the full trace vector,
     so orbits they separate, the full vectors separate too."""
-    counts, semisimple = _orbit_pass(key, budget)
+    counts, leaves = _orbit_pass(key, budget)
     if use_cache:
         _store_cache(key, counts)
     q, m = key.q, key.m
+    T = field_tables(q)
     pgl_order = q**3 - q
     checks: list[CheckResult] = []
 
@@ -396,7 +466,8 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
         passed=not bad_air,
     ))
 
-    vectors = {_split_entries(q, mats) for mats in semisimple}
+    vectors = {_split_entries(q, mats) for leaf in leaves
+               for mats in _fibre_representatives(T, *leaf)}
     checks.append(CheckResult(
         name="semisimple_trace_separation",
         source="trace coordinates separate semi-simple orbits",

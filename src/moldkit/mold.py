@@ -1,6 +1,7 @@
-"""Six-way mold classification over a field by one discriminant kernel,
-shared with the census; air witnesses, invariant lines, and the span
-closure of the generated algebra that tests check the kernel against."""
+"""Six-way mold classification over a field by one step kernel folded over
+trace-free rows, shared with the census; air witnesses, invariant lines,
+and the span closure of the generated algebra that tests check the kernel
+against."""
 
 from __future__ import annotations
 
@@ -69,47 +70,74 @@ def rank_le2_test(t: RepTuple) -> bool:
     return classify(t).dim <= 2
 
 
-def _classify_entries(p: Optional[int], mats) -> MoldLabel:
-    """Mold label of raw (a, b, c, d) entry tuples over F_p, or Q if p is
-    None, from one pass over their trace-free rows (a - d, b, c), which
-    span the algebra modulo I.
+# Kernel states: the rank of the trace-free rows folded so far, followed
+# by the first nonzero row u at rank 1 and the first nonzero w = u x x at
+# rank 2.
+_SCALAR = (0,)
+_AIR = (3,)
+
+
+def _step(p: Optional[int], state: tuple, row: tuple) -> tuple:
+    """The kernel state after one more trace-free row (a - d, b, c), reduced
+    mod p over F_p (integers over Q, p None).
 
     With w = u x v for the rows of A and B, delta2(A, B) = -det(AB - BA) =
     w0^2 + w1 w2, and tau3(A, B, C) = tr(A(BC - CB)) is the determinant of
-    three rows.  The pass keeps the first nonzero row u and the first
-    nonzero w = u x x; a later row x with w . x != 0 makes the rank 3: air.
-    A change of basis of a plane scales w by its determinant, so rank 2 is
-    air iff w0^2 + w1 w2 != 0, else borel; rank 1 is span{I, X}, semi-simple
-    iff m = (a - d)^2 + 4bc != 0 at u; rank 0 is scalar.  Over Q each
-    matrix is first scaled to integer entries by a positive s, which scales
-    its row by s, w by s_u s_x and m by s^2: no zero test changes, and no
-    Fraction arithmetic runs.
+    three rows.  A row x with w . x != 0 makes the rank 3 (_AIR), which no
+    later row leaves; once w is set, u is no longer read.
+    """
+    rank = state[0]
+    if rank == 2:
+        t = state[1] * row[0] + state[2] * row[1] + state[3] * row[2]
+        return _AIR if (t % p if p else t) else state
+    if rank == 1:
+        _, u0, u1, u2 = state
+        x0, x1, x2 = row
+        w0, w1, w2 = u1 * x2 - u2 * x1, u2 * x0 - u0 * x2, u0 * x1 - u1 * x0
+        if p:
+            w0, w1, w2 = w0 % p, w1 % p, w2 % p
+        return (2, w0, w1, w2) if w0 or w1 or w2 else state
+    if rank == 0 and (row[0] or row[1] or row[2]):
+        return (1, *row)
+    return state
+
+
+def _label(p: Optional[int], state: tuple) -> MoldLabel:
+    """Mold label of a kernel state.  A change of basis of a plane scales w
+    by its determinant, so rank 2 is air iff w0^2 + w1 w2 != 0, else borel;
+    rank 1 is span{I, X}, semi-simple iff m = (a - d)^2 + 4bc != 0 at u;
+    rank 0 is scalar.  Scaling u or w by a nonzero s scales each test by
+    s^2, so no label changes."""
+    rank = state[0]
+    if rank == 2:
+        _, w0, w1, w2 = state
+        t = w0 * w0 + w1 * w2
+        return MoldLabel.AIR if (t % p if p else t) else MoldLabel.BOREL
+    if rank == 1:
+        _, u0, u1, u2 = state
+        t = u0 * u0 + 4 * u1 * u2
+        if t % p if p else t:
+            return MoldLabel.SEMISIMPLE
+        return MoldLabel.UNIPOTENT_F2 if p == 2 else MoldLabel.UNIPOTENT
+    return MoldLabel.SCALAR if rank == 0 else MoldLabel.AIR
+
+
+def _classify_entries(p: Optional[int], mats) -> MoldLabel:
+    """Mold label of raw (a, b, c, d) entry tuples over F_p, or Q if p is
+    None: a fold of _step over their trace-free rows (a - d, b, c), which
+    span the algebra modulo I, returning air as soon as the rank is 3.
+    Over Q each matrix is first scaled to integer entries by a positive s,
+    which scales its row by s: no zero test changes, and no Fraction
+    arithmetic runs.
     """
     if p is None:
         mats = [linalg._int_scaled(e)[0] for e in mats]
-    u = w = None
+    state = _SCALAR
     for a, b, c, d in mats:
-        x0, x1, x2 = ((a - d) % p, b % p, c % p) if p else (a - d, b, c)
-        if w:
-            t = w0 * x0 + w1 * x1 + w2 * x2
-            if t % p if p else t:
-                return MoldLabel.AIR
-        elif u:
-            w0, w1, w2 = u1 * x2 - u2 * x1, u2 * x0 - u0 * x2, u0 * x1 - u1 * x0
-            if p:
-                w0, w1, w2 = w0 % p, w1 % p, w2 % p
-            w = w0 or w1 or w2
-        elif x0 or x1 or x2:
-            u = u0, u1, u2 = x0, x1, x2
-    if w:
-        t = w0 * w0 + w1 * w2
-        return MoldLabel.AIR if (t % p if p else t) else MoldLabel.BOREL
-    if not u:
-        return MoldLabel.SCALAR
-    t = u0 * u0 + 4 * u1 * u2
-    if t % p if p else t:
-        return MoldLabel.SEMISIMPLE
-    return MoldLabel.UNIPOTENT_F2 if p == 2 else MoldLabel.UNIPOTENT
+        state = _step(p, state, ((a - d) % p, b % p, c % p) if p else (a - d, b, c))
+        if state is _AIR:
+            return MoldLabel.AIR
+    return _label(p, state)
 
 
 def classify(t: RepTuple) -> MoldLabel:

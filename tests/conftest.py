@@ -1,5 +1,6 @@
 """Shared helpers: field fixtures, matrix enumeration and brute-force oracles."""
 
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -8,6 +9,15 @@ from itertools import combinations, permutations, product
 import pytest
 
 from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, conjugate, linalg, mold, span_closure
+from moldkit.census import (
+    StratumCounts,
+    _class_fibres,
+    _fibre_representatives,
+    _orbit_pass,
+    _space_size,
+    classify_packed,
+    field_tables,
+)
 
 Q = FieldSpec.rationals()
 F2 = FieldSpec.prime(2)
@@ -409,6 +419,60 @@ def stratum_polynomials(q, m, mode):
     sizes[unipotent][q * q - 1] = dual // (q - 1)
     sizes[MoldLabel.SCALAR][1] = scalar
     return {label: {s: c for s, c in by_size.items() if c} for label, by_size in sizes.items()}
+
+
+def semisimple_representatives(key, budget):
+    """Counts of the orbit pass of a census key, and the raw entries of one
+    tuple per semi-simple orbit, expanded from the pass's leaves in walk
+    order as consistency_report expands them."""
+    counts, leaves = _orbit_pass(key, budget)
+    T = field_tables(key.q)
+    return counts, [mats for leaf in leaves for mats in _fibre_representatives(T, *leaf)]
+
+
+def unpruned_orbit_pass(key):
+    """The orbit pass without closed-form air subtrees: the same walk down
+    the stabiliser chain, classifying every orbit of class tuples at its
+    least member.  Returns the counts and the raw entries of one tuple per
+    semi-simple orbit, in walk order."""
+    q, m = key.q, key.m
+    T = field_tables(q)
+    fibres = _class_fibres(q, key.mode)
+    live = [c for c, lams in enumerate(fibres) if lams]
+    points = {label: 0 for label in MoldLabel}
+    orbits = {label: 0 for label in MoldLabel}
+    size_counts = {label: {} for label in MoldLabel}
+    semisimple = []
+    chain = [0] * (m + 1)
+    stack = [(0, 0, 1, T.pgl_perms())]
+    while stack:
+        i, c, size, stabiliser = stack.pop()
+        chain[i] = c
+        if i < m:
+            seen, frames = set(), []
+            for c in live:
+                if c not in seen:
+                    orbit = {images[c] for images, _ in stabiliser}
+                    seen |= orbit
+                    frames.append((i + 1, c, size * len(orbit),
+                                   [g for g in stabiliser if g[0][c] == c]))
+            stack += reversed(frames)
+            continue
+        classes = tuple(chain[1:])
+        stab_mu = {tuple(mu[c] for c in classes) for _, mu in stabiliser}
+        k = len(stab_mu)
+        lams = [fibres[c] for c in classes]
+        weight = math.prod(map(len, lams))
+        label = classify_packed(T, classes)
+        points[label] += size * weight
+        orbits[label] += weight // k
+        by_size = size_counts[label]
+        by_size[size * k] = by_size.get(size * k, 0) + weight // k
+        if label is MoldLabel.SEMISIMPLE:
+            semisimple.extend(_fibre_representatives(T, classes, lams, stab_mu))
+    counts = StratumCounts(key=key, points=points, total=_space_size(key),
+                           orbits=orbits, orbit_size_counts=size_counts)
+    return counts, semisimple
 
 
 @pytest.fixture

@@ -24,6 +24,7 @@ from moldkit.census import (
 from moldkit.cli import run_command
 from moldkit.errors import BudgetExceeded
 from moldkit.invariants import _moduli_entries, _split_entries
+from moldkit.mold import _SCALAR, _step
 
 from conftest import (
     class_of,
@@ -40,9 +41,11 @@ from conftest import (
     pgl_perms_reference,
     pgl_reference_elements,
     projective_closure,
+    semisimple_representatives,
     space_indices,
     stratum_polynomials,
     stratum_reference,
+    unpruned_orbit_pass,
 )
 
 MODES = ("monoid", "group")
@@ -373,53 +376,79 @@ def test_census_equals_brute_force_oracles(q, m, mode):
     assert (counts.points, counts.orbits, counts.orbit_size_counts) == (points, orbits, size_counts)
     # Exactly one representative per semi-simple orbit: their least images
     # are the reference's representatives, each once.
-    representatives = _orbit_pass(key, DEFAULT_BUDGET)[1]
+    representatives = semisimple_representatives(key, DEFAULT_BUDGET)[1]
     perms = conjugation_perms(q)
     assert sorted(least_image(perms, tuple(pack(q, mat) for mat in rep))
                   for rep in representatives) == semisimple
 
 
-def test_points_only_miss_classifies_one_tuple_of_classes_each(monkeypatch):
+def _counted_steps(monkeypatch):
+    """The (state, row) of every step the census makes through its module
+    global _step."""
     calls = []
 
-    def counted(T, classes):
-        calls.append(classes)
-        return classify_packed(T, classes)
+    def counted(p, state, row):
+        calls.append((state, row))
+        return _step(p, state, row)
 
-    monkeypatch.setattr(census, "classify_packed", counted)
-    key = CensusKey(3, 2)
+    monkeypatch.setattr(census, "_step", counted)
+    return calls
+
+
+def _class_index(q, row):
+    x, y, z = row
+    return (x * q + y) * q + z
+
+
+def test_points_only_miss_classifies_one_tuple_of_classes_each(monkeypatch):
+    """The points pass steps the kernel from the scalar state once per
+    class orbit, then once per class from each scaled state it reached,
+    building each transition list once; a cache hit makes no step."""
+    calls = _counted_steps(monkeypatch)
+    q, key = 3, CensusKey(3, 2)
     first = stratum_census(key)
-    # The first class runs over one class per orbit, the second over all 27.
-    assert len(calls) == 4 * 27 == len(set(calls))
-    assert all(type(classes) is tuple and len(classes) == 2
-               and all(0 <= c < 3**3 for c in classes) for classes in calls)
-    firsts = {classes[0] for classes in calls}
-    assert sorted(len(orbit & {(c,) for c in firsts})
-                  for orbit in class_orbits_reference(3, 1)) == [1, 1, 1, 1]
-    assert {classes[1] for classes in calls} == set(range(27))
+    firsts = calls[:q + 1]
+    assert all(state == _SCALAR for state, _ in firsts)
+    stepped = {(_class_index(q, row),) for _, row in firsts}
+    assert sorted(len(orbit & stepped) for orbit in class_orbits_reference(q, 1)) == [1] * (q + 1)
+    later = calls[q + 1:]
+    states = {state for state, _ in later}
+    assert all(len(state) == 1 or next(x for x in state[1:] if x) == 1 for state in states)
+    assert len(later) == len(set(later))
+    assert len(calls) <= (q + 1) + len(states) * q**3
+    assert {_class_index(q, row) for _, row in later} == set(range(q**3))
+    calls.clear()
     assert stratum_census(key).points == first.points
-    assert len(calls) == 4 * 27
+    assert calls == []
 
 
 @pytest.mark.parametrize("q", [2, 3, 17])
 def test_points_census_at_rank_1_classifies_one_class_per_orbit(q, monkeypatch):
-    calls = []
-
-    def counted(T, classes):
-        calls.append(classes)
-        return classify_packed(T, classes)
-
-    monkeypatch.setattr(census, "classify_packed", counted)
+    """Rank 1 makes one step from the scalar state per class orbit, q + 1
+    (4 over F_2), with no table; over F_2 and F_3 the stepped classes meet
+    each orbit of the reference action once."""
+    calls = _counted_steps(monkeypatch)
     stratum_census(CensusKey(q, 1), use_cache=False)
-    assert calls == [(r,) for r in field_tables(q).class_orbits()]
+    assert len(calls) == (4 if q == 2 else q + 1)
+    assert all(state == _SCALAR for state, _ in calls)
+    stepped = [_class_index(q, row) for _, row in calls]
+    assert stepped == list(field_tables(q).class_orbits())
+    if q <= 3:
+        assert sorted(len(orbit & {(c,) for c in stepped})
+                      for orbit in class_orbits_reference(q, 1)) == [1] * len(calls)
+    if q == 17:
+        assert field_tables(q)._pgl_perms is None
 
 
 @pytest.mark.parametrize("q,m,mode", [(3, 3, "monoid"), (5, 2, "group"), (2, 5, "group")])
 def test_orbit_pass_classifies_one_class_tuple_per_orbit_from_a_representative(q, m, mode,
                                                                                monkeypatch):
-    """Over F_2 in group mode the zero class and (1, 1, 1) are fixed by all
-    of PGL_2, and the classes (1, y, z) with yz = 0 hold no invertible
-    matrix, so only the class tuples over tuples of the space count."""
+    """The walk classifies exactly the least members of the orbits of class
+    tuples that have no proper prefix which is air with a trivial
+    stabiliser; below such a prefix it counts in closed form.  Over F_2 in
+    group mode the zero class and (1, 1, 1) are fixed by all of PGL_2, and
+    the classes (1, y, z) with yz = 0 hold no invertible matrix, so only
+    the class tuples over tuples of the space count."""
     calls = []
 
     def counted(T, classes):
@@ -428,14 +457,29 @@ def test_orbit_pass_classifies_one_class_tuple_per_orbit_from_a_representative(q
 
     monkeypatch.setattr(census, "classify_packed", counted)
     _orbit_pass(CensusKey(q, m, mode), DEFAULT_BUDGET)
-    reps = field_tables(q).class_orbits()
-    assert all(len(classes) == m and classes[0] in reps for classes in calls)
+    T = field_tables(q)
     perms = [[class_of(q, perm[c * q]) for c in range(q**3)] for perm in conjugation_perms(q)]
-    assert len({least_image(perms, classes) for classes in calls}) == len(calls)
+    live = sorted({class_of(q, i) for i in space_indices(q, mode)})
+    least, seen = set(), set()
+    for classes in product(live, repeat=m):
+        if classes not in seen:
+            orbit = {tuple(perm[c] for c in classes) for perm in perms}
+            seen |= orbit
+            least.add(min(orbit))
     # Burnside: the orbits number the mean count of class tuples a g fixes.
-    live = {class_of(q, i) for i in space_indices(q, mode)}
     fixed = sum(sum(perm[c] == c for c in live) ** m for perm in perms)
-    assert fixed % len(perms) == 0 and len(calls) == fixed // len(perms)
+    assert fixed % len(perms) == 0 and len(least) == fixed // len(perms)
+
+    def free_air(prefix):
+        return (classify_packed(T, prefix) is MoldLabel.AIR
+                and sum(all(perm[c] == c for c in prefix) for perm in perms) == 1)
+
+    want = {classes for classes in least
+            if not any(free_air(classes[:i]) for i in range(1, m))}
+    assert len(calls) == len(set(calls))
+    assert set(calls) == want
+    # One class is never air, so rank 2 prunes nothing; deeper keys do.
+    assert (want < least) == (m > 2)
 
 
 class _FirstLeaf(Exception):
@@ -462,7 +506,7 @@ def test_orbit_pass_at_a_huge_budgeted_rank_reaches_its_first_leaf(flag, m, monk
 def test_semisimple_representatives_have_distinct_full_and_split_vectors(q, m, mode):
     """The report separates semi-simple orbits by their split coordinates;
     the full moduli vectors of the same representatives separate them too."""
-    counts, representatives = _orbit_pass(CensusKey(q, m, mode), DEFAULT_BUDGET)
+    counts, representatives = semisimple_representatives(CensusKey(q, m, mode), DEFAULT_BUDGET)
     full = {_moduli_entries(q, mats, mode == "group") for mats in representatives}
     split = {_split_entries(q, mats) for mats in representatives}
     assert len(full) == len(split) == len(representatives) == counts.orbits[MoldLabel.SEMISIMPLE]
@@ -593,3 +637,41 @@ def test_report_stdout_and_cache_bytes_are_pinned(q, m, mode, tmp_path):
     assert run_command([*argv, "--report"]) == (0, out)
     cache = tmp_path / "cache" / f"census_q{q}_m{m}_{mode}.json"
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == cache_digest
+
+
+@pytest.mark.parametrize("q,m,mode", sorted(REPORT_DIGESTS))
+def test_orbit_pass_equals_the_unpruned_walk(q, m, mode):
+    """Closed-form air subtrees change no count, and leave the semi-simple
+    representatives and their order as the unpruned walk finds them."""
+    key = CensusKey(q, m, mode)
+    counts, representatives = semisimple_representatives(key, DEFAULT_BUDGET)
+    want, want_representatives = unpruned_orbit_pass(key)
+    assert counts.points == want.points
+    assert counts.orbits == want.orbits
+    assert counts.orbit_size_counts == want.orbit_size_counts
+    assert representatives == want_representatives
+
+
+@pytest.mark.parametrize("q,m,mode", [(2, 1000, "group"), (3, 60, "monoid"), (13, 12, "group")])
+def test_deep_points_equal_the_subalgebra_polynomials(q, m, mode):
+    """With a budget of q^(4m) the points pass runs at any rank in time
+    bounded by its kernel states, not by the space."""
+    start = time.perf_counter()
+    counts = stratum_census(CensusKey(q, m, mode), budget=q ** (4 * m), use_cache=False)
+    assert time.perf_counter() - start < 2.0
+    sizes = stratum_polynomials(q, m, mode)
+    assert counts.points == {label: sum(s * c for s, c in by_size.items())
+                             for label, by_size in sizes.items()}
+    assert sum(counts.points.values()) == counts.total
+
+
+def test_points_census_at_rank_1100_through_the_cli():
+    m = 1100
+    code, out = run_command(["census", "--q", "2", "--m", str(m), "--no-cache",
+                             "--budget", str(2 ** (4 * m))])
+    assert code == 0
+    body = json.loads(out)
+    assert body["total"] == 2 ** (4 * m)
+    sizes = stratum_polynomials(2, m, "monoid")
+    assert body["points"] == {label.value: sum(s * c for s, c in by_size.items())
+                              for label, by_size in sizes.items()}
