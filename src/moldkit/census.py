@@ -17,10 +17,12 @@ FieldTables.class_orbits (4 over F_2), and each further position maps a
 {state: weight} vector through per-state transition lists, so it needs
 no table and its work grows with the states reached, not with q^(3m).
 The orbit pass (:func:`_orbit_pass`) walks down the stabiliser chain and
-classifies each orbit of class tuples once, at its least member, except
-below a prefix that is air with a trivial stabiliser, whose subtree it
-counts in closed form.  Its table has (q^3 - q) q^3 entries, one class
-image per element of PGL_2(F_q) and class.
+classifies each orbit of class tuples once, at its least member, by one
+kernel step from its prefix's state, except below a prefix with a trivial
+stabiliser, whose subtree of free orbits it counts in closed form as air
+and borel.  Its table has (q^3 - q) q^3 entries, one class image per
+element of PGL_2(F_q) and class.  The report shifts each semi-simple
+leaf's split coordinates to its translates instead of building them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Optional
 
 from .errors import BudgetExceeded
 from .fields import is_prime
-from .invariants import _split_entries
+from .invariants import _split_entries, _split_shifted
 from .mold import _AIR, _SCALAR, MoldLabel, _classify_entries, _label, _step
 from .words import GROUP, MONOID
 
@@ -175,10 +177,14 @@ def field_tables(p: int) -> FieldTables:
     return _TABLES[p]
 
 
-def classify_packed(T: FieldTables, classes: tuple[int, ...]) -> MoldLabel:
+def classify_packed(T: FieldTables, classes: tuple[int, ...],
+                    state: Optional[tuple] = None) -> MoldLabel:
     """Mold label of the tuples over a tuple of class indices, from the
-    d = 0 member of each class; the kernel of mold.classify."""
-    return _classify_entries(T.p, [T.classes[c] for c in classes])
+    d = 0 member of each class; the kernel of mold.classify.  Given the
+    kernel state of classes[:-1] (mold._step), it makes the one last step."""
+    if state is None:
+        return _classify_entries(T.p, [T.classes[c] for c in classes])
+    return _label(T.p, _step(T.p, state, T.classes[classes[-1]][:3]))
 
 
 def _class_fibres(p: int, mode: str) -> list[tuple[int, ...]]:
@@ -283,8 +289,8 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
 
 def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]]:
     """Orbit counts of the whole space, and the semi-simple leaves of the
-    walk as (class tuple, translate sets, stab_mu), the arguments of
-    _fibre_representatives after the table.
+    walk as (class tuple, translate sets, stab_mu); the last two are the
+    arguments of _fibre_representatives after q.
 
     The pass walks down the stabiliser chain of PGL_2(F_q) acting on class
     tuples (c_1, ..., c_m).  H_0 is the whole class table, and H_i the
@@ -298,17 +304,25 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
     translates of a class onto those of its image.  The g in H_m move each
     tuple over c, (A_i + lambda_i I), to (A_i + (lambda_i + mu_i(g)) I),
     where A_i is the d = 0 member of c_i.  mu is a homomorphism from H_m
-    to F_q^m, zero unless q = 2 (traces give 2 mu_i(g) = 0); its image
-    has k elements and acts freely.  The W tuples over c (_class_fibres)
-    thus form W / k orbits of size s k over the class orbit, all with the
-    label of the d = 0 member, which each leaf reads from classify_packed.
+    to F_q^m, zero unless q = 2 (g^-1 A g = A + mu I gives 2 mu = 0 on
+    traces), so stab_mu is built over F_2 only; its image has k elements
+    and acts freely.  The W tuples over c (_class_fibres) thus form W / k
+    orbits of size s k over the class orbit, all with the label of the
+    d = 0 member, which each leaf reads from classify_packed in one kernel
+    step from its parent's state.
 
-    Each frame carries the kernel state (mold._step) of its prefix.  Air
-    absorbs, so when a proper prefix labels air and the walk finds H_i to
-    be the identity row alone, every tail below is a free orbit of size s
-    of its own: the subtree adds s W (sum of w)^(m - i) air points and
-    W (sum of w)^(m - i) orbits of size s, W being the prefix's weight and
-    w running over the live classes' weights, without visiting a leaf.
+    Each frame carries the kernel state (mold._step) of its prefix.  When
+    the walk finds H_i to be the identity row alone, every tail below is a
+    free orbit of size s of its own, and the subtree is counted in closed
+    form without visiting a leaf.  Such a prefix has rank 2 or more: one of
+    rank 1 or less lies in span{I, u}, whose class stabiliser is never
+    trivial (the centraliser of u, or over F_2 the swap of u's
+    eigenvalues).  With W the prefix's weight and w running over the live
+    classes' weights, an air state adds W (sum of w)^(m - i) air orbits.
+    A borel state keeps its plane under a row x iff w . x = 0 and turns air
+    otherwise, so with P the summed weight of the classes in the plane
+    (found once per state within the call) it adds W P^(m - i) borel
+    orbits and the rest of the W (sum of w)^(m - i) as air.
     """
     _check_budget(key, budget)
     q = key.q
@@ -318,12 +332,21 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
     T = field_tables(q)
     fibres = _class_fibres(q, key.mode)
     live = [c for c, lams in enumerate(fibres) if lams]
-    total = sum(len(fibres[c]) for c in live)
+    rows = [(T.classes[c][:3], len(fibres[c])) for c in live]
+    total = sum(w for _, w in rows)
     m = key.m
-    air = _LABELS.index(MoldLabel.AIR)
     points = [0] * len(_LABELS)
     orbits = [0] * len(_LABELS)
     size_counts: list[dict[int, int]] = [{} for _ in _LABELS]
+
+    def add(label: MoldLabel, s: int, n: int) -> None:
+        j = _LABELS.index(label)
+        points[j] += s * n
+        orbits[j] += n
+        size_counts[j][s] = size_counts[j].get(s, 0) + n
+
+    in_plane: dict[tuple, int] = {}
+    no_mu = {(0,) * m}
     semisimple = []
     # A frame (i, c, s, W, state, H) puts c at position i < m of chain,
     # whose positions 1 to i then hold a prefix with orbit size s, weight
@@ -335,12 +358,18 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
     while stack:
         i, c, size, weight, state, stabiliser = stack.pop()
         chain[i] = c
-        if len(stabiliser) == 1 and _label(q, state) is MoldLabel.AIR:
+        if len(stabiliser) == 1:
             n = weight * total ** (m - i)
-            points[air] += size * n
-            orbits[air] += n
-            by_size = size_counts[air]
-            by_size[size] = by_size.get(size, 0) + n
+            if _label(q, state) is MoldLabel.BOREL:
+                if state not in in_plane:
+                    _, w0, w1, w2 = state
+                    in_plane[state] = sum(w for (x, y, z), w in rows
+                                          if not (w0 * x + w1 * y + w2 * z) % q)
+                kept = weight * in_plane[state] ** (m - i)
+                add(MoldLabel.BOREL, size, kept)
+                n -= kept
+            if n:
+                add(MoldLabel.AIR, size, n)
             continue
         seen, children = set(), []
         for c in live:
@@ -356,16 +385,11 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
         prefix = tuple(chain[1:])
         for c, s in children:
             classes = prefix + (c,)
-            stab_mu = {tuple(map(mu.__getitem__, classes))
-                       for images, mu in stabiliser if images[c] == c}
+            stab_mu = no_mu if q != 2 else {tuple(map(mu.__getitem__, classes))
+                                            for images, mu in stabiliser if images[c] == c}
             k = len(stab_mu)
-            w = weight * len(fibres[c])
-            label = classify_packed(T, classes)
-            j = _LABELS.index(label)
-            points[j] += s * w
-            orbits[j] += w // k
-            by_size = size_counts[j]
-            by_size[s * k] = by_size.get(s * k, 0) + w // k
+            label = classify_packed(T, classes, state)
+            add(label, s * k, weight * len(fibres[c]) // k)
             if label is MoldLabel.SEMISIMPLE:
                 semisimple.append((classes, [fibres[c] for c in classes], stab_mu))
     counts = StratumCounts(key=key, points=dict(zip(_LABELS, points)), total=_space_size(key),
@@ -374,21 +398,20 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
     return counts, semisimple
 
 
-def _fibre_representatives(T: FieldTables, classes: tuple[int, ...],
-                           lams: list[tuple[int, ...]], stab_mu: set[tuple[int, ...]]):
-    """One tuple per orbit among the tuples over a class tuple: one
-    translate vector lambda from the product of lams per coset of the
-    stabiliser's mu image, as the raw entries (x + lambda_i, y, z,
-    lambda_i) of the d = 0 members (x, y, z, 0) of the classes.  stab_mu
-    always holds the zero vector (the identity row), so when that is all
-    it holds, every lambda is its own coset."""
-    q, seen = T.p, set()
-    members = [T.classes[c] for c in classes]
-    for lam in product(*lams):
-        if lam not in seen:
-            if len(stab_mu) > 1:
-                seen.update(tuple((t + u) % q for t, u in zip(lam, mu)) for mu in stab_mu)
-            yield tuple(((x + t) % q, y, z, t) for (x, y, z, _), t in zip(members, lam))
+def _fibre_representatives(q: int, lams: list[tuple[int, ...]], stab_mu: set[tuple[int, ...]]):
+    """One translate vector lambda per orbit among the tuples over a class
+    tuple, (A_i + lambda_i I) with A_i the d = 0 members, in lexicographic
+    order: the least vector of each coset of the stabiliser's mu image V,
+    a subspace of F_q^m.  The leading columns of V's nonzero vectors are
+    the pivots of its reduced echelon basis.  The product of lams is a
+    union of cosets (conjugation keeps the space), so the lams at the
+    pivots hold 0, and each coset meets the product in one vector that is
+    0 at every pivot, its least one."""
+    lams = list(lams)
+    for mu in stab_mu:
+        if any(mu):
+            lams[next(j for j, t in enumerate(mu) if t)] = (0,)
+    return product(*lams)
 
 
 def orbit_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
@@ -430,7 +453,10 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
     written.  The split coordinates (invariants._split_entries) are
     conjugation invariants, so the semi-simple representatives carry every
     value of their stratum.  They are a function of the full trace vector,
-    so orbits they separate, the full vectors separate too."""
+    so orbits they separate, the full vectors separate too.  Each
+    semi-simple leaf's coordinates are computed once, on its d = 0
+    members, and shifted to each representative translate
+    (invariants._split_shifted), so no translate is built."""
     counts, leaves = _orbit_pass(key, budget)
     if use_cache:
         _store_cache(key, counts)
@@ -466,8 +492,11 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
         passed=not bad_air,
     ))
 
-    vectors = {_split_entries(q, mats) for leaf in leaves
-               for mats in _fibre_representatives(T, *leaf)}
+    vectors = set()
+    for classes, lams, stab_mu in leaves:
+        split = _split_entries(q, [T.classes[c] for c in classes])
+        vectors.update(_split_shifted(q, split, lam)
+                       for lam in _fibre_representatives(q, lams, stab_mu))
     checks.append(CheckResult(
         name="semisimple_trace_separation",
         source="trace coordinates separate semi-simple orbits",

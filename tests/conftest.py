@@ -421,17 +421,27 @@ def stratum_polynomials(q, m, mode):
     return {label: {s: c for s, c in by_size.items() if c} for label, by_size in sizes.items()}
 
 
+def translates(T, classes, lams, stab_mu):
+    """The raw entries (x + lambda_i, y, z, lambda_i) of the tuples over a
+    class tuple, one per translate vector lambda that
+    _fibre_representatives yields, from the d = 0 members (x, y, z, 0)."""
+    q = T.p
+    members = [T.classes[c] for c in classes]
+    return [tuple(((x + t) % q, y, z, t) for (x, y, z, _), t in zip(members, lam))
+            for lam in _fibre_representatives(q, lams, stab_mu)]
+
+
 def semisimple_representatives(key, budget):
     """Counts of the orbit pass of a census key, and the raw entries of one
-    tuple per semi-simple orbit, expanded from the pass's leaves in walk
-    order as consistency_report expands them."""
+    tuple per semi-simple orbit, built from the pass's leaves in walk order
+    and from the translate vectors consistency_report reads."""
     counts, leaves = _orbit_pass(key, budget)
     T = field_tables(key.q)
-    return counts, [mats for leaf in leaves for mats in _fibre_representatives(T, *leaf)]
+    return counts, [mats for leaf in leaves for mats in translates(T, *leaf)]
 
 
 def unpruned_orbit_pass(key):
-    """The orbit pass without closed-form air subtrees: the same walk down
+    """The orbit pass without closed-form subtrees: the same walk down
     the stabiliser chain, classifying every orbit of class tuples at its
     least member.  Returns the counts and the raw entries of one tuple per
     semi-simple orbit, in walk order."""
@@ -469,7 +479,7 @@ def unpruned_orbit_pass(key):
         by_size = size_counts[label]
         by_size[size * k] = by_size.get(size * k, 0) + weight // k
         if label is MoldLabel.SEMISIMPLE:
-            semisimple.extend(_fibre_representatives(T, classes, lams, stab_mu))
+            semisimple.extend(translates(T, classes, lams, stab_mu))
     counts = StratumCounts(key=key, points=points, total=_space_size(key),
                            orbits=orbits, orbit_size_counts=size_counts)
     return counts, semisimple

@@ -4,7 +4,7 @@ import hashlib
 import json
 import time
 from array import array
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -23,7 +23,7 @@ from moldkit.census import (
 )
 from moldkit.cli import run_command
 from moldkit.errors import BudgetExceeded
-from moldkit.invariants import _moduli_entries, _split_entries
+from moldkit.invariants import _moduli_entries, _split_entries, _split_shifted
 from moldkit.mold import _SCALAR, _step
 
 from conftest import (
@@ -315,9 +315,9 @@ def test_consistency_report_passes():
 def test_report_classifies_each_orbit_representative_once(monkeypatch):
     calls = []
 
-    def counted(T, classes):
+    def counted(T, classes, state=None):
         calls.append(classes)
-        return classify_packed(T, classes)
+        return classify_packed(T, classes, state)
 
     monkeypatch.setattr(census, "classify_packed", counted)
     code, out = run_command(["census", "--q", "3", "--m", "2", "--report", "--no-cache"])
@@ -440,20 +440,21 @@ def test_points_census_at_rank_1_classifies_one_class_per_orbit(q, monkeypatch):
         assert field_tables(q)._pgl_perms is None
 
 
-@pytest.mark.parametrize("q,m,mode", [(3, 3, "monoid"), (5, 2, "group"), (2, 5, "group")])
+@pytest.mark.parametrize("q,m,mode", [(3, 3, "monoid"), (5, 2, "group"), (2, 5, "group"),
+                                      (2, 4, "monoid")])
 def test_orbit_pass_classifies_one_class_tuple_per_orbit_from_a_representative(q, m, mode,
                                                                                monkeypatch):
     """The walk classifies exactly the least members of the orbits of class
-    tuples that have no proper prefix which is air with a trivial
-    stabiliser; below such a prefix it counts in closed form.  Over F_2 in
-    group mode the zero class and (1, 1, 1) are fixed by all of PGL_2, and
-    the classes (1, y, z) with yz = 0 hold no invertible matrix, so only
-    the class tuples over tuples of the space count."""
+    tuples that have no proper prefix with a trivial stabiliser; below such
+    a prefix it counts in closed form.  Over F_2 in group mode the zero
+    class and (1, 1, 1) are fixed by all of PGL_2, and the classes
+    (1, y, z) with yz = 0 hold no invertible matrix, so only the class
+    tuples over tuples of the space count."""
     calls = []
 
-    def counted(T, classes):
+    def counted(T, classes, state=None):
         calls.append(classes)
-        return classify_packed(T, classes)
+        return classify_packed(T, classes, state)
 
     monkeypatch.setattr(census, "classify_packed", counted)
     _orbit_pass(CensusKey(q, m, mode), DEFAULT_BUDGET)
@@ -470,16 +471,22 @@ def test_orbit_pass_classifies_one_class_tuple_per_orbit_from_a_representative(q
     fixed = sum(sum(perm[c] == c for c in live) ** m for perm in perms)
     assert fixed % len(perms) == 0 and len(least) == fixed // len(perms)
 
-    def free_air(prefix):
-        return (classify_packed(T, prefix) is MoldLabel.AIR
-                and sum(all(perm[c] == c for c in prefix) for perm in perms) == 1)
+    def trivial(prefix):
+        return sum(all(perm[c] == c for c in prefix) for perm in perms) == 1
 
     want = {classes for classes in least
-            if not any(free_air(classes[:i]) for i in range(1, m))}
+            if not any(trivial(classes[:i]) for i in range(1, m))}
     assert len(calls) == len(set(calls))
     assert set(calls) == want
-    # One class is never air, so rank 2 prunes nothing; deeper keys do.
+    # One class never has a trivial stabiliser, so rank 2 prunes nothing;
+    # deeper keys prune more than the air prefixes alone would.
+    air_only = {classes for classes in least
+                if not any(trivial(classes[:i]) and classify_packed(T, classes[:i])
+                           is MoldLabel.AIR for i in range(1, m))}
+    assert want <= air_only <= least
     assert (want < least) == (m > 2)
+    if (q, m) in ((3, 3), (2, 4)):
+        assert want < air_only
 
 
 class _FirstLeaf(Exception):
@@ -492,7 +499,7 @@ def test_orbit_pass_at_a_huge_budgeted_rank_reaches_its_first_leaf(flag, m, monk
     """A budget of q^(4m) lets any rank through; the walk must then reach
     its first class tuple without sizing anything by the space and without
     recursing once per position."""
-    def first_leaf(T, classes):
+    def first_leaf(T, classes, state=None):
         raise _FirstLeaf(classes)
 
     monkeypatch.setattr(census, "classify_packed", first_leaf)
@@ -639,17 +646,89 @@ def test_report_stdout_and_cache_bytes_are_pinned(q, m, mode, tmp_path):
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == cache_digest
 
 
-@pytest.mark.parametrize("q,m,mode", sorted(REPORT_DIGESTS))
+# Keys past the default budget where most of the walk is closed-form borel.
+DEEP_KEYS = [(3, 4, "monoid"), (5, 3, "monoid"), (2, 6, "monoid")]
+
+
+@pytest.mark.parametrize("q,m,mode", sorted(REPORT_DIGESTS) + DEEP_KEYS)
 def test_orbit_pass_equals_the_unpruned_walk(q, m, mode):
-    """Closed-form air subtrees change no count, and leave the semi-simple
+    """Closed-form subtrees change no count, and leave the semi-simple
     representatives and their order as the unpruned walk finds them."""
     key = CensusKey(q, m, mode)
-    counts, representatives = semisimple_representatives(key, DEFAULT_BUDGET)
+    counts, representatives = semisimple_representatives(key, max(DEFAULT_BUDGET, q ** (4 * m)))
     want, want_representatives = unpruned_orbit_pass(key)
     assert counts.points == want.points
     assert counts.orbits == want.orbits
     assert counts.orbit_size_counts == want.orbit_size_counts
     assert representatives == want_representatives
+
+
+@pytest.mark.parametrize("q,m,mode", sorted(REPORT_DIGESTS))
+def test_each_leaf_is_one_step_from_its_prefix_state(q, m, mode, monkeypatch):
+    """Every leaf hands classify_packed the kernel state of its class
+    tuple's proper prefix, and the one step from there gives the label of
+    the whole fold."""
+    T = field_tables(q)
+    calls = []
+
+    def checked(T, classes, state=None):
+        calls.append((classes, state))
+        return classify_packed(T, classes, state)
+
+    monkeypatch.setattr(census, "classify_packed", checked)
+    _orbit_pass(CensusKey(q, m, mode), DEFAULT_BUDGET)
+    assert calls
+    for classes, state in calls:
+        prefix = _SCALAR
+        for c in classes[:-1]:
+            prefix = _step(q, prefix, T.classes[c][:3])
+        assert state == prefix
+        assert classify_packed(T, classes, state) is classify_packed(T, classes)
+
+
+@pytest.mark.parametrize("q,m,mode", [(q, m, mode) for q, m in SMALL_KEYS for mode in MODES]
+                         + [(3, 3, "group"), (5, 2, "group")])
+def test_shifted_split_entries_equal_those_of_every_translate(q, m, mode):
+    """The report shifts each semi-simple leaf's split coordinates to its
+    translates; the shift equals the coordinates of every translate."""
+    T = field_tables(q)
+    _, leaves = _orbit_pass(CensusKey(q, m, mode), DEFAULT_BUDGET)
+    assert leaves
+    for classes, lams, _ in leaves:
+        members = [T.classes[c] for c in classes]
+        split = _split_entries(q, members)
+        for lam in product(*lams):
+            mats = [((x + t) % q, y, z, t) for (x, y, z, _), t in zip(members, lam)]
+            assert _split_shifted(q, split, lam) == _split_entries(q, mats)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_every_class_set_with_a_trivial_stabiliser_has_rank_2(q):
+    """The walk counts below a trivial stabiliser by the air and borel
+    closed forms, so such a prefix must have kernel rank 2 or more.  Its
+    stabiliser and its state's rank depend only on its set of classes, so
+    checking every set of at most 4 classes covers every prefix up to
+    m = 4, in both modes."""
+    T = field_tables(q)
+    perms = [[class_of(q, perm[c * q]) for c in range(q**3)] for perm in conjugation_perms(q)]
+    trivial = 0
+    for n in range(1, 5):
+        for classes in combinations(range(q**3), n):
+            if sum(all(perm[c] == c for c in classes) for perm in perms) == 1:
+                trivial += 1
+                state = _SCALAR
+                for c in classes:
+                    state = _step(q, state, T.classes[c][:3])
+                assert state[0] >= 2, classes
+    assert trivial
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_table_rows_fixing_a_class_have_mu_0_over_odd_fields(q):
+    """The orbit pass builds stab_mu over F_2 only: over an odd field a
+    row that fixes a class adds no multiple of I to its d = 0 member."""
+    for images, mu in field_tables(q).pgl_perms():
+        assert all(mu[c] == 0 for c in range(q**3) if images[c] == c)
 
 
 @pytest.mark.parametrize("q,m,mode", [(2, 1000, "group"), (3, 60, "monoid"), (13, 12, "group")])

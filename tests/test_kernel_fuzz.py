@@ -1,15 +1,17 @@
 """Property-based check of the classifier's step kernel (mold._step and
 mold._label): air absorbs every later row, scaling a line or plane state
 by a nonzero scalar is invisible to every later step and label (the
-census merges states by this rule), and _classify_entries is the label of
-the folded state, over small and large primes and over Q."""
+census merges states by this rule), a borel state is kept by the rows in
+its plane and turned air by every other (the orbit walk's closed form),
+and _classify_entries is the label of the folded state, over small and
+large primes and over Q."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moldkit.mold import _SCALAR, MoldLabel, _classify_entries, _label, _step
+from moldkit.mold import _AIR, _SCALAR, MoldLabel, _classify_entries, _label, _step
 
 PRIMES = (2, 3, 5, 7, 65521)
 FIELDS = PRIMES + (None,)
@@ -66,6 +68,42 @@ def test_scaling_a_state_changes_no_label_after_any_rows(case, num, den):
         scaled = rank, *(x * s % p for x in v)
     assert _label(p, scaled) is _label(p, state)
     assert _label(p, fold(p, scaled, tail)) is _label(p, fold(p, state, tail))
+
+
+def borel_state_and_rows():
+    """A field, a rank-2 state whose w = r (a b, -a^2, b^2) is nonzero with
+    w0^2 + w1 w2 = 0, so it labels borel, and rows: each one either
+    arbitrary or w x y, which lies in the plane."""
+    def case(p):
+        v = values(p)
+        row = st.tuples(v, v, v)
+        return st.tuples(st.just(p), v, v, v, st.lists(st.tuples(st.booleans(), row),
+                                                       max_size=5))
+
+    return st.sampled_from(FIELDS).flatmap(case)
+
+
+@FUZZ
+@given(borel_state_and_rows())
+def test_a_borel_state_is_kept_by_its_plane_and_turned_air_otherwise(case):
+    p, a, b, r, rows = case
+    w = [r * a * b, -r * a * a, r * b * b]
+    if p:
+        w = [x % p for x in w]
+    if not any(w):
+        return
+    state = (2, *w)
+    assert _label(p, state) is MoldLabel.BOREL
+    for in_plane, (y0, y1, y2) in rows:
+        x = (y0, y1, y2)
+        if in_plane:
+            x = (w[1] * y2 - w[2] * y1, w[2] * y0 - w[0] * y2, w[0] * y1 - w[1] * y0)
+        if p:
+            x = tuple(t % p for t in x)
+        t = w[0] * x[0] + w[1] * x[1] + w[2] * x[2]
+        kept = not (t % p if p else t)
+        assert kept or not in_plane
+        assert _step(p, state, x) == (state if kept else _AIR)
 
 
 def field_and_entries():
