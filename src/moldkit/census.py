@@ -19,10 +19,10 @@ no table and its work grows with the states reached, not with q^(3m).
 The orbit pass (:func:`_orbit_pass`) walks down the stabiliser chain and
 classifies each orbit of class tuples once, at its least member, by one
 kernel step from its prefix's state, except below a prefix with a trivial
-stabiliser, whose subtree of free orbits it counts in closed form as air
-and borel.  Its table has (q^3 - q) q^3 entries, one class image per
-element of PGL_2(F_q) and class.  The report shifts each semi-simple
-leaf's split coordinates to its translates instead of building them.
+stabiliser, whose free orbits the same transition lists count.  Its table
+has (q^3 - q) q^3 entries, one class image per element of PGL_2(F_q) and
+class.  The report shifts each semi-simple leaf's split coordinates to
+its translates instead of building them.
 """
 
 from __future__ import annotations
@@ -229,41 +229,14 @@ def _scaled(p: int, state: tuple) -> tuple:
     return rank, v0 * s % p, v1 * s % p, v2 * s % p
 
 
-def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
-                   use_cache: bool = True) -> StratumCounts:
-    """Count the points of every label by a dynamic program over the
-    states of the classifier kernel (mold._step).
-
-    The label of a tuple depends only on the trace-free rows (a - d, b, c)
-    of its matrices (see mold._classify_entries), so it is unchanged by
-    A -> A + lambda I.  Each class is represented by its member with
-    d = 0 and weighted by how many matrices of the space it holds
-    (_class_fibres).  Labels and weights are conjugation invariant, so the
-    first class runs over one class r per PGL_2 orbit
-    (FieldTables.class_orbits), weighted by the orbit size too: q + 1 steps
-    from the scalar state, with no table.  The result is a {state: weight}
-    vector, states scaled by _scaled (once per distinct step result within
-    the call).  Each further position multiplies it by transition lists,
-    built within the call for the states reached: one step per live class,
-    weights summed per next state.  Air absorbs, so its list is itself with
-    the total weight.
-    """
-    cached = _load_cache(key) if use_cache else None
-    if cached is not None:
-        return cached
-    _check_budget(key, budget)
-    T = field_tables(key.q)
-    p = T.p
-    weights = {c: len(lams) for c, lams in enumerate(_class_fibres(p, key.mode)) if lams}
-    rows = [(T.classes[c][:3], w) for c, w in weights.items()]
-    vector: dict[tuple, int] = {}
-    for r, size in T.class_orbits().items():
-        if r in weights:
-            state = _scaled(p, _step(p, _SCALAR, T.classes[r][:3]))
-            vector[state] = vector.get(state, 0) + size * weights[r]
-    transitions = {_AIR: [(_AIR, sum(weights.values()))]}
-    scaled: dict[tuple, tuple] = {}
-    for _ in range(key.m - 1):
+def _tail_weights(p: int, rows: list[tuple[tuple, int]], vector: dict[tuple, int], n: int,
+                  transitions: dict[tuple, list], scaled: dict[tuple, tuple]) -> list[int]:
+    """Summed weight per label, by _LABELS position, of a {scaled state:
+    weight} vector stepped through n more weighted rows.  Transition lists
+    are built into `transitions` for the states reached: one step per row,
+    weights summed per next state, scaled by _scaled (cached in `scaled`).
+    _AIR steps to itself, so air absorbs."""
+    for _ in range(n):
         nxt: dict[tuple, int] = {}
         for state, weight in vector.items():
             if state not in transitions:
@@ -281,6 +254,38 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
     counts = [0] * len(_LABELS)
     for state, weight in vector.items():
         counts[_LABELS.index(_label(p, state))] += weight
+    return counts
+
+
+def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
+                   use_cache: bool = True) -> StratumCounts:
+    """Count the points of every label by a dynamic program over the
+    states of the classifier kernel (mold._step).
+
+    The label of a tuple depends only on the trace-free rows (a - d, b, c)
+    of its matrices (see mold._classify_entries), so it is unchanged by
+    A -> A + lambda I.  Each class is represented by its member with
+    d = 0 and weighted by how many matrices of the space it holds
+    (_class_fibres).  Labels and weights are conjugation invariant, so the
+    first class runs over one class r per PGL_2 orbit
+    (FieldTables.class_orbits), weighted by the orbit size too: q + 1 steps
+    from the scalar state, with no table.  The resulting {state: weight}
+    vector goes through the m - 1 further positions by _tail_weights.
+    """
+    cached = _load_cache(key) if use_cache else None
+    if cached is not None:
+        return cached
+    _check_budget(key, budget)
+    T = field_tables(key.q)
+    p = T.p
+    weights = {c: len(lams) for c, lams in enumerate(_class_fibres(p, key.mode)) if lams}
+    rows = [(T.classes[c][:3], w) for c, w in weights.items()]
+    vector: dict[tuple, int] = {}
+    for r, size in T.class_orbits().items():
+        if r in weights:
+            state = _scaled(p, _step(p, _SCALAR, T.classes[r][:3]))
+            vector[state] = vector.get(state, 0) + size * weights[r]
+    counts = _tail_weights(p, rows, vector, key.m - 1, {}, {})
     result = StratumCounts(key=key, points=dict(zip(_LABELS, counts)), total=_space_size(key))
     if use_cache:
         _store_cache(key, result)
@@ -313,16 +318,11 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
 
     Each frame carries the kernel state (mold._step) of its prefix.  When
     the walk finds H_i to be the identity row alone, every tail below is a
-    free orbit of size s of its own, and the subtree is counted in closed
-    form without visiting a leaf.  Such a prefix has rank 2 or more: one of
-    rank 1 or less lies in span{I, u}, whose class stabiliser is never
-    trivial (the centraliser of u, or over F_2 the swap of u's
-    eigenvalues).  With W the prefix's weight and w running over the live
-    classes' weights, an air state adds W (sum of w)^(m - i) air orbits.
-    A borel state keeps its plane under a row x iff w . x = 0 and turns air
-    otherwise, so with P the summed weight of the classes in the plane
-    (found once per state within the call) it adds W P^(m - i) borel
-    orbits and the rest of the W (sum of w)^(m - i) as air.
+    free orbit of size s of its own, so the prefix's weight times the
+    _tail_weights from its state, memoised by state and m - i within the
+    call, count the subtree without visiting a leaf.  No semi-simple leaf
+    lies there: the classes of a line always have a non-trivial
+    stabiliser, so such a prefix has rank 2 or more.
     """
     _check_budget(key, budget)
     q = key.q
@@ -333,7 +333,6 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
     fibres = _class_fibres(q, key.mode)
     live = [c for c, lams in enumerate(fibres) if lams]
     rows = [(T.classes[c][:3], len(fibres[c])) for c in live]
-    total = sum(w for _, w in rows)
     m = key.m
     points = [0] * len(_LABELS)
     orbits = [0] * len(_LABELS)
@@ -345,7 +344,9 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
         orbits[j] += n
         size_counts[j][s] = size_counts[j].get(s, 0) + n
 
-    in_plane: dict[tuple, int] = {}
+    tails: dict[tuple, list[int]] = {}
+    transitions: dict[tuple, list] = {}
+    scaled: dict[tuple, tuple] = {}
     no_mu = {(0,) * m}
     semisimple = []
     # A frame (i, c, s, W, state, H) puts c at position i < m of chain,
@@ -359,17 +360,12 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
         i, c, size, weight, state, stabiliser = stack.pop()
         chain[i] = c
         if len(stabiliser) == 1:
-            n = weight * total ** (m - i)
-            if _label(q, state) is MoldLabel.BOREL:
-                if state not in in_plane:
-                    _, w0, w1, w2 = state
-                    in_plane[state] = sum(w for (x, y, z), w in rows
-                                          if not (w0 * x + w1 * y + w2 * z) % q)
-                kept = weight * in_plane[state] ** (m - i)
-                add(MoldLabel.BOREL, size, kept)
-                n -= kept
-            if n:
-                add(MoldLabel.AIR, size, n)
+            if (state, m - i) not in tails:
+                tails[state, m - i] = _tail_weights(q, rows, {_scaled(q, state): 1}, m - i,
+                                                    transitions, scaled)
+            for label, n in zip(_LABELS, tails[state, m - i]):
+                if n:
+                    add(label, size, weight * n)
             continue
         seen, children = set(), []
         for c in live:

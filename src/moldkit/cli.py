@@ -105,6 +105,8 @@ def parse_rep_document(text: str) -> RepDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("document must be a JSON object")
     for required in ("field", "mode", "generators"):

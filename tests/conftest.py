@@ -441,7 +441,7 @@ def semisimple_representatives(key, budget):
 
 
 def unpruned_orbit_pass(key):
-    """The orbit pass without closed-form subtrees: the same walk down
+    """The orbit pass without tail-weight subtrees: the same walk down
     the stabiliser chain, classifying every orbit of class tuples at its
     least member.  Returns the counts and the raw entries of one tuple per
     semi-simple orbit, in walk order."""

@@ -2,19 +2,24 @@
 
 import hashlib
 import json
+import math
 import time
 from array import array
 from itertools import combinations, product
 
 import pytest
 
-from moldkit import Mat2, MoldLabel, census, classify, conjugate
+from moldkit import Mat2, MoldLabel, RepTuple, census, classify, conjugate
 from moldkit.census import (
+    _LABELS,
     DEFAULT_BUDGET,
     CensusKey,
     FieldTables,
+    _class_fibres,
     _index_typecode,
     _orbit_pass,
+    _scaled,
+    _tail_weights,
     classify_packed,
     consistency_report,
     field_tables,
@@ -446,7 +451,7 @@ def test_orbit_pass_classifies_one_class_tuple_per_orbit_from_a_representative(q
                                                                                monkeypatch):
     """The walk classifies exactly the least members of the orbits of class
     tuples that have no proper prefix with a trivial stabiliser; below such
-    a prefix it counts in closed form.  Over F_2 in group mode the zero
+    a prefix it counts by tail weights.  Over F_2 in group mode the zero
     class and (1, 1, 1) are fixed by all of PGL_2, and the classes
     (1, y, z) with yz = 0 hold no invertible matrix, so only the class
     tuples over tuples of the space count."""
@@ -646,14 +651,16 @@ def test_report_stdout_and_cache_bytes_are_pinned(q, m, mode, tmp_path):
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == cache_digest
 
 
-# Keys past the default budget where most of the walk is closed-form borel.
-DEEP_KEYS = [(3, 4, "monoid"), (5, 3, "monoid"), (2, 6, "monoid")]
+# Keys past the default budget where most of the walk is counted by tail
+# weights, in group mode with class weights that are not uniform.
+DEEP_KEYS = [(q, m, mode) for q, m in [(3, 4), (5, 3), (2, 6)] for mode in MODES]
 
 
 @pytest.mark.parametrize("q,m,mode", sorted(REPORT_DIGESTS) + DEEP_KEYS)
 def test_orbit_pass_equals_the_unpruned_walk(q, m, mode):
-    """Closed-form subtrees change no count, and leave the semi-simple
-    representatives and their order as the unpruned walk finds them."""
+    """Subtrees counted by tail weights change no count, and leave the
+    semi-simple representatives and their order as the unpruned walk finds
+    them."""
     key = CensusKey(q, m, mode)
     counts, representatives = semisimple_representatives(key, max(DEFAULT_BUDGET, q ** (4 * m)))
     want, want_representatives = unpruned_orbit_pass(key)
@@ -661,6 +668,38 @@ def test_orbit_pass_equals_the_unpruned_walk(q, m, mode):
     assert counts.orbits == want.orbits
     assert counts.orbit_size_counts == want.orbit_size_counts
     assert representatives == want_representatives
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_tail_weights_equal_the_brute_force_sums(q):
+    """From the kernel state of every prefix of at most 2 live classes,
+    the tail weights of n <= 2 more classes, times the prefix's weight,
+    equal the weight products of the whole class tuples summed per label
+    of classify, in both modes.  A tuple generates the algebra of its set
+    of classes, so classify runs once per set, on its sorted members."""
+    T = field_tables(q)
+    members = [lift_tuple(q, (pack(q, entries),)).gens[0] for entries in T.classes]
+    labels = {frozenset(): MoldLabel.SCALAR}
+    for mode in MODES:
+        weights = {c: len(lams) for c, lams in enumerate(_class_fibres(q, mode)) if lams}
+        rows = [(T.classes[c][:3], w) for c, w in weights.items()]
+        transitions, scaled = {}, {}
+        for k in range(3):
+            for prefix in product(weights, repeat=k):
+                state = _SCALAR
+                for c in prefix:
+                    state = _step(q, state, T.classes[c][:3])
+                weight = math.prod(weights[c] for c in prefix)
+                for n in range(3):
+                    want = dict.fromkeys(MoldLabel, 0)
+                    for tail in product(weights, repeat=n):
+                        classes = frozenset(prefix + tail)
+                        if classes not in labels:
+                            labels[classes] = classify(
+                                RepTuple(tuple(members[c] for c in sorted(classes)), "monoid"))
+                        want[labels[classes]] += weight * math.prod(weights[c] for c in tail)
+                    got = _tail_weights(q, rows, {_scaled(q, state): 1}, n, transitions, scaled)
+                    assert {label: weight * t for label, t in zip(_LABELS, got)} == want
 
 
 @pytest.mark.parametrize("q,m,mode", sorted(REPORT_DIGESTS))
@@ -704,11 +743,12 @@ def test_shifted_split_entries_equal_those_of_every_translate(q, m, mode):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_every_class_set_with_a_trivial_stabiliser_has_rank_2(q):
-    """The walk counts below a trivial stabiliser by the air and borel
-    closed forms, so such a prefix must have kernel rank 2 or more.  Its
-    stabiliser and its state's rank depend only on its set of classes, so
-    checking every set of at most 4 classes covers every prefix up to
-    m = 4, in both modes."""
+    """The walk counts below a trivial stabiliser by tail weights and
+    records no leaf there, so such a prefix must have kernel rank 2 or
+    more for every semi-simple orbit to reach the report.  Its stabiliser
+    and its state's rank depend only on its set of classes, so checking
+    every set of at most 4 classes covers every prefix up to m = 4, in
+    both modes."""
     T = field_tables(q)
     perms = [[class_of(q, perm[c * q]) for c in range(q**3)] for perm in conjugation_perms(q)]
     trivial = 0

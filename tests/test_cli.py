@@ -54,6 +54,17 @@ def test_parse_rep_document_examples():
              "generators": [[[0, 1], [1, 0]]], "words": ["-1"]}))
 
 
+@pytest.mark.parametrize("outer", ["[{}]", '{{"field": {{"p": 2}}, "mode": "monoid", '
+                                   '"generators": [[[0, 1], [1, 0]]], "words": [{}]}}'],
+                         ids=["array", "words"])
+def test_deeply_nested_document_is_a_one_line_parse_error(outer, tmp_path, capsys):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(outer.format("[" * depth + "]" * depth))
+    assert run_command(["classify", str(path)]) == (1, "")
+    assert capsys.readouterr().err == "error: document nests too deeply\n"
+
+
 def test_classify_command(tmp_path):
     path = write_doc(tmp_path, "swap.json", SWAP_F2)
     code, out = run_command(["classify", path])

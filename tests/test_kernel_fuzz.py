@@ -2,9 +2,8 @@
 mold._label): air absorbs every later row, scaling a line or plane state
 by a nonzero scalar is invisible to every later step and label (the
 census merges states by this rule), a borel state is kept by the rows in
-its plane and turned air by every other (the orbit walk's closed form),
-and _classify_entries is the label of the folded state, over small and
-large primes and over Q."""
+its plane and turned air by every other, and _classify_entries is the
+label of the folded state, over small and large primes and over Q."""
 
 from fractions import Fraction
 
