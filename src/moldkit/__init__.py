@@ -48,7 +48,6 @@ from .mold import (
     air_by_discriminants,
     classify,
     common_invariant_line,
-    rank_le2_test,
     span_closure,
 )
 from .words import GROUP, MONOID, RepTuple, Word
@@ -90,7 +89,6 @@ __all__ = [
     "invariant_vector",
     "m_power_closed",
     "orbit_census",
-    "rank_le2_test",
     "reconstruct_from_traces",
     "scalar_decompose",
     "span_closure",

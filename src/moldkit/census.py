@@ -22,7 +22,7 @@ kernel step from its prefix's state, except below a prefix with a trivial
 stabiliser, whose free orbits the same transition lists count.  Its table
 has (q^3 - q) q^3 entries, one class image per element of PGL_2(F_q) and
 class.  The report shifts each semi-simple leaf's split coordinates to
-its translates instead of building them.
+all of its translates, one coordinate at a time, without building them.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .fields import is_prime
-from .invariants import _split_entries, _split_shifted
+from .fields import FieldSpec
+from .invariants import _split_entries
 from .mold import _AIR, _SCALAR, MoldLabel, _classify_entries, _label, _step
 from .words import GROUP, MONOID
 
@@ -59,8 +59,7 @@ class CensusKey:
     mode: str = MONOID
 
     def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise ValueError(f"census field size must be prime, got {self.q}")
+        FieldSpec.prime(self.q)
         if self.m < 1:
             raise ValueError("rank must be >= 1")
         if self.mode not in (MONOID, GROUP):
@@ -294,8 +293,7 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
 
 def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]]:
     """Orbit counts of the whole space, and the semi-simple leaves of the
-    walk as (class tuple, translate sets, stab_mu); the last two are the
-    arguments of _fibre_representatives after q.
+    walk as (class tuple, translate sets), in walk order.
 
     The pass walks down the stabiliser chain of PGL_2(F_q) acting on class
     tuples (c_1, ..., c_m).  H_0 is the whole class table, and H_i the
@@ -310,8 +308,8 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
     tuple over c, (A_i + lambda_i I), to (A_i + (lambda_i + mu_i(g)) I),
     where A_i is the d = 0 member of c_i.  mu is a homomorphism from H_m
     to F_q^m, zero unless q = 2 (g^-1 A g = A + mu I gives 2 mu = 0 on
-    traces), so stab_mu is built over F_2 only; its image has k elements
-    and acts freely.  The W tuples over c (_class_fibres) thus form W / k
+    traces), so it is read over F_2 only; its image has k elements and
+    acts freely.  The W tuples over c (_class_fibres) thus form W / k
     orbits of size s k over the class orbit, all with the label of the
     d = 0 member, which each leaf reads from classify_packed in one kernel
     step from its parent's state.
@@ -347,7 +345,6 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
     tails: dict[tuple, list[int]] = {}
     transitions: dict[tuple, list] = {}
     scaled: dict[tuple, tuple] = {}
-    no_mu = {(0,) * m}
     semisimple = []
     # A frame (i, c, s, W, state, H) puts c at position i < m of chain,
     # whose positions 1 to i then hold a prefix with orbit size s, weight
@@ -381,33 +378,38 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
         prefix = tuple(chain[1:])
         for c, s in children:
             classes = prefix + (c,)
-            stab_mu = no_mu if q != 2 else {tuple(map(mu.__getitem__, classes))
-                                            for images, mu in stabiliser if images[c] == c}
-            k = len(stab_mu)
+            k = 1 if q != 2 else len({tuple(map(mu.__getitem__, classes))
+                                      for images, mu in stabiliser if images[c] == c})
             label = classify_packed(T, classes, state)
             add(label, s * k, weight * len(fibres[c]) // k)
             if label is MoldLabel.SEMISIMPLE:
-                semisimple.append((classes, [fibres[c] for c in classes], stab_mu))
+                semisimple.append((classes, [fibres[c] for c in classes]))
     counts = StratumCounts(key=key, points=dict(zip(_LABELS, points)), total=_space_size(key),
                            orbits=dict(zip(_LABELS, orbits)),
                            orbit_size_counts=dict(zip(_LABELS, size_counts)))
     return counts, semisimple
 
 
-def _fibre_representatives(q: int, lams: list[tuple[int, ...]], stab_mu: set[tuple[int, ...]]):
-    """One translate vector lambda per orbit among the tuples over a class
-    tuple, (A_i + lambda_i I) with A_i the d = 0 members, in lexicographic
-    order: the least vector of each coset of the stabiliser's mu image V,
-    a subspace of F_q^m.  The leading columns of V's nonzero vectors are
-    the pivots of its reduced echelon basis.  The product of lams is a
-    union of cosets (conjugation keeps the space), so the lams at the
-    pivots hold 0, and each coset meets the product in one vector that is
-    0 at every pivot, its least one."""
-    lams = list(lams)
-    for mu in stab_mu:
-        if any(mu):
-            lams[next(j for j, t in enumerate(mu) if t)] = (0,)
-    return product(*lams)
+def _split_vectors(q: int, members: list[tuple], lams: list[tuple[int, ...]]):
+    """Split coordinates (invariants._split_entries) of every tuple
+    (A_j + lambda_j I), lambda in the product of lams and A_j the d = 0
+    members, each encoded as ((s, det A_s), ((tr A_j, tr A_s A_j))_j).
+
+    A translate keeps m, so it keeps s.  With t = lambda_s and u =
+    lambda_j, tr A_j gains 2 u, tr A_s A_j gains t tr A_j + u tr A_s +
+    2 t u, and det A_s gains t tr A_s + t^2: for each t the vectors are the
+    product of one column per j over u in lams[j], with u = t alone at
+    j = s.  Tuples of one orbit share their coordinates, so a set of the
+    vectors counts each orbit's value once, with no coset restriction."""
+    s, det, traces, pairs = _split_entries(q, members)
+    x = traces[s]
+    for t in lams[s]:
+        columns = [[((a + 2 * u) % q, (b + t * a + u * x + 2 * t * u) % q)
+                    for u in ((t,) if j == s else lams[j])]
+                   for j, (a, b) in enumerate(zip(traces, pairs))]
+        head = (s, (det + t * x + t * t) % q)
+        for v in product(*columns):
+            yield head, v
 
 
 def orbit_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
@@ -447,12 +449,11 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
     """Pass/fail checks tying the census to the structural theory, from
     one orbit pass; the cache holds no representatives, so it is only
     written.  The split coordinates (invariants._split_entries) are
-    conjugation invariants, so the semi-simple representatives carry every
-    value of their stratum.  They are a function of the full trace vector,
-    so orbits they separate, the full vectors separate too.  Each
-    semi-simple leaf's coordinates are computed once, on its d = 0
-    members, and shifted to each representative translate
-    (invariants._split_shifted), so no translate is built."""
+    conjugation invariants and a function of the full trace vector, so
+    orbits they separate, the full vectors separate too.  The check
+    collects them over every tuple of every semi-simple leaf
+    (_split_vectors) and compares the number of distinct values with the
+    number of semi-simple orbits."""
     counts, leaves = _orbit_pass(key, budget)
     if use_cache:
         _store_cache(key, counts)
@@ -489,10 +490,8 @@ def consistency_report(key: CensusKey, budget: int = DEFAULT_BUDGET,
     ))
 
     vectors = set()
-    for classes, lams, stab_mu in leaves:
-        split = _split_entries(q, [T.classes[c] for c in classes])
-        vectors.update(_split_shifted(q, split, lam)
-                       for lam in _fibre_representatives(q, lams, stab_mu))
+    for classes, lams in leaves:
+        vectors.update(_split_vectors(q, [T.classes[c] for c in classes], lams))
     checks.append(CheckResult(
         name="semisimple_trace_separation",
         source="trace coordinates separate semi-simple orbits",

@@ -132,18 +132,6 @@ def _split_entries(p: int | None, mats) -> tuple:
     return s, det % p if p else det, tuple(traces), tuple(pairs)
 
 
-def _split_shifted(p: int, split: tuple, lam) -> tuple:
-    """_split_entries over F_p of the tuple (A_j + lambda_j I), from split,
-    those of (A_j): m is unchanged, so is s, and with t = lambda_s, tr A_j
-    gains 2 lambda_j, tr A_s A_j gains t tr A_j + lambda_j tr A_s +
-    2 t lambda_j, and det A_s gains t tr A_s + t^2."""
-    s, det, traces, pairs = split
-    t, x = lam[s], traces[s]
-    return (s, (det + t * x + t * t) % p,
-            tuple([(a + 2 * u) % p for a, u in zip(traces, lam)]),
-            tuple([(b + t * a + u * x + 2 * t * u) % p for a, b, u in zip(traces, pairs, lam)]))
-
-
 def _increasing_products(p: int | None, mats):
     """Yield (key, entries, scale) for every strictly increasing product of
     raw (a, b, c, d) entries, in the lexicographic order of the keys, its

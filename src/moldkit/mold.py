@@ -65,11 +65,6 @@ def span_closure(t: RepTuple) -> SubalgebraBasis:
     return SubalgebraBasis(tuple(_mat(spec, row) for row in basis_rows))
 
 
-def rank_le2_test(t: RepTuple) -> bool:
-    """True iff the span of all word images has dimension <= 2."""
-    return classify(t).dim <= 2
-
-
 # Kernel states: the rank of the trace-free rows folded so far, followed
 # by the first nonzero row u at rank 1 and the first nonzero w = u x x at
 # rank 2.

@@ -12,7 +12,6 @@ from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, conjugate, linalg, mol
 from moldkit.census import (
     StratumCounts,
     _class_fibres,
-    _fibre_representatives,
     _orbit_pass,
     _space_size,
     classify_packed,
@@ -421,20 +420,30 @@ def stratum_polynomials(q, m, mode):
     return {label: {s: c for s, c in by_size.items() if c} for label, by_size in sizes.items()}
 
 
-def translates(T, classes, lams, stab_mu):
-    """The raw entries (x + lambda_i, y, z, lambda_i) of the tuples over a
-    class tuple, one per translate vector lambda that
-    _fibre_representatives yields, from the d = 0 members (x, y, z, 0)."""
+def translates(T, classes, lams):
+    """The raw entries (x + lambda_i, y, z, lambda_i) of one tuple per
+    orbit among the tuples over a class tuple, from the d = 0 members
+    (x, y, z, 0), in lexicographic order of lambda.  The rows of the
+    class table that fix every class move those tuples by their mu
+    images, a subspace V of F_q^m whose nonzero vectors lead at the pivots
+    of its reduced echelon basis.  The product of lams is a union of
+    cosets of V, so the lams at the pivots hold 0, and each coset meets
+    the product in one vector that is 0 at every pivot, its least one."""
     q = T.p
+    lams = list(lams)
+    for mu in {tuple(row[c] for c in classes) for images, row in T.pgl_perms()
+               if all(images[c] == c for c in classes)}:
+        if any(mu):
+            lams[next(j for j, t in enumerate(mu) if t)] = (0,)
     members = [T.classes[c] for c in classes]
     return [tuple(((x + t) % q, y, z, t) for (x, y, z, _), t in zip(members, lam))
-            for lam in _fibre_representatives(q, lams, stab_mu)]
+            for lam in product(*lams)]
 
 
 def semisimple_representatives(key, budget):
     """Counts of the orbit pass of a census key, and the raw entries of one
     tuple per semi-simple orbit, built from the pass's leaves in walk order
-    and from the translate vectors consistency_report reads."""
+    by the coset restriction of translates."""
     counts, leaves = _orbit_pass(key, budget)
     T = field_tables(key.q)
     return counts, [mats for leaf in leaves for mats in translates(T, *leaf)]
@@ -469,8 +478,7 @@ def unpruned_orbit_pass(key):
             stack += reversed(frames)
             continue
         classes = tuple(chain[1:])
-        stab_mu = {tuple(mu[c] for c in classes) for _, mu in stabiliser}
-        k = len(stab_mu)
+        k = len({tuple(mu[c] for c in classes) for _, mu in stabiliser})
         lams = [fibres[c] for c in classes]
         weight = math.prod(map(len, lams))
         label = classify_packed(T, classes)
@@ -479,7 +487,7 @@ def unpruned_orbit_pass(key):
         by_size = size_counts[label]
         by_size[size * k] = by_size.get(size * k, 0) + weight // k
         if label is MoldLabel.SEMISIMPLE:
-            semisimple.extend(translates(T, classes, lams, stab_mu))
+            semisimple.extend(translates(T, classes, lams))
     counts = StratumCounts(key=key, points=points, total=_space_size(key),
                            orbits=orbits, orbit_size_counts=size_counts)
     return counts, semisimple

@@ -5,6 +5,7 @@ import json
 import math
 import time
 from array import array
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -28,7 +29,8 @@ from moldkit.census import (
 )
 from moldkit.cli import run_command
 from moldkit.errors import BudgetExceeded
-from moldkit.invariants import _moduli_entries, _split_entries, _split_shifted
+from moldkit.fields import is_prime
+from moldkit.invariants import _moduli_entries, _split_entries
 from moldkit.mold import _SCALAR, _step
 
 from conftest import (
@@ -546,6 +548,21 @@ def test_orbits_equal_the_subalgebra_polynomials(mode):
         assert counts.orbits == {label: sum(by_size.values()) for label, by_size in sizes.items()}
 
 
+@pytest.mark.parametrize("q", [3215031751, 2**31 + 11])
+def test_census_key_takes_field_spec_rule(q):
+    """A census field must be one FieldSpec accepts: 3215031751 =
+    151 751 28351 is the least composite that is_prime accepts, and
+    2^31 + 11 is prime but past the modulus bound."""
+    assert is_prime(q)
+    with pytest.raises(ValueError, match=f"^prime modulus too large: {q}$"):
+        CensusKey(q, 1)
+
+
+def test_census_of_a_composite_past_the_primality_bound_is_one_line(capsys):
+    assert run_command(["census", "--q", "3215031751", "--m", "1"]) == (1, "")
+    assert capsys.readouterr().err == "error: prime modulus too large: 3215031751\n"
+
+
 def test_census_budget_on_huge_ranks_is_one_line_and_fast(capsys):
     assert run_command(["census", "--q", "5", "--m", "3"]) == (1, "")
     assert capsys.readouterr().err == (
@@ -725,20 +742,67 @@ def test_each_leaf_is_one_step_from_its_prefix_state(q, m, mode, monkeypatch):
         assert classify_packed(T, classes, state) is classify_packed(T, classes)
 
 
+def translate_split_entries(q, members, lams):
+    """Multiset of the _split_entries of every tuple (A_j + lambda_j I),
+    lambda in the product of lams, built explicitly, in the encoding of
+    census._split_vectors."""
+    want = Counter()
+    for lam in product(*lams):
+        mats = [((x + t) % q, y, z, t) for (x, y, z, _), t in zip(members, lam)]
+        s, det, traces, pairs = _split_entries(q, mats)
+        want[(s, det), tuple(zip(traces, pairs))] += 1
+    return want
+
+
 @pytest.mark.parametrize("q,m,mode", [(q, m, mode) for q, m in SMALL_KEYS for mode in MODES]
-                         + [(3, 3, "group"), (5, 2, "group")])
+                         + [(3, 3, "group"), (5, 2, "group"), (2, 5, "group")])
 def test_shifted_split_entries_equal_those_of_every_translate(q, m, mode):
-    """The report shifts each semi-simple leaf's split coordinates to its
-    translates; the shift equals the coordinates of every translate."""
+    """The report shifts each semi-simple leaf's split coordinates to all
+    of its translates; the multiset of shifted vectors equals that of the
+    split coordinates of every translate, built explicitly."""
     T = field_tables(q)
     _, leaves = _orbit_pass(CensusKey(q, m, mode), DEFAULT_BUDGET)
     assert leaves
-    for classes, lams, _ in leaves:
+    for classes, lams in leaves:
         members = [T.classes[c] for c in classes]
-        split = _split_entries(q, members)
-        for lam in product(*lams):
-            mats = [((x + t) % q, y, z, t) for (x, y, z, _), t in zip(members, lam)]
-            assert _split_shifted(q, split, lam) == _split_entries(q, mats)
+        assert Counter(census._split_vectors(q, members, lams)) == translate_split_entries(
+            q, members, lams)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_shifted_split_entries_off_the_walk_equal_those_of_every_translate(mode):
+    """Over an odd field every semi-simple leaf's members have trace 0
+    (the least class of each orbit has x = 0), which hides the shift's
+    t tr_j and u tr_s terms; every pair of classes over F_3 with a
+    matrix of m != 0 shows them."""
+    q = 3
+    T = field_tables(q)
+    fibres = _class_fibres(q, mode)
+    checked = 0
+    for classes in product(range(q**3), repeat=2):
+        members = [T.classes[c] for c in classes]
+        lams = [fibres[c] for c in classes]
+        if any((x * x + 4 * y * z) % q for x, y, z, _ in members) and all(lams):
+            assert Counter(census._split_vectors(q, members, lams)) == translate_split_entries(
+                q, members, lams)
+            checked += 1
+    assert checked > q**5
+
+
+def test_separation_check_fails_without_the_pair_coordinates(monkeypatch):
+    """Traces and det A_s alone do not separate the semi-simple orbits:
+    (diag(0, 1), diag(0, 1)) and (diag(0, 1), diag(1, 0)) share them.  So
+    the check compares coordinate values, and fails when they lose
+    tr A_s A_j."""
+    split_vectors = census._split_vectors
+
+    def traces_only(q, members, lams):
+        return ((head, tuple(tr for tr, _ in v)) for head, v in split_vectors(q, members, lams))
+
+    monkeypatch.setattr(census, "_split_vectors", traces_only)
+    check, = (c for c in consistency_report(CensusKey(3, 2), use_cache=False).checks
+              if c.name == "semisimple_trace_separation")
+    assert not check.passed and check.actual < check.expected
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -765,8 +829,8 @@ def test_every_class_set_with_a_trivial_stabiliser_has_rank_2(q):
 
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_table_rows_fixing_a_class_have_mu_0_over_odd_fields(q):
-    """The orbit pass builds stab_mu over F_2 only: over an odd field a
-    row that fixes a class adds no multiple of I to its d = 0 member."""
+    """The orbit pass reads mu over F_2 only: over an odd field a row
+    that fixes a class adds no multiple of I to its d = 0 member."""
     for images, mu in field_tables(q).pgl_perms():
         assert all(mu[c] == 0 for c in range(q**3) if images[c] == c)
 
