@@ -20,7 +20,7 @@ from .errors import (
     NotUnipotentF2,
 )
 from .fields import FieldElement
-from .invariants import MAX_TRACES, _increasing_products, _split_entries
+from .invariants import MAX_TRACES, _split_entries
 from .mat2 import Mat2, _mat, companion_normalize, eta
 from .mold import MoldLabel, classify
 from .words import RepTuple, Word
@@ -91,10 +91,29 @@ def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     P = _invertible_in_span(intertwiner_basis(t1, t2), t1.spec)
     if P is None:
         return None
-    for A, B in zip(t1.gens, t2.gens):
-        if A * P != P * B:
-            raise RuntimeError("intertwiner failed verification; this is a bug")
+    _verify_certificate(t1, t2, P, "intertwiner")
     return P
+
+
+def _verify_certificate(t1: RepTuple, t2: RepTuple, P: Mat2, what: str) -> None:
+    """Raise RuntimeError unless t1_i P = P t2_i for every i, compared
+    exactly on raw entries: mod p over F_p, and over Q, with A = A'/a,
+    P = P'/s and B = B'/b scaled to integers by linalg._int_scaled, as
+    b A'P' = a P'B', so no Fraction arithmetic runs."""
+    p = P.spec.p
+    x, y, z, w = P.values() if p else linalg._int_scaled(P.values())[0]
+    for A, B in zip(t1.gens, t2.gens):
+        if p:
+            (a, b, c, d), sa = A.values(), 1
+            (e, f, g, h), sb = B.values(), 1
+        else:
+            (a, b, c, d), sa = linalg._int_scaled(A.values())
+            (e, f, g, h), sb = linalg._int_scaled(B.values())
+        AP = (a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w)
+        PB = (x * e + y * g, x * f + y * h, z * e + w * g, z * f + w * h)
+        for u, v in zip(AP, PB):
+            if (sb * u - sa * v) % p if p else sb * u != sa * v:
+                raise RuntimeError(f"{what} failed verification; this is a bug")
 
 
 def _require_semisimple(t: RepTuple) -> None:
@@ -129,12 +148,43 @@ def split_witness_word(t: RepTuple) -> Word:
         raise BudgetExceeded(f"split witness search over {n} matrices needs 2^{n} - 1 "
                              f"products, over the budget of {MAX_TRACES}")
     p = t.spec.p
-    for sub, (a, b, c, d), _ in _increasing_products(p, [g.values() for g in t.gens]):
-        # m = (a - d)^2 + 4 b c; over Q a scale multiplies it by its square.
+    for sub, (a, b, c, d) in _increasing_products(p, [g.values() for g in t.gens]):
         m = (a - d) ** 2 + 4 * b * c
         if m % p if p else m:
             return Word(sub)
     raise NoSplitGenerator("no generator or increasing product has m != 0")
+
+
+def _increasing_products(p: int | None, mats):
+    """Yield (key, entries) for every strictly increasing product of raw
+    (a, b, c, d) entries over F_p, or Q if p is None, in the lexicographic
+    order of the keys, its 1-based index subsequences.  Over Q the entries
+    are those of the product times a positive integer scale, so no gcd is
+    taken inside a product; the scale multiplies m by a square and leaves
+    m != 0 alone.
+
+    The walk is lazy and depth first, each product its prefix times one
+    more matrix, so the split-witness search, which usually stops at the
+    first product, pays only for the products it reads.  That access
+    pattern keeps it apart from invariants._moduli_entries, an eager pass
+    over all 2^n - 1 traces; the two share no logic.
+    """
+    n = len(mats)
+    if not p:
+        mats = [linalg._int_scaled(e)[0] for e in mats]
+    stack = [((i + 1,), mats[i]) for i in reversed(range(n))]
+    while stack:
+        key, entries = stack.pop()
+        yield key, entries
+        a, b, c, d = entries
+        for j in reversed(range(key[-1], n)):
+            e, f, g, h = mats[j]
+            if p:
+                entries = ((a * e + b * g) % p, (a * f + b * h) % p,
+                           (c * e + d * g) % p, (c * f + d * h) % p)
+            else:
+                entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            stack.append(((*key, j + 1), entries))
 
 
 def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
@@ -157,9 +207,7 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     Q1 = companion_normalize(t1.gens[s]).P
     Q2 = companion_normalize(t2.gens[s]).P
     P = Q1 * Q2.inverse()
-    for A, B in zip(t1.gens, t2.gens):
-        if A * P != P * B:
-            raise RuntimeError("semi-simple certificate failed verification; this is a bug")
+    _verify_certificate(t1, t2, P, "semi-simple certificate")
     return P
 
 

@@ -129,17 +129,6 @@ class FieldSpec:
         return "Q" if self.p is None else f"F{self.p}"
 
 
-_set = object.__setattr__
-
-
-def _fe(value: Value, spec: FieldSpec) -> "FieldElement":
-    """A FieldElement from a canonical raw value, unchecked."""
-    x = object.__new__(FieldElement)
-    _set(x, "value", value)
-    _set(x, "spec", spec)
-    return x
-
-
 @dataclass(frozen=True, slots=True, init=False)
 class FieldElement:
     """An exact element of a FieldSpec; arithmetic never mixes specs.  The
@@ -151,8 +140,8 @@ class FieldElement:
     spec: FieldSpec
 
     def __init__(self, value, spec: FieldSpec) -> None:
-        _set(self, "value", spec.canonical(value))
-        _set(self, "spec", spec)
+        _set_value(self, spec.canonical(value))
+        _set_spec(self, spec)
 
     def _raw(self, other):
         """Raw value of other, an element of this spec or an int; None for
@@ -213,6 +202,22 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"{self.text()}:{self.spec}"
+
+
+# The slots' member descriptors set a frozen instance's fields without the
+# by-name lookup of object.__setattr__.
+_set_value = FieldElement.value.__set__
+_set_spec = FieldElement.spec.__set__
+_new = object.__new__
+
+
+def _fe(value: Value, spec: FieldSpec) -> FieldElement:
+    """A FieldElement from a canonical raw value, unchecked: the value must
+    already be canonical for spec, as FieldSpec.canonical returns it."""
+    x = _new(FieldElement)
+    _set_value(x, value)
+    _set_spec(x, spec)
+    return x
 
 
 def embed_int(n: int, spec: FieldSpec) -> FieldElement:

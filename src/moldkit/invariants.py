@@ -79,22 +79,31 @@ def invariant_vector(t: RepTuple) -> InvariantVector:
     In group mode the generator list is first augmented with the inverses
     (A_1, ..., A_m, A_1^-1, ..., A_m^-1) so that traces of increasing
     products generate all word traces verbatim.  The traces come keyed by
-    their index subsequences in lexicographic order, each product
-    extending its prefix by one matrix, depth first.  For n augmented
-    generators that is 2^n - 1 traces; above MAX_TRACES the call raises
-    BudgetExceeded before computing any of them.
+    their index subsequences in lexicographic order, from the one pass of
+    _moduli_entries.  For n augmented generators that is 2^n - 1 traces;
+    above MAX_TRACES the call raises BudgetExceeded before computing any
+    of them.
     """
     spec = t.spec
     dets, keys, traces = _moduli_entries(spec.p, [g.values() for g in t.gens], t.mode == GROUP)
     return InvariantVector(
-        dets=tuple(_fe(v, spec) for v in dets),
-        traces=tuple(zip(keys, (_fe(v, spec) for v in traces))))
+        dets=tuple([_fe(v, spec) for v in dets]),
+        traces=tuple(zip(keys, [_fe(v, spec) for v in traces])))
 
 
 def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tuple]:
     """Determinants, increasing-product keys and their traces of raw (a,
     b, c, d) entries over F_p (canonical residues), or Q (Fractions) if p
-    is None, after appending the inverses in group mode."""
+    is None, after appending the inverses in group mode.
+
+    One suffix-first pass: the products whose first index is k are A_k,
+    then A_k times every product whose first index is later, in key order,
+    so the lexicographic list is built from the last matrix down.  The
+    products of A_1, half the list, feed nothing else and are read as
+    traces only, tr(A_1 X) = a e + b g + c f + d h.  Over Q every matrix
+    is first scaled to integer entries, so no gcd is taken inside a
+    product and each trace is one Fraction(num, scale).
+    """
     n = 2 * len(mats) if group else len(mats)
     if 2**n - 1 > MAX_TRACES:
         raise BudgetExceeded(f"invariant vector of {n} matrices needs 2^{n} - 1 traces, "
@@ -105,12 +114,39 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tup
         mats = list(mats) + [(d * i, -b * i, -c * i, a * i)
                              for (a, b, c, d), i in zip(mats, inv)]
         dets += inv
+    # prods holds the products whose first index is after k, in key order;
+    # over Q, scales holds their denominators.
+    prods, scales = [], []
     if p:
         dets = [x % p for x in dets]
         mats = [tuple(x % p for x in e) for e in mats]
-    keys, traces = zip(*((key, (a + d) % p if p else Fraction(a + d, scale))
-                         for key, (a, b, c, d), scale in _increasing_products(p, mats)))
-    return tuple(dets), keys, traces
+        for k in range(n - 1, 0, -1):
+            a, b, c, d = mats[k]
+            prods = [mats[k], *[((a * e + b * g) % p, (a * f + b * h) % p,
+                                 (c * e + d * g) % p, (c * f + d * h) % p)
+                                for e, f, g, h in prods], *prods]
+        a, b, c, d = mats[0]
+        traces = [(a + d) % p, *[(a * e + b * g + c * f + d * h) % p for e, f, g, h in prods],
+                  *[(e + h) % p for e, _, _, h in prods]]
+    else:
+        mats, mat_scales = zip(*map(_int_scaled, mats))
+        for k in range(n - 1, 0, -1):
+            a, b, c, d = mats[k]
+            s = mat_scales[k]
+            prods = [mats[k], *[(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                                for e, f, g, h in prods], *prods]
+            scales = [s, *[s * t for t in scales], *scales]
+        a, b, c, d = mats[0]
+        s = mat_scales[0]
+        traces = [Fraction(a + d, s),
+                  *[Fraction(a * e + b * g + c * f + d * h, s * t)
+                    for (e, f, g, h), t in zip(prods, scales)],
+                  *[Fraction(e + h, t) for (e, _, _, h), t in zip(prods, scales)]]
+    keys = []
+    for k in range(n, 0, -1):
+        head = (k,)
+        keys = [head, *[head + key for key in keys], *keys]
+    return tuple(dets), tuple(keys), tuple(traces)
 
 
 def _split_entries(p: int | None, mats) -> tuple:
@@ -130,37 +166,6 @@ def _split_entries(p: int | None, mats) -> tuple:
     pairs = [(a * e + b * g + c * f + d * h) % p if p else a * e + b * g + c * f + d * h
              for e, f, g, h in mats]
     return s, det % p if p else det, tuple(traces), tuple(pairs)
-
-
-def _increasing_products(p: int | None, mats):
-    """Yield (key, entries, scale) for every strictly increasing product of
-    raw (a, b, c, d) entries, in the lexicographic order of the keys, its
-    1-based index subsequences; the product is entries / scale.
-
-    The walk is depth first and each product is its prefix times one more
-    matrix, so n matrices cost 2^n - 1 - n multiplications, and a caller
-    that stops early pays only for the products it read.  Over F_p
-    (residues) the scale is 1.  Over Q every matrix is scaled to integer
-    entries first, so no gcd is taken inside a product.
-    """
-    n = len(mats)
-    if p:
-        scales = [1] * n
-    else:
-        mats, scales = zip(*map(_int_scaled, mats))
-    stack = [((i + 1,), mats[i], scales[i]) for i in reversed(range(n))]
-    while stack:
-        key, entries, scale = stack.pop()
-        yield key, entries, scale
-        a, b, c, d = entries
-        for j in reversed(range(key[-1], n)):
-            e, f, g, h = mats[j]
-            if p:
-                entries = ((a * e + b * g) % p, (a * f + b * h) % p,
-                           (c * e + d * g) % p, (c * f + d * h) % p)
-            else:
-                entries = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-            stack.append(((*key, j + 1), entries, scale * scales[j]))
 
 
 def det_from_traces(t1: FieldElement, t2: FieldElement, t3: FieldElement) -> FieldElement:

@@ -58,8 +58,15 @@ class RepTuple:
         if any(g.spec is not spec and g.spec != spec for g in self.gens):
             raise ValueError("generators from mixed field specs")
         if self.mode == GROUP:
+            p = spec.p
             for i, (a, b, c, d) in enumerate((g.values() for g in self.gens), start=1):
-                if not spec.reduce(a * d - b * c):
+                if p:
+                    singular = not (a * d - b * c) % p
+                else:
+                    # a d = b c, cross-multiplied: no Fraction arithmetic runs.
+                    singular = (a.numerator * d.numerator * b.denominator * c.denominator
+                                == b.numerator * c.numerator * a.denominator * d.denominator)
+                if singular:
                     raise NonInvertibleGenerator(f"generator {i} is singular in group mode")
 
     @property

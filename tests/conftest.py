@@ -186,8 +186,8 @@ def word_images(t, max_len):
 
 def increasing_subsequences(n):
     """All nonempty increasing subsequences of (1..n), lexicographically:
-    the order of the depth-first product walk in invariants, built here
-    from combinations and a sort."""
+    the key order of the moduli vector, built here from combinations and
+    a sort."""
     subs = [c for k in range(1, n + 1) for c in combinations(range(1, n + 1), k)]
     return sorted(subs)
 

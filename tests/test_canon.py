@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from moldkit import (
     MoldLabel,
     RepTuple,
     Word,
+    canon,
     classify,
     general_conjugator,
     invariant_vector,
@@ -154,6 +156,37 @@ def test_ss_conjugator():
     assert ss_conjugator(t1, t3) is None
     with pytest.raises(NotSemiSimple):
         ss_conjugator(RepTuple((mat(Q, [[1, 1], [0, 1]]),)), t1)
+
+
+@pytest.mark.parametrize("spec", [F65521, Q], ids=str)
+def test_general_conjugator_refuses_a_wrong_certificate(monkeypatch, spec):
+    """The exact re-verification of t1_i P = P t2_i raises on a wrong
+    invertible P and accepts a scalar multiple of a right one."""
+    t = RepTuple((mat(spec, [[Fraction(1, 2), 0], [0, 3]]), mat(spec, [[Fraction(2, 3), 0], [0, 5]])))
+    monkeypatch.setattr(canon, "_invertible_in_span", lambda basis, spec_: mat(spec, [[1, 1], [0, 1]]))
+    with pytest.raises(RuntimeError, match="intertwiner failed verification"):
+        general_conjugator(t, t)
+    scalar = mat(spec, [[Fraction(3, 7), 0], [0, Fraction(3, 7)]])
+    monkeypatch.setattr(canon, "_invertible_in_span", lambda basis, spec_: scalar)
+    assert general_conjugator(t, t) == scalar
+
+
+@pytest.mark.parametrize("spec", [F65521, Q], ids=str)
+def test_ss_conjugator_refuses_a_wrong_certificate(monkeypatch, spec):
+    """A companion normalization of t2 that is off by a unipotent factor
+    gives a wrong invertible P, which the re-verification refuses."""
+    t = RepTuple((mat(spec, [[1, 0], [0, 2]]), mat(spec, [[Fraction(3, 5), 0], [0, 4]])))
+    real, calls = canon.companion_normalize, []
+
+    def skewed(A):
+        cert = real(A)
+        calls.append(A)
+        return cert if len(calls) == 1 else SimpleNamespace(P=cert.P * mat(spec, [[1, 1], [0, 1]]))
+
+    monkeypatch.setattr(canon, "companion_normalize", skewed)
+    with pytest.raises(RuntimeError, match="semi-simple certificate failed verification"):
+        ss_conjugator(t, t)
+    assert len(calls) == 2
 
 
 def test_ss_conjugator_diag_swap_is_the_permutation():

@@ -1,5 +1,6 @@
 """Field arithmetic: canonical forms, axioms, inverses, text encoding."""
 
+import dataclasses
 import operator
 import sys
 import time
@@ -9,8 +10,9 @@ import pytest
 
 from moldkit import FieldElement, FieldSpec, embed_int, inv
 from moldkit.errors import BudgetExceeded, ZeroInverse
+from moldkit.fields import _fe
 
-from conftest import F2, F3, F5, F7, Q
+from conftest import F2, F3, F5, F7, F65521, Q
 
 
 def test_inverse_examples():
@@ -68,6 +70,30 @@ def test_constructor_canonicalises():
         FieldElement(F3.element(1), F5)
     assert F5.canonical(Fraction(1, 2)) == 3 and F5.canonical(F5.element(4)) == 4
     assert type(Q.canonical(2)) is Fraction and Q.canonical(Fraction(2, 4)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F65521, Q], ids=str)
+def test_unchecked_boxing_equals_the_constructors(spec):
+    """_fe on a canonical value, spec.element and FieldElement build equal
+    elements with equal hashes and reprs."""
+    for v in (0, 1, -1, 2, 65520, 65521, 10**12 + 7, Fraction(3, 7), Fraction(-5, 2)):
+        if spec.p is not None and isinstance(v, Fraction) and v.denominator % spec.p == 0:
+            continue
+        boxed = [_fe(spec.canonical(v), spec), spec.element(v), FieldElement(v, spec)]
+        assert boxed[0] == boxed[1] == boxed[2]
+        assert len({hash(x) for x in boxed}) == 1
+        assert len({repr(x) for x in boxed}) == 1
+
+
+def test_field_elements_are_immutable():
+    for x in (_fe(2, F5), F5.element(2), FieldElement(2, F5), Q.element(Fraction(1, 3))):
+        before = repr(x)
+        for name, value in (("value", 1), ("spec", F3)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, value)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+        assert repr(x) == before
 
 
 def test_no_silent_spec_mixing():

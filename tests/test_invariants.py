@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -20,8 +21,10 @@ from moldkit import (
     tau3,
     trace_word,
 )
+from moldkit.canon import _increasing_products
 from moldkit.errors import BudgetExceeded, VanishingM
-from moldkit.invariants import MAX_TRACES
+from moldkit.invariants import MAX_TRACES, _moduli_entries
+from moldkit.linalg import _int_scaled
 
 from conftest import (
     F2,
@@ -178,6 +181,29 @@ def test_invariant_vector_order_is_increasing_subsequences(rng, spec):
                 for i in sub[1:]:
                     prod = prod * mats[i - 1]
                 assert value == prod.tr
+
+
+@pytest.mark.parametrize("spec", [F2, F3, F65521, Q], ids=str)
+def test_moduli_entries_equal_the_lazy_walk(rng, spec):
+    """The eager suffix-first pass against canon's lazy depth-first walk,
+    which shares no logic with it: the same keys in the same order, and
+    each trace (a + d) / scale of the walk's product, the scale over Q the
+    product of its matrices' integer scales.  n = 1..12 augmented matrices,
+    monoid mode at every n and group mode at even n, where the inverses
+    come from Mat2.inverse; over Q the entries have denominators."""
+    p = spec.p
+    for n in range(1, 13):
+        for group in (False, True) if n % 2 == 0 else (False,):
+            gens = ([rand_invertible(rng, spec) for _ in range(n // 2)] if group
+                    else [rand_mat(rng, spec) for _ in range(n)])
+            mats = gens + [g.inverse() for g in gens] if group else gens
+            dets, keys, traces = _moduli_entries(p, [g.values() for g in gens], group)
+            assert dets == tuple(M.det.value for M in mats)
+            walk = list(_increasing_products(p, [M.values() for M in mats]))
+            assert list(keys) == [key for key, _ in walk]
+            scales = [1 if p else _int_scaled(M.values())[1] for M in mats]
+            assert list(traces) == [(a + d) % p if p else Fraction(a + d, prod(scales[i - 1] for i in key))
+                                    for key, (a, _, _, d) in walk]
 
 
 def test_invariant_vector_trace_budget():

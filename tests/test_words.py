@@ -55,8 +55,9 @@ def test_matrices_and_group_tuples_are_built_without_boxing(monkeypatch):
         A = Mat2.from_rows([[1, 2], [-3, Fraction(1, 2)]], spec)
         B = Mat2.from_rows([[7, 0], [1, 1]], spec)
         assert RepTuple((A, B), mode="group").rank == 2
-        with pytest.raises(NonInvertibleGenerator):
-            RepTuple((A, Mat2.from_rows([[2, 4], [1, 2]], spec)), mode="group")
+        for singular in ([[2, 4], [1, 2]], [[Fraction(1, 2), -1], [Fraction(-1, 4), Fraction(1, 2)]]):
+            with pytest.raises(NonInvertibleGenerator):
+                RepTuple((A, Mat2.from_rows(singular, spec)), mode="group")
 
 
 def test_inverse_letters_need_group_mode():
