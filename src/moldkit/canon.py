@@ -4,6 +4,7 @@ for the semi-simple, unipotent and characteristic-2 unipotent strata."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, combinations, product
 from typing import Optional
 
@@ -21,27 +22,96 @@ from .errors import (
 )
 from .fields import FieldElement
 from .invariants import MAX_TRACES, _split_entries
-from .mat2 import Mat2, _mat, companion_normalize, eta
+from .mat2 import Mat2, _companion_frame, _mat, eta
 from .mold import MoldLabel, classify
 from .words import RepTuple, Word
 
 
-def intertwiner_basis(t1: RepTuple, t2: RepTuple) -> list[Mat2]:
-    """Basis of the solution space {P : t1_i P = P t2_i for all i}."""
-    spec = t1.spec
-    r = spec.reduce
-    rows: list[tuple] = []
+def _pair_entries(t1: RepTuple, t2: RepTuple) -> Optional[list[tuple]]:
+    """Raw entries (a, b, c, d, e, f, g, h) of each pair (A_i, B_i), or None
+    when some pair differs in trace, determinant or scalar-ness, which
+    conjugation preserves.  Over Q each pair is scaled to integers by one
+    common lcm s, which scales A_i P - P B_i by s, the traces by s and the
+    determinants by s^2, and so leaves every test below alone."""
+    p = t1.spec.p
+    pairs = []
     for A, B in zip(t1.gens, t2.gens):
-        # Over Q, A and B are scaled to integers by one common s, which
-        # scales A P - P B by s and leaves its solutions alone.
         vals = A.values() + B.values()
-        a, b, c, d, e, f, g, h = vals if spec.p else linalg._int_scaled(vals)[0]
-        # Entries of A P - P B as linear forms in (p11, p12, p21, p22).  A
-        # literal 0 serves over Q too: rref reads integer rows and returns
-        # Fractions.
-        rows += [(r(a - e), r(-g), b, 0), (r(-f), r(a - h), 0, b),
-                 (c, 0, r(d - e), r(-g)), (0, c, r(-f), r(d - h))]
-    return [_mat(spec, v) for v in linalg.nullspace(rows, 4, spec.p)]
+        a, b, c, d, e, f, g, h = vals if p else linalg._int_scaled(vals)[0]
+        tr, det = a + d - e - h, a * d - b * c - e * h + f * g
+        if (tr % p or det % p) if p else (tr or det):
+            return None
+        if (not b and not c and a == d) != (not f and not g and e == h):
+            return None
+        pairs.append((a, b, c, d, e, f, g, h))
+    return pairs
+
+
+def _defect(pair: tuple, P: tuple) -> tuple:
+    """Raw entries of A P - P B for a pair (A, B) of raw entries."""
+    a, b, c, d, e, f, g, h = pair
+    x, y, z, w = P
+    return (a * x + b * z - x * e - y * g, a * y + b * w - x * f - y * h,
+            c * x + d * z - z * e - w * g, c * y + d * w - z * f - w * h)
+
+
+def intertwiner_basis(t1: RepTuple, t2: RepTuple) -> list[Mat2]:
+    """Basis of the solution space {P : t1_i P = P t2_i for all i}, for
+    tuples whose pairs agree in trace, determinant and scalar-ness (the
+    screen of general_conjugator); ValueError otherwise.
+
+    Screened scalar pairs are equal and constrain nothing, so with no
+    other pair the space is all of M_2.  At the first non-scalar pair (A,
+    B) both are cyclic with one characteristic polynomial: with the frames
+    V = [v | A v] and W = [w | B w] of mat2._companion_frame, P0 = V adj(W)
+    is invertible and the pair's intertwiners are span{P0, A P0}
+    (rational canonical form).  Each later pair cuts x P0 + y A P0 by the
+    four equations x u + y v = 0, u and v its defects A_j P - P B_j at P0
+    and A P0; once one matrix is left, a later pair only checks it.
+
+    The basis is the one the 4m x 4 system's nullspace gives, one vector
+    per free column in increasing order: a free column is where a basis
+    vector ends, so it is the reduced row echelon form of the span read
+    from the last coordinate back, and rref of the reversed vectors gives
+    it in decreasing free-column order.
+    """
+    spec = t1.spec
+    p = spec.p
+    pairs = _pair_entries(t1, t2)
+    if pairs is None:
+        raise ValueError("the pairs differ in trace, determinant or scalar-ness")
+    span = None
+    for pair in pairs:
+        if span is None:
+            a, b, c, d = pair[:4]
+            if not b and not c and a == d:
+                continue
+            (x1, y1, z1, w1), _ = _companion_frame(a, b, c, d)
+            (x2, y2, z2, w2), _ = _companion_frame(*pair[4:])
+            x, y, z, w = (x1 * w2 - y1 * z2, y1 * x2 - x1 * y2,
+                          z1 * w2 - w1 * z2, w1 * x2 - z1 * y2)
+            span = [(x, y, z, w), (a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w)]
+        elif len(span) == 2:
+            u, v = (_defect(pair, P) for P in span)
+            if p:
+                u, v = [e % p for e in u], [e % p for e in v]
+            r = next((i for i in range(4) if u[i] or v[i]), None)
+            if r is None:
+                continue
+            x, y = v[r], -u[r]
+            if any((x * e + y * f) % p if p else x * e + y * f for e, f in zip(u, v)):
+                return []
+            span = [tuple(x * e + y * f for e, f in zip(*span))]
+        else:
+            if any(e % p if p else e for e in _defect(pair, span[0])):
+                return []
+            continue
+        if p:
+            span = [tuple(e % p for e in P) for P in span]
+    if span is None:
+        span = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    rows, _ = linalg.rref([P[::-1] for P in span], p)
+    return [_mat(spec, v[::-1]) for v in reversed(rows)]
 
 
 def _invertible_in_span(basis: list[Mat2], spec) -> Optional[Mat2]:
@@ -78,9 +148,12 @@ def _invertible_in_span(basis: list[Mat2], spec) -> Optional[Mat2]:
 def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     """Invertible P with P^-1 t1_i P = t2_i for all i, or None.
 
-    Decides membership in the same conjugation orbit over the base field;
-    any returned certificate is re-verified as t1_i P = P t2_i, which for
-    an invertible P (_invertible_in_span checks det P) is P^-1 t1_i P = t2_i.
+    Decides membership in the same conjugation orbit over the base field.
+    A pair that differs in trace, determinant or scalar-ness, which
+    conjugation preserves, gives None before any intertwiner is built;
+    otherwise any returned certificate is re-verified as t1_i P = P t2_i,
+    which for an invertible P (_invertible_in_span checks det P) is
+    P^-1 t1_i P = t2_i.
     """
     if len(t1.gens) != len(t2.gens):
         raise ValueError("tuples have different lengths")
@@ -88,6 +161,8 @@ def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
         raise ValueError("tuples over different fields")
     if t1.mode != t2.mode:
         raise ValueError("tuples in different modes")
+    if _pair_entries(t1, t2) is None:
+        return None
     P = _invertible_in_span(intertwiner_basis(t1, t2), t1.spec)
     if P is None:
         return None
@@ -192,21 +267,35 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
 
     None unless the split-generator coordinates of ss_equivalent agree.
     Both tuples are normalized so the split generator A_s (the split word
-    of both) is in companion form; since every generator is fixed by
-    tr A_j and tr A_s A_j in span{I, A_s}, equal coordinates force the
-    two normalizations to agree on every generator, so Q1 Q2^-1
-    conjugates t1 to t2.  The certificate, invertible as a product of
-    invertible matrices, is re-verified as t1_i P = P t2_i.
+    of both) is in companion form, by the frames V1 and V2 of
+    mat2._companion_frame; since every generator is fixed by tr A_j and
+    tr A_s A_j in span{I, A_s}, equal coordinates force the two
+    normalizations to agree on every generator, so P = V1 V2^-1 =
+    V1 adj(V2) / det V2 conjugates t1 to t2.  Over Q both split
+    generators are scaled to integers by one common s, which scales
+    V1 adj(V2) and det V2 alike, and each entry of P is one Fraction.
+    The certificate, invertible as a product of invertible matrices, is
+    re-verified as t1_i P = P t2_i.
     """
     _require_semisimple(t1)
     _require_semisimple(t2)
     coords = _split_coordinates(t1)
     if coords != _split_coordinates(t2):
         return None
-    s = coords[2]
-    Q1 = companion_normalize(t1.gens[s]).P
-    Q2 = companion_normalize(t2.gens[s]).P
-    P = Q1 * Q2.inverse()
+    spec = t1.spec
+    p = spec.p
+    vals = t1.gens[coords[2]].values() + t2.gens[coords[2]].values()
+    if not p:
+        vals = linalg._int_scaled(vals)[0]
+    (x, y, z, w), _ = _companion_frame(*vals[:4])
+    (e, f, g, h), _ = _companion_frame(*vals[4:])
+    det = e * h - f * g
+    num = (x * h - y * g, y * e - x * f, z * h - w * g, w * e - z * f)
+    if p:
+        i = pow(det, -1, p)
+        P = _mat(spec, tuple(v * i % p for v in num))
+    else:
+        P = _mat(spec, tuple(Fraction(v, det) for v in num))
     _verify_certificate(t1, t2, P, "semi-simple certificate")
     return P
 

@@ -154,7 +154,12 @@ def _split_entries(p: int | None, mats) -> tuple:
     Q if p is None, A_s the first matrix with m = (a - d)^2 + 4 b c != 0.
     On the semi-simple stratum every A_j lies in span{I, A_s} and is fixed
     by tr A_j and tr A_s A_j, so these O(m) values are a complete conjugacy
-    invariant there, and a function of the full moduli vector."""
+    invariant there, and a function of the full moduli vector.  Over Q each
+    matrix is first scaled to integers, so m is tested on integers and each
+    value is one Fraction(num, scale)."""
+    if not p:
+        scaled = [_int_scaled(e) for e in mats]
+        mats = [e for e, _ in scaled]
     for s, (a, b, c, d) in enumerate(mats):
         m = (a - d) ** 2 + 4 * b * c
         if m % p if p else m:
@@ -162,10 +167,14 @@ def _split_entries(p: int | None, mats) -> tuple:
     else:
         raise ValueError("no matrix has m != 0; the tuple is not semi-simple")
     det = a * d - b * c
-    traces = [(e + h) % p if p else e + h for e, _, _, h in mats]
-    pairs = [(a * e + b * g + c * f + d * h) % p if p else a * e + b * g + c * f + d * h
-             for e, f, g, h in mats]
-    return s, det % p if p else det, tuple(traces), tuple(pairs)
+    if not p:
+        t = scaled[s][1]
+        return (s, Fraction(det, t * t),
+                tuple(Fraction(e + h, u) for (e, _, _, h), u in scaled),
+                tuple(Fraction(a * e + b * g + c * f + d * h, t * u) for (e, f, g, h), u in scaled))
+    traces = [(e + h) % p for e, _, _, h in mats]
+    pairs = [(a * e + b * g + c * f + d * h) % p for e, f, g, h in mats]
+    return s, det % p, tuple(traces), tuple(pairs)
 
 
 def det_from_traces(t1: FieldElement, t2: FieldElement, t3: FieldElement) -> FieldElement:

@@ -67,17 +67,3 @@ def rref(rows: Sequence[Vector], p: int | None) -> tuple[list[Vector], list[int]
             out.append(tuple(Fraction(x, v) if x else zero for x in row))
     return out, pivots
 
-
-def nullspace(rows: Sequence[Vector], ncols: int, p: int | None) -> list[Vector]:
-    """Basis of {x : rows @ x = 0}, in deterministic free-column order."""
-    red, pivots = rref(rows, p)
-    zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vector] = []
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for row, c in zip(red, pivots):
-            v[c] = -row[fc] % p if p else -row[fc]
-        basis.append(tuple(v))
-    return basis

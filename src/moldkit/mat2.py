@@ -191,21 +191,29 @@ def eta(A: Mat2) -> Mat2:
     return A - Mat2.identity(A.spec).scale(A.tr / A.spec.element(2))
 
 
+def _companion_frame(a, b, c, d) -> tuple[tuple, str]:
+    """The frame [v | A v] of a non-scalar A = (a, b, c, d) as raw entries,
+    and its branch: v = e2, e1 or e1 + e2 by the first nonzero of b, c and
+    a - d.  The entries are A's own values and the ints 0 and 1, so the
+    rule serves residues, Fractions and integer-scaled entries alike."""
+    if b:
+        return (0, b, 1, d), "b"  # columns e2, A e2
+    if c:
+        return (1, a, 0, c), "c"  # columns e1, A e1
+    return (1, a, 1, d), "a-d"  # columns e1 + e2, A (e1 + e2), with b = c = 0
+
+
 def companion_normalize(A: Mat2) -> CompanionCert:
     """Deterministic change of basis to companion form [[0,-det],[1,tr]].
 
     The new basis is {v, Av} where v = e2, e1 or e1+e2 according to the
-    first nonzero of b, c, a-d, in that order.
+    first nonzero of b, c, a-d, in that order (_companion_frame).
     """
     if A.is_scalar:
         raise ScalarInput("scalar matrices have no companion form")
-    one, zero = A.spec.one(), A.spec.zero()
-    if A.a12:
-        P, branch = Mat2(zero, A.a12, one, A.a22), "b"  # columns e2, A e2
-    elif A.a21:
-        P, branch = Mat2(one, A.a11, zero, A.a21), "c"  # columns e1, A e1
-    else:  # columns e1+e2, A (e1+e2)
-        P, branch = Mat2(one, A.a11 + A.a12, one, A.a21 + A.a22), "a-d"
+    spec = A.spec
+    frame, branch = _companion_frame(*A._values)
+    P = _mat(spec, tuple(map(spec.canonical, frame)))
     return CompanionCert(P=P, companion=Mat2.companion(A.tr, A.det), branch=branch)
 
 

@@ -142,6 +142,21 @@ def nullspace_reference(rows, ncols, p=None):
     return basis
 
 
+def intertwiner_reference(t1, t2):
+    """Basis of {P : t1_i P = P t2_i for all i} as Mat2s, from the
+    nullspace_reference of the 4m x 4 system whose rows are the entries of
+    A_i P - P B_i as linear forms in (p11, p12, p21, p22), on the raw values
+    of any pair, screened or not."""
+    spec = t1.spec
+    r = spec.reduce
+    rows = []
+    for A, B in zip(t1.gens, t2.gens):
+        a, b, c, d, e, f, g, h = A.values() + B.values()
+        rows += [(r(a - e), r(-g), b, 0), (r(-f), r(a - h), 0, b),
+                 (c, 0, r(d - e), r(-g)), (0, c, r(-f), r(d - h))]
+    return [Mat2.from_rows([v[:2], v[2:]], spec) for v in nullspace_reference(rows, 4, spec.p)]
+
+
 def rank(rows, p):
     """Rank of a list of raw-value rows over F_p (Q when p is None)."""
     return len(linalg.rref(rows, p)[0])

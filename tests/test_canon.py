@@ -3,7 +3,6 @@
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from types import SimpleNamespace
 
 import pytest
 
@@ -37,7 +36,18 @@ from moldkit.errors import (
 )
 from moldkit.words import words_up_to
 
-from conftest import F2, F3, F65521, Q, all_mats, invertible_mats, rand_invertible, rand_mat
+from conftest import (
+    F2,
+    F3,
+    F65521,
+    Q,
+    all_mats,
+    intertwiner_reference,
+    invertible_mats,
+    rand_invertible,
+    rand_mat,
+    stratum_samples,
+)
 
 
 def mat(spec, rows):
@@ -119,6 +129,58 @@ def test_general_conjugator_random_rational(rng):
         verify_conjugator(P, t1, t2)
 
 
+def assert_solver_matches_reference(t1, t2):
+    """On a pair that passes general_conjugator's screen, intertwiner_basis
+    equals the 4m x 4 elimination reference in values and value types; on
+    any pair, general_conjugator returns the reference's
+    _invertible_in_span, so the screen drops only pairs with none."""
+    reference = intertwiner_reference(t1, t2)
+    expected = canon._invertible_in_span(reference, t1.spec)
+    if canon._pair_entries(t1, t2) is None:
+        assert expected is None
+        with pytest.raises(ValueError, match="differ in trace"):
+            canon.intertwiner_basis(t1, t2)
+    else:
+        basis = canon.intertwiner_basis(t1, t2)
+        assert basis == reference
+        assert [list(map(type, M.values())) for M in basis] == [
+            list(map(type, M.values())) for M in reference]
+    P = general_conjugator(t1, t2)
+    assert P == expected
+    if P is not None:
+        assert list(map(type, P.values())) == list(map(type, expected.values()))
+
+
+def test_intertwiner_basis_equals_the_elimination_reference_on_all_f2_rank_2_pairs():
+    tuples = [RepTuple((A, B)) for A in all_mats(F2) for B in all_mats(F2)]
+    for t1 in tuples:
+        for t2 in tuples:
+            assert_solver_matches_reference(t1, t2)
+
+
+def test_intertwiner_basis_equals_the_elimination_reference_on_f3_pairs(rng):
+    mats3, units = all_mats(F3), invertible_mats(F3)
+    for _ in range(400):
+        t1 = RepTuple(tuple(rng.choice(mats3) for _ in range(rng.randint(1, 3))))
+        for t2 in (t1.conjugated(rng.choice(units)),
+                   RepTuple(tuple(rng.choice(mats3) for _ in t1.gens))):
+            assert_solver_matches_reference(t1, t2)
+            assert_solver_matches_reference(t2, t1)
+
+
+@pytest.mark.parametrize("spec", [F65521, Q], ids=str)
+def test_intertwiner_basis_equals_the_elimination_reference_on_seeded_pairs(rng, spec):
+    for rank in (1, 2, 3, 4):
+        for _ in range(8):
+            for t1 in stratum_samples(rng, spec, rank):
+                t2 = t1.conjugated(rand_invertible(rng, spec))
+                assert_solver_matches_reference(t1, t2)
+                assert_solver_matches_reference(t2, t1)
+                assert_solver_matches_reference(t1, t1)
+                other = stratum_samples(rng, spec, rank)[rng.randrange(5)]
+                assert_solver_matches_reference(t1, other)
+
+
 def test_ss_equivalent_examples():
     t1 = RepTuple((mat(Q, [[1, 0], [0, 2]]), mat(Q, [[3, 0], [0, 4]])))
     P = mat(Q, [[1, 1], [0, 1]])
@@ -176,14 +238,15 @@ def test_ss_conjugator_refuses_a_wrong_certificate(monkeypatch, spec):
     """A companion normalization of t2 that is off by a unipotent factor
     gives a wrong invertible P, which the re-verification refuses."""
     t = RepTuple((mat(spec, [[1, 0], [0, 2]]), mat(spec, [[Fraction(3, 5), 0], [0, 4]])))
-    real, calls = canon.companion_normalize, []
+    real, calls = canon._companion_frame, []
 
-    def skewed(A):
-        cert = real(A)
-        calls.append(A)
-        return cert if len(calls) == 1 else SimpleNamespace(P=cert.P * mat(spec, [[1, 1], [0, 1]]))
+    def skewed(*entries):
+        (x, y, z, w), branch = real(*entries)
+        calls.append(entries)
+        # The second frame, t2's, times [[1, 1], [0, 1]].
+        return ((x, y, z, w) if len(calls) == 1 else (x, x + y, z, z + w)), branch
 
-    monkeypatch.setattr(canon, "companion_normalize", skewed)
+    monkeypatch.setattr(canon, "_companion_frame", skewed)
     with pytest.raises(RuntimeError, match="semi-simple certificate failed verification"):
         ss_conjugator(t, t)
     assert len(calls) == 2

@@ -23,7 +23,7 @@ from moldkit import (
 )
 from moldkit.canon import _increasing_products
 from moldkit.errors import BudgetExceeded, VanishingM
-from moldkit.invariants import MAX_TRACES, _moduli_entries
+from moldkit.invariants import MAX_TRACES, _moduli_entries, _split_entries
 from moldkit.linalg import _int_scaled
 
 from conftest import (
@@ -38,6 +38,7 @@ from conftest import (
     invertible_mats,
     rand_invertible,
     rand_mat,
+    stratum_samples,
 )
 
 E_PAIR = (Mat2.from_rows([[1, 1], [0, 1]], Q), Mat2.from_rows([[1, 0], [1, 1]], Q))
@@ -204,6 +205,41 @@ def test_moduli_entries_equal_the_lazy_walk(rng, spec):
             scales = [1 if p else _int_scaled(M.values())[1] for M in mats]
             assert list(traces) == [(a + d) % p if p else Fraction(a + d, prod(scales[i - 1] for i in key))
                                     for key, (a, _, _, d) in walk]
+
+
+def split_entries_reference(mats):
+    """_split_entries over Q in plain Fraction arithmetic on the entries."""
+    s, (a, b, c, d) = next((s, e) for s, e in enumerate(mats)
+                           if (e[0] - e[3]) ** 2 + 4 * e[1] * e[2])
+    return (s, a * d - b * c, tuple(e + h for e, _, _, h in mats),
+            tuple(a * e + b * g + c * f + d * h for e, f, g, h in mats))
+
+
+def test_q_split_entries_equal_the_fraction_reference(rng):
+    """Split coordinates over Q from integer-scaled entries, against plain
+    Fraction arithmetic: equal values, all of them Fractions, on tuples
+    of every stratum whose first matrices have m = 0, with entries of
+    small and of about 10^12 numerators and denominators."""
+    def big():
+        return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+
+    checked = 0
+    for rank in (1, 2, 3, 5):
+        for _ in range(20):
+            big_mat = Mat2.from_rows([[big(), big()], [big(), big()]], Q)
+            for t in stratum_samples(rng, Q, rank) + stratum_samples(rng, Q, rank, lambda: big_mat):
+                mats = [Mat2.identity(Q).scale(Q.element(Fraction(2, 3))).values(),
+                        Mat2.from_rows([[1, Fraction(1, 7)], [0, 1]], Q).values(),
+                        *[g.values() for g in t.gens]]
+                if not any((a - d) ** 2 + 4 * b * c for a, b, c, d in mats):
+                    with pytest.raises(ValueError, match="no matrix has m != 0"):
+                        _split_entries(None, mats)
+                    continue
+                out = _split_entries(None, mats)
+                assert out == split_entries_reference(mats)
+                assert all(type(x) is Fraction for x in (out[1], *out[2], *out[3]))
+                checked += 1
+    assert checked > 300
 
 
 def test_invariant_vector_trace_budget():
