@@ -55,10 +55,13 @@ def _defect(pair: tuple, P: tuple) -> tuple:
             c * x + d * z - z * e - w * g, c * y + d * w - z * f - w * h)
 
 
-def intertwiner_basis(t1: RepTuple, t2: RepTuple) -> list[Mat2]:
+def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]] = None
+                      ) -> list[Mat2]:
     """Basis of the solution space {P : t1_i P = P t2_i for all i}, for
     tuples whose pairs agree in trace, determinant and scalar-ness (the
-    screen of general_conjugator); ValueError otherwise.
+    screen of general_conjugator); ValueError otherwise.  A caller that
+    has already screened passes the raw entries _pair_entries(t1, t2)
+    returned as pairs, so the screen runs once.
 
     Screened scalar pairs are equal and constrain nothing, so with no
     other pair the space is all of M_2.  At the first non-scalar pair (A,
@@ -77,9 +80,10 @@ def intertwiner_basis(t1: RepTuple, t2: RepTuple) -> list[Mat2]:
     """
     spec = t1.spec
     p = spec.p
-    pairs = _pair_entries(t1, t2)
     if pairs is None:
-        raise ValueError("the pairs differ in trace, determinant or scalar-ness")
+        pairs = _pair_entries(t1, t2)
+        if pairs is None:
+            raise ValueError("the pairs differ in trace, determinant or scalar-ness")
     span = None
     for pair in pairs:
         if span is None:
@@ -161,9 +165,10 @@ def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
         raise ValueError("tuples over different fields")
     if t1.mode != t2.mode:
         raise ValueError("tuples in different modes")
-    if _pair_entries(t1, t2) is None:
+    pairs = _pair_entries(t1, t2)
+    if pairs is None:
         return None
-    P = _invertible_in_span(intertwiner_basis(t1, t2), t1.spec)
+    P = _invertible_in_span(intertwiner_basis(t1, t2, pairs=pairs), t1.spec)
     if P is None:
         return None
     _verify_certificate(t1, t2, P, "intertwiner")

@@ -27,8 +27,8 @@ from .canon import (
     uf2_decompose,
 )
 from .errors import MoldkitError, NonInvertibleGenerator, ParseError, ValidationError
-from .fields import FieldElement, FieldSpec, _rational_text
-from .invariants import _moduli_entries
+from .fields import FieldElement, FieldSpec
+from .invariants import invariant_vector
 from .mat2 import Mat2, companion_normalize
 from .mold import MoldLabel, air_witness, classify
 from .words import GROUP, MONOID, RepTuple, Word
@@ -207,27 +207,17 @@ def _cmd_equiv(args) -> dict:
 
 
 def _cmd_invariants(args) -> dict:
-    """invariant_vector's values, read raw from _moduli_entries: residues
-    as they are, Q values as "a/b" text.  The key strings are built
-    suffix-first, as the key tuples are: the keys with first index k are
-    "k", then "k," before every later key, then the later keys."""
     doc = _load_document(args.document)
-    p = doc.spec.p
-    dets, _, traces = _moduli_entries(p, [g.values() for g in doc.tup.gens], doc.mode == GROUP)
-    keys = []
-    for k in range(len(dets), 0, -1):
-        head = str(k)
-        keys = [head, *[f"{head},{key}" for key in keys], *keys]
-    if not p:
-        dets, traces = map(_rational_text, dets), map(_rational_text, traces)
+    vec = invariant_vector(doc.tup)
+    traces = {",".join(str(i) for i in sub): _fe_json(v) for sub, v in vec.traces}
     return {
         "command": "invariants",
         "input_sha256": {"document": doc.sha256},
         "field": str(doc.spec),
         "mode": doc.mode,
         "augmented_with_inverses": doc.mode == GROUP,
-        "dets": list(dets),
-        "traces": dict(zip(keys, traces)),
+        "dets": [_fe_json(d) for d in vec.dets],
+        "traces": traces,
     }
 
 

@@ -192,7 +192,13 @@ class FieldElement:
     def text(self) -> str:
         """Canonical text form: decimal in [0,p) for F_p, "a/b" for Q;
         BudgetExceeded for a rational over the int-string digit limit."""
-        return str(self.value) if self.spec.p is not None else _rational_text(self.value)
+        if self.spec.p is not None:
+            return str(self.value)
+        try:
+            return f"{self.value.numerator}/{self.value.denominator}"
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise BudgetExceeded(f"rational value exceeds the {limit}-digit output limit") from None
 
     def __repr__(self) -> str:
         return f"{self.text()}:{self.spec}"
@@ -203,15 +209,6 @@ class FieldElement:
 _set_value = FieldElement.value.__set__
 _set_spec = FieldElement.spec.__set__
 _new = object.__new__
-
-
-def _rational_text(x: Fraction) -> str:
-    """"a/b" for a raw Q value; BudgetExceeded over the int-string digit limit."""
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise BudgetExceeded(f"rational value exceeds the {limit}-digit output limit") from None
 
 
 def _fe(value: Value, spec: FieldSpec) -> FieldElement:

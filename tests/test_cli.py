@@ -5,8 +5,11 @@ import time
 
 import pytest
 
-from moldkit.cli import parse_rep_document, run_command
+from moldkit.cli import _fe_json, parse_rep_document, run_command
 from moldkit.errors import ParseError, ValidationError
+from moldkit.invariants import invariant_vector
+
+from conftest import F65521, Q, rand_invertible
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +121,26 @@ def test_invariants_command(tmp_path):
     report = json.loads(out)
     assert report["dets"] == ["2/1", "12/1"]
     assert report["traces"] == {"1": "3/1", "2": "7/1", "1,2": "11/1"}
+
+
+@pytest.mark.parametrize("spec", [F65521, Q], ids=["F65521", "Q"])
+def test_invariants_command_puts_every_trace_under_its_key(tmp_path, rng, spec):
+    """Every trace sits under its own key, for up to 8 generators (65 535
+    traces in group mode); the report prints its keys sorted as text."""
+    for mode in ("monoid", "group"):
+        for n in range(1, 9):
+            gens = [rand_invertible(rng, spec, span=5) for _ in range(n)]
+            doc = {"field": "Q" if spec.p is None else {"p": spec.p}, "mode": mode,
+                   "generators": [[[_fe_json(M.a11), _fe_json(M.a12)],
+                                   [_fe_json(M.a21), _fe_json(M.a22)]] for M in gens]}
+            code, out = run_command(["invariants", write_doc(tmp_path, "d.json", doc)])
+            assert code == 0
+            report = json.loads(out)
+            vec = invariant_vector(parse_rep_document(json.dumps(doc)).tup)
+            expected = [(",".join(map(str, k)), _fe_json(v)) for k, v in vec.traces]
+            assert list(report["traces"].items()) == sorted(expected)
+            assert report["dets"] == [_fe_json(d) for d in vec.dets]
+            assert len(vec.traces) == 2 ** (2 * n if mode == "group" else n) - 1
 
 
 def test_normalize_command_all_labels(tmp_path):

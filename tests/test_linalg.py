@@ -69,16 +69,21 @@ def test_conjugacy_solver_builds_no_field_element_in_linalg(monkeypatch, rng):
     assert not any("fields" in name for name in imported)
 
     intertwiner_basis, calls, field_code = canon.intertwiner_basis, [], []
+    pair_entries, screens = canon._pair_entries, []
+
+    def screen(t1, t2):
+        screens.append(t1)
+        return pair_entries(t1, t2)
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename == fields.__file__:
             field_code.append(frame.f_code.co_name)
 
-    def watched(t1, t2):
+    def watched(t1, t2, *, pairs):
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            basis = intertwiner_basis(t1, t2)
+            basis = intertwiner_basis(t1, t2, pairs=pairs)
         finally:
             sys.setprofile(previous)
         calls.append(basis)
@@ -86,12 +91,14 @@ def test_conjugacy_solver_builds_no_field_element_in_linalg(monkeypatch, rng):
         return basis
 
     monkeypatch.setattr(canon, "intertwiner_basis", watched)
+    monkeypatch.setattr(canon, "_pair_entries", screen)
     for spec in (F3, F65521, Q):
         for _ in range(10):
             t = RepTuple((rand_mat(rng, spec), rand_mat(rng, spec)))
             P = rand_invertible(rng, spec)
             assert general_conjugator(t, t.conjugated(P)) is not None
     assert len(calls) == 30 and field_code == []
+    assert len(screens) == 30  # one screen per conjugator call, reused by the solver
 
 
 def test_q_rref_and_nullspace_of_int_entries_are_fractions():
