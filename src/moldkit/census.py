@@ -14,8 +14,8 @@ matrices, and labels and weights are conjugation invariant.  The point
 count (:func:`stratum_census`) is a dynamic program over kernel states:
 the first class runs over the q + 1 orbit representatives of
 FieldTables.class_orbits (4 over F_2), and each further position maps a
-{state: weight} vector through per-state transition lists, so it needs
-no table and its work grows with the states reached, not with q^(3m).
+{type: weight} vector over the six conjugation types of states (_type)
+through one transition list per type: no table, and at most 6 q^3 steps.
 The orbit pass (:func:`_orbit_pass`) walks down the stabiliser chain and
 classifies each orbit of class tuples once, at its least member, by one
 kernel step from its prefix's state, except below a prefix with a trivial
@@ -41,7 +41,7 @@ from typing import Optional
 from .errors import BudgetExceeded
 from .fields import FieldSpec
 from .invariants import _split_entries
-from .mold import _AIR, _SCALAR, MoldLabel, _classify_entries, _label, _step
+from .mold import _SCALAR, MoldLabel, _classify_entries, _label, _step
 from .words import GROUP, MONOID
 
 # Cache files written under another schema are recomputed, not read.
@@ -215,44 +215,46 @@ def _space_size(key: CensusKey) -> int:
     return key.q ** (4 * key.m)
 
 
-def _scaled(p: int, state: tuple) -> tuple:
-    """A kernel state with its vector scaled so that the first nonzero entry
-    is 1, or _AIR when it labels air: no later step or label tells such
-    states apart (mold._label)."""
-    if len(state) == 1:
-        return state
-    rank, v0, v1, v2 = state
-    if rank == 2 and _label(p, state) is MoldLabel.AIR:
-        return _AIR
-    s = pow(v0 or v1 or v2, -1, p)
-    return rank, v0 * s % p, v1 * s % p, v2 * s % p
+def _type(p: int, state: tuple) -> tuple:
+    """The type of a kernel state, in ints, which hash in C: its label's
+    _LABELS position and, for a semi-simple line, the Legendre symbol of
+    m = u0^2 + 4 u1 u2, kept by scaling u, or u1 u2 over F_2 (class_orbits'
+    lone (1, 1, 1)).  Each type but air is one orbit up to scaling."""
+    label = _label(p, state)
+    if label is not MoldLabel.SEMISIMPLE:
+        return _LABELS.index(label), 0
+    _, u0, u1, u2 = state
+    return _LABELS.index(label), u1 & u2 if p == 2 else pow(u0 * u0 + 4 * u1 * u2, (p - 1) // 2, p)
 
 
 def _tail_weights(p: int, rows: list[tuple[tuple, int]], vector: dict[tuple, int], n: int,
-                  transitions: dict[tuple, list], scaled: dict[tuple, tuple]) -> list[int]:
-    """Summed weight per label, by _LABELS position, of a {scaled state:
-    weight} vector stepped through n more weighted rows.  Transition lists
-    are built into `transitions` for the states reached: one step per row,
-    weights summed per next state, scaled by _scaled (cached in `scaled`).
-    _AIR steps to itself, so air absorbs."""
+                  transitions: dict[tuple, list]) -> list[int]:
+    """Summed weight per label, by _LABELS position, of a {state: weight}
+    vector stepped through n more weighted rows, lumped onto the types of
+    its states (_type): conjugation keeps labels and row weights, so every
+    state of a type steps to each type with the same weight.  A type's
+    transition list is built into `transitions` once, from the first state
+    of it met, as (next type, its first state met, summed weight)."""
+    states, lumped = {}, {}
+    for state, weight in vector.items():
+        states.setdefault(t := _type(p, state), state)
+        lumped[t] = lumped.get(t, 0) + weight
     for _ in range(n):
         nxt: dict[tuple, int] = {}
-        for state, weight in vector.items():
-            if state not in transitions:
-                out: dict[tuple, int] = {}
+        for t, weight in lumped.items():
+            if t not in transitions:
+                out: dict[tuple, list] = {}
                 for row, w in rows:
-                    to = _step(p, state, row)
-                    if to not in scaled:
-                        scaled[to] = _scaled(p, to)
-                    to = scaled[to]
-                    out[to] = out.get(to, 0) + w
-                transitions[state] = list(out.items())
-            for to, w in transitions[state]:
-                nxt[to] = nxt.get(to, 0) + weight * w
-        vector = nxt
+                    to = _step(p, states[t], row)
+                    out.setdefault(_type(p, to), [to, 0])[1] += w
+                transitions[t] = [(k, to, w) for k, (to, w) in out.items()]
+            for k, to, w in transitions[t]:
+                states.setdefault(k, to)
+                nxt[k] = nxt.get(k, 0) + weight * w
+        lumped = nxt
     counts = [0] * len(_LABELS)
-    for state, weight in vector.items():
-        counts[_LABELS.index(_label(p, state))] += weight
+    for (j, _), weight in lumped.items():
+        counts[j] += weight
     return counts
 
 
@@ -282,9 +284,9 @@ def stratum_census(key: CensusKey, budget: int = DEFAULT_BUDGET,
     vector: dict[tuple, int] = {}
     for r, size in T.class_orbits().items():
         if r in weights:
-            state = _scaled(p, _step(p, _SCALAR, T.classes[r][:3]))
+            state = _step(p, _SCALAR, T.classes[r][:3])
             vector[state] = vector.get(state, 0) + size * weights[r]
-    counts = _tail_weights(p, rows, vector, key.m - 1, {}, {})
+    counts = _tail_weights(p, rows, vector, key.m - 1, {})
     result = StratumCounts(key=key, points=dict(zip(_LABELS, counts)), total=_space_size(key))
     if use_cache:
         _store_cache(key, result)
@@ -317,9 +319,9 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
     Each frame carries the kernel state (mold._step) of its prefix.  When
     the walk finds H_i to be the identity row alone, every tail below is a
     free orbit of size s of its own, so the prefix's weight times the
-    _tail_weights from its state, memoised by state and m - i within the
-    call, count the subtree without visiting a leaf.  No semi-simple leaf
-    lies there: the classes of a line always have a non-trivial
+    _tail_weights from its state, memoised by its _type and m - i within
+    the call, count the subtree without visiting a leaf.  No semi-simple
+    leaf lies there: the classes of a line always have a non-trivial
     stabiliser, so such a prefix has rank 2 or more.
     """
     _check_budget(key, budget)
@@ -344,7 +346,6 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
 
     tails: dict[tuple, list[int]] = {}
     transitions: dict[tuple, list] = {}
-    scaled: dict[tuple, tuple] = {}
     semisimple = []
     # A frame (i, c, s, W, state, H) puts c at position i < m of chain,
     # whose positions 1 to i then hold a prefix with orbit size s, weight
@@ -357,10 +358,9 @@ def _orbit_pass(key: CensusKey, budget: int) -> tuple[StratumCounts, list[tuple]
         i, c, size, weight, state, stabiliser = stack.pop()
         chain[i] = c
         if len(stabiliser) == 1:
-            if (state, m - i) not in tails:
-                tails[state, m - i] = _tail_weights(q, rows, {_scaled(q, state): 1}, m - i,
-                                                    transitions, scaled)
-            for label, n in zip(_LABELS, tails[state, m - i]):
+            if (t := (_type(q, state), m - i)) not in tails:
+                tails[t] = _tail_weights(q, rows, {state: 1}, m - i, transitions)
+            for label, n in zip(_LABELS, tails[t]):
                 if n:
                     add(label, size, weight * n)
             continue

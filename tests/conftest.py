@@ -435,6 +435,44 @@ def stratum_polynomials(q, m, mode):
     return {label: {s: c for s, c in by_size.items() if c} for label, by_size in sizes.items()}
 
 
+def scaled_state(p, state):
+    """A kernel state with its vector scaled so that the first nonzero
+    entry is 1, or mold._AIR when it labels air: no later step or label
+    tells such states apart."""
+    if len(state) == 1:
+        return state
+    rank, v0, v1, v2 = state
+    if rank == 2 and mold._label(p, state) is MoldLabel.AIR:
+        return mold._AIR
+    s = pow(v0 or v1 or v2, -1, p)
+    return rank, v0 * s % p, v1 * s % p, v2 * s % p
+
+
+def tail_weights_reference(p, rows, state, n, transitions):
+    """census._tail_weights without lumping onto types, over scaled
+    states: the summed weight per label, in MoldLabel order, of the scaled
+    state stepped through n more weighted rows.  Each state's transition
+    list is built into `transitions` once: one step per row, weights
+    summed per next scaled state.  _AIR steps to itself, so air absorbs."""
+    vector = {scaled_state(p, state): 1}
+    for _ in range(n):
+        nxt = {}
+        for state, weight in vector.items():
+            if state not in transitions:
+                out = {}
+                for row, w in rows:
+                    to = scaled_state(p, mold._step(p, state, row))
+                    out[to] = out.get(to, 0) + w
+                transitions[state] = list(out.items())
+            for to, w in transitions[state]:
+                nxt[to] = nxt.get(to, 0) + weight * w
+        vector = nxt
+    counts = [0] * len(MoldLabel)
+    for state, weight in vector.items():
+        counts[list(MoldLabel).index(mold._label(p, state))] += weight
+    return counts
+
+
 def translates(T, classes, lams):
     """The raw entries (x + lambda_i, y, z, lambda_i) of one tuple per
     orbit among the tuples over a class tuple, from the d = 0 members

@@ -13,6 +13,7 @@ from moldkit import (
     Word,
     canon,
     classify,
+    conjugate,
     general_conjugator,
     invariant_vector,
     scalar_decompose,
@@ -24,7 +25,7 @@ from moldkit import (
     unipotent_decompose,
     unipotent_reconstruct,
 )
-from moldkit.canon import split_witness_word
+from moldkit.canon import ABChart, CharDeriv, split_witness_word
 from moldkit.errors import (
     CharNotTwo,
     CharTwo,
@@ -34,11 +35,13 @@ from moldkit.errors import (
     NotUnipotent,
     NotUnipotentF2,
 )
+from moldkit.mat2 import eta
 from moldkit.words import words_up_to
 
 from conftest import (
     F2,
     F3,
+    F5,
     F65521,
     Q,
     all_mats,
@@ -179,6 +182,56 @@ def test_intertwiner_basis_equals_the_elimination_reference_on_seeded_pairs(rng,
                 assert_solver_matches_reference(t1, t1)
                 other = stratum_samples(rng, spec, rank)[rng.randrange(5)]
                 assert_solver_matches_reference(t1, other)
+
+
+def test_a_later_pair_can_refuse_the_one_intertwiner_left(rng):
+    """Once two pairs leave one intertwiner, a later screened pair only
+    checks it, and the space is empty when it fails.  Over F_5 the swap
+    and an upper triangular matrix are intertwined by the scalars alone,
+    which do not carry diag(1, 2) to diag(2, 1).  Seeded screened triples
+    (A, B, C) against (A, B, g^-1 C g) reach the same check."""
+    t1 = RepTuple(tuple(mat(F5, rows) for rows in ([[0, 1], [1, 0]], [[1, 1], [0, 2]],
+                                                  [[1, 0], [0, 2]])))
+    t2 = RepTuple(t1.gens[:2] + (mat(F5, [[2, 0], [0, 1]]),))
+    assert len(canon.intertwiner_basis(RepTuple(t1.gens[:2]), RepTuple(t2.gens[:2]))) == 1
+    assert canon.intertwiner_basis(t1, t2) == []
+    assert_solver_matches_reference(t1, t2)
+    mats5, units = all_mats(F5), invertible_mats(F5)
+    refused = 0
+    for _ in range(300):
+        A, B, C = (rng.choice(mats5) for _ in range(3))
+        t1 = RepTuple((A, B, C))
+        t2 = RepTuple((A, B, conjugate(rng.choice(units), C)))
+        assert_solver_matches_reference(t1, t2)
+        head = canon.intertwiner_basis(RepTuple((A, B)), RepTuple((A, B)))
+        refused += len(head) == 1 and not canon.intertwiner_basis(t1, t2)
+    assert refused > 200
+
+
+def test_charts_refuse_a_word_whose_image_leaves_the_span():
+    """A chart built directly on a tuple that is not unipotent reads the
+    words inside span{I, A_1} and refuses the others: the swap leaves it,
+    its square I does not."""
+    for spec in (F5, Q):
+        A, B = mat(spec, [[1, 1], [0, 1]]), mat(spec, [[0, 1], [1, 0]])
+        cd = CharDeriv(tup=RepTuple((A, B)), alpha_index=1, eta_mat=eta(A))
+        with pytest.raises(NotUnipotent, match="outside the chart span"):
+            cd.coords(Word((2,)))
+        assert cd.coords(Word((2, 2))) == (spec.one(), spec.zero())
+    A, B = mat(F2, [[1, 1], [0, 1]]), mat(F2, [[0, 1], [1, 0]])
+    ch = ABChart(tup=RepTuple((A, B)), base_word=Word((1,)), Z=A)
+    with pytest.raises(NotUnipotentF2, match="outside span"):
+        ch.coords(Word((2,)))
+    assert ch.coords(Word((2, 2))) == (F2.one(), F2.zero(), F2.one())
+
+
+def test_a_chart_based_at_a_longer_word_has_no_alpha_index():
+    A = mat(F2, [[0, 1], [1, 0]])
+    ch = uf2_decompose(RepTuple((A, Mat2.identity(F2) + A)))
+    assert ch.alpha_index == 1
+    assert uf2_transition(ch, Word((2,))).alpha_index == 2
+    via = uf2_transition(ch, Word((1, 2)))
+    assert via.base_word == Word((1, 2)) and via.alpha_index is None
 
 
 def test_ss_equivalent_examples():

@@ -19,8 +19,8 @@ from moldkit.census import (
     _class_fibres,
     _index_typecode,
     _orbit_pass,
-    _scaled,
     _tail_weights,
+    _type,
     classify_packed,
     consistency_report,
     field_tables,
@@ -48,10 +48,12 @@ from conftest import (
     pgl_perms_reference,
     pgl_reference_elements,
     projective_closure,
+    scaled_state,
     semisimple_representatives,
     space_indices,
     stratum_polynomials,
     stratum_reference,
+    tail_weights_reference,
     unpruned_orbit_pass,
 )
 
@@ -409,8 +411,9 @@ def _class_index(q, row):
 
 def test_points_only_miss_classifies_one_tuple_of_classes_each(monkeypatch):
     """The points pass steps the kernel from the scalar state once per
-    class orbit, then once per class from each scaled state it reached,
-    building each transition list once; a cache hit makes no step."""
+    class orbit, then once per class from one state of each type it
+    reached, building each transition list once; a cache hit makes no
+    step."""
     calls = _counted_steps(monkeypatch)
     q, key = 3, CensusKey(3, 2)
     first = stratum_census(key)
@@ -420,7 +423,7 @@ def test_points_only_miss_classifies_one_tuple_of_classes_each(monkeypatch):
     assert sorted(len(orbit & stepped) for orbit in class_orbits_reference(q, 1)) == [1] * (q + 1)
     later = calls[q + 1:]
     states = {state for state, _ in later}
-    assert all(len(state) == 1 or next(x for x in state[1:] if x) == 1 for state in states)
+    assert len({_type(q, state) for state in states}) == len(states) <= 6
     assert len(later) == len(set(later))
     assert len(calls) <= (q + 1) + len(states) * q**3
     assert {_class_index(q, row) for _, row in later} == set(range(q**3))
@@ -533,10 +536,15 @@ def test_split_entries_need_a_matrix_with_nonzero_m():
 
 @pytest.mark.parametrize("mode", MODES)
 def test_stratum_points_equal_the_subalgebra_polynomials(mode):
-    for q, m in BUDGET_KEYS:
+    """Every key the default budget admits, and with the budget raised,
+    every prime q < 20 at m = 2 and 3."""
+    deep = [(q, m) for q in range(2, 20) if is_prime(q) for m in (2, 3)]
+    for q, m in BUDGET_KEYS + deep:
         sizes = stratum_polynomials(q, m, mode)
         points = {label: sum(s * c for s, c in by_size.items()) for label, by_size in sizes.items()}
-        assert stratum_census(CensusKey(q, m, mode), use_cache=False).points == points, (q, m)
+        budget = max(DEFAULT_BUDGET, q ** (4 * m))
+        assert stratum_census(CensusKey(q, m, mode), budget, use_cache=False).points == points, (
+            q, m)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -546,6 +554,13 @@ def test_orbits_equal_the_subalgebra_polynomials(mode):
         counts = orbit_census(CensusKey(q, m, mode), use_cache=False)
         assert counts.orbit_size_counts == sizes, (q, m)
         assert counts.orbits == {label: sum(by_size.values()) for label, by_size in sizes.items()}
+
+
+def test_census_key_refuses_rank_0_and_an_unknown_mode():
+    with pytest.raises(ValueError, match="^rank must be >= 1$"):
+        CensusKey(2, 0)
+    with pytest.raises(ValueError, match="^mode must be 'monoid' or 'group', got 'ring'$"):
+        CensusKey(2, 1, "ring")
 
 
 @pytest.mark.parametrize("q", [3215031751, 2**31 + 11])
@@ -700,7 +715,7 @@ def test_tail_weights_equal_the_brute_force_sums(q):
     for mode in MODES:
         weights = {c: len(lams) for c, lams in enumerate(_class_fibres(q, mode)) if lams}
         rows = [(T.classes[c][:3], w) for c, w in weights.items()]
-        transitions, scaled = {}, {}
+        transitions = {}
         for k in range(3):
             for prefix in product(weights, repeat=k):
                 state = _SCALAR
@@ -715,8 +730,97 @@ def test_tail_weights_equal_the_brute_force_sums(q):
                             labels[classes] = classify(
                                 RepTuple(tuple(members[c] for c in sorted(classes)), "monoid"))
                         want[labels[classes]] += weight * math.prod(weights[c] for c in tail)
-                    got = _tail_weights(q, rows, {_scaled(q, state): 1}, n, transitions, scaled)
+                    got = _tail_weights(q, rows, {state: 1}, n, transitions)
                     assert {label: weight * t for label, t in zip(_LABELS, got)} == want
+        assert len(transitions) <= 6
+
+
+def reached_states(q, rows):
+    """Every kernel state that some tuple of the weighted rows reaches
+    from the scalar state, unscaled."""
+    seen, frontier = {_SCALAR}, [_SCALAR]
+    while frontier:
+        state = frontier.pop()
+        for row, _ in rows:
+            if (to := _step(q, state, row)) not in seen:
+                seen.add(to)
+                frontier.append(to)
+    return seen
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("mode", MODES)
+def test_lumped_tail_weights_equal_the_per_state_dp(q, mode):
+    """From every reached state, n <= 3 steps of the DP lumped onto types
+    give the per-state DP's weights (Kemeny and Snell's strong
+    lumpability), with one memo each across all the calls."""
+    T = field_tables(q)
+    rows = [(T.classes[c][:3], len(lams))
+            for c, lams in enumerate(_class_fibres(q, mode)) if lams]
+    states = reached_states(q, rows)
+    assert len({scaled_state(q, s) for s in states}) > 6 or q == 2
+    lumped, per_state = {}, {}
+    for state in states:
+        for n in range(4):
+            assert (_tail_weights(q, rows, {state: 1}, n, lumped)
+                    == tail_weights_reference(q, rows, state, n, per_state)), (state, n)
+    assert len(lumped) <= 6
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_type_is_constant_on_conjugation_orbits_and_separates_them(q):
+    """Over the states of every 1- and 2-class tuple (the state of a
+    matrix tuple is that of its classes), every element of
+    conjugation_perms keeps the _type of a tuple's state; and the
+    conjugates of the first tuple met of a type reach every scaled state
+    of that type.  Air is the exception: every later step keeps air, so
+    its states are one type across their orbits."""
+    T = field_tables(q)
+    n = q**3
+    perms = [[class_of(q, perm[c * q]) for c in range(n)] for perm in conjugation_perms(q)]
+    rows = [T.classes[c][:3] for c in range(n)]
+    singles = [_step(q, _SCALAR, row) for row in rows]
+    pairs = [_step(q, state, row) for state in singles for row in rows]
+    # The images of the flat index (c,) -> c, or (a, b) -> a n + b.
+    images = {1: perms, 2: [[g[a] * n + g[b] for a in range(n) for b in range(n)] for g in perms]}
+    for k, states in ((1, singles), (2, pairs)):
+        types = [_type(q, state) for state in states]
+        for image in images[k]:
+            assert [types[i] for i in image] == types
+        for t in set(types) - {(_LABELS.index(MoldLabel.AIR), 0)}:
+            first = types.index(t)
+            orbit = {scaled_state(q, states[image[first]]) for image in images[k]}
+            assert orbit == {scaled_state(q, s) for s, u in zip(states, types) if u == t}, t
+    assert len({_type(q, s) for s in singles + pairs}) == 6
+
+
+@pytest.mark.parametrize("q,m", [(2, 6), (3, 4), (5, 3), (7, 2), (13, 3)])
+@pytest.mark.parametrize("mode", MODES)
+def test_no_census_call_builds_more_than_six_transition_lists(q, m, mode, monkeypatch):
+    """Every _tail_weights call of one census call shares one memo, which
+    ends with at most six lists, one per type; the points pass makes at
+    most one step per first-class orbit and six per live class."""
+    memos, steps = [], [0]
+
+    def tail_weights(p, rows, vector, n, transitions):
+        if not any(memo is transitions for memo in memos):
+            memos.append(transitions)
+        return _tail_weights(p, rows, vector, n, transitions)
+
+    def step(*args):
+        steps[0] += 1
+        return _step(*args)
+
+    monkeypatch.setattr(census, "_tail_weights", tail_weights)
+    monkeypatch.setattr(census, "_step", step)
+    key = CensusKey(q, m, mode)
+    stratum_census(key, budget=q ** (4 * m), use_cache=False)
+    assert len(memos) == 1 and len(memos[0]) <= 6
+    assert steps[0] <= len(field_tables(q).class_orbits()) + 6 * q**3
+    if q <= 5:
+        memos.clear()
+        orbit_census(key, budget=q ** (4 * m), use_cache=False)
+        assert len(memos) == 1 and len(memos[0]) <= 6
 
 
 @pytest.mark.parametrize("q,m,mode", sorted(REPORT_DIGESTS))

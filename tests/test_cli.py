@@ -8,6 +8,7 @@ import pytest
 from moldkit.cli import _fe_json, parse_rep_document, run_command
 from moldkit.errors import ParseError, ValidationError
 from moldkit.invariants import invariant_vector
+from moldkit.words import Word
 
 from conftest import F65521, Q, rand_invertible
 
@@ -259,6 +260,61 @@ def test_values_over_the_digit_limit_exit_1_with_one_line(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "error: rational value exceeds the 4300-digit output limit\n")
     assert run_command(["normalize", path])[0] == 0
+
+
+def _doc(**changes):
+    """SWAP_F2 with keys replaced (a value of None drops the key), as text."""
+    obj = {**SWAP_F2, **changes}
+    return json.dumps({k: v for k, v in obj.items() if v is not None})
+
+
+# One document per diagnostic that parse_rep_document raises, with the
+# start of the line it must print.
+BAD_DOCUMENTS = {
+    "p_not_int": (_doc(field={"p": "5"}), "field.p must be an integer prime"),
+    "p_not_prime": (_doc(field={"p": 4}), "modulus is not prime: 4"),
+    "field_shape": (_doc(field="R"), 'field must be {"p": <prime>} or "Q"'),
+    "bool_entry": (_doc(generators=[[[True, 0], [0, 1]]]),
+                   "generators[0][0][0]: booleans are not field elements"),
+    "bad_rational": (_doc(field="Q", generators=[[["x", 0], [0, 1]]]),
+                     "generators[0][0][0]: malformed rational 'x'"),
+    "float_entry": (_doc(generators=[[[1.5, 0], [0, 1]]]),
+                    "generators[0][0][0]: invalid entry 1.5 for F2"),
+    "matrix_shape": (_doc(generators=[[1, 2]]),
+                     "generators[0]: matrix must be a 2x2 array of entries"),
+    "word_text": (_doc(words=["1,x"]), "words[0]: invalid literal for int()"),
+    "word_list": (_doc(words=[[1, 0]]), "words[0]: generator indices are 1-based; 0 is invalid"),
+    "word_type": (_doc(words=[{"a": 1}]), "words[0]: word must be a string"),
+    "word_range": (_doc(words=[[2]]), "words[0]: generator index 2 out of range 1..1"),
+    "word_inverse": (_doc(words=["-1"]), "words[0]: inverse letters require group mode"),
+    "json": ("{not json", "line 1 column 2: "),
+    "not_object": ("[1, 2]", "document must be a JSON object"),
+    "missing_key": (_doc(generators=None), "missing required key 'generators'"),
+    "unknown_key": (_doc(extra=1), "unknown keys: ['extra']"),
+    "mode": (_doc(mode="semigroup"), 'mode must be "monoid" or "group", got \'semigroup\''),
+    "no_generators": (_doc(generators=[]), "generators must be a nonempty list"),
+    "singular": (_doc(mode="group", generators=[[[1, 1], [1, 1]]]),
+                 "generator 1 is singular in group mode"),
+    "words_type": (_doc(words="1"), "words must be a list"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_DOCUMENTS)
+def test_every_document_diagnostic_is_one_line(name, tmp_path, capsys):
+    text, message = BAD_DOCUMENTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert run_command(["classify", str(path)]) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert err.endswith("\n") and err.count("error: ") == 1
+
+
+def test_a_word_may_be_a_list_of_ints(tmp_path):
+    path = write_doc(tmp_path, "doc.json", {**SWAP_F2, "words": [[1, 1], []]})
+    assert parse_rep_document(open(path).read()).words == [Word((1, 1)), Word(())]
+    code, out = run_command(["normalize", path])
+    assert code == 0 and json.loads(out)["a"] == {"": 1, "1": 0, "1,1": 1}
 
 
 def test_exit_codes(tmp_path):

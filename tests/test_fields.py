@@ -1,6 +1,7 @@
 """Field arithmetic: canonical forms, axioms, inverses, text encoding."""
 
 import dataclasses
+import math
 import operator
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 
 from moldkit import FieldElement, FieldSpec, embed_int, inv
 from moldkit.errors import BudgetExceeded, ZeroInverse
-from moldkit.fields import _fe
+from moldkit.fields import _fe, is_prime
 
 from conftest import F2, F3, F5, F7, F65521, Q
 
@@ -45,6 +46,24 @@ def test_prime_validation():
         with pytest.raises(ValueError, match="^prime modulus too large: 2147483648$"):
             FieldSpec.prime(2**31)
         assert FieldSpec.prime(2**31 - 1).characteristic() == 2**31 - 1
+
+
+def test_is_prime_equals_trial_division_below_10_000():
+    """Every composite below 10^4 that has no factor in the witness bases
+    needs a Miller-Rabin round to be refused (121 = 11^2 is the least)."""
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10_000) if is_prime(n)] == [n for n in range(10_000) if trial(n)]
+
+
+def test_a_strong_pseudoprime_to_bases_2_3_and_5_is_refused():
+    """Base 7 refuses 25 326 001 = 2251 x 11251, which passes bases 2, 3
+    and 5 and has no factor among them."""
+    n = 2251 * 11251
+    assert n == 25_326_001 and all(n % a for a in (2, 3, 5, 7)) and not is_prime(n)
+    with pytest.raises(ValueError, match=f"^modulus is not prime: {n}$"):
+        FieldSpec.prime(n)
 
 
 def test_canonical_forms_unique():

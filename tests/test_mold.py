@@ -325,6 +325,12 @@ def test_sqrt_mod_tonelli_shanks(rng, p):
             assert root is not None and root * root % p == a
 
 
+@pytest.mark.parametrize("spec", [F3, Q], ids=str)
+def test_an_all_scalar_tuple_fixes_every_line_and_returns_the_first(spec):
+    t = tup(spec, [[2, 0], [0, 2]], [[0, 0], [0, 0]])
+    assert common_invariant_line(t) == (spec.one(), spec.zero())
+
+
 @pytest.mark.parametrize("p", [13, 65521])
 def test_split_semisimple_tuples_have_a_common_invariant_line(rng, p):
     # Generators x I + y D conjugated by a random P share the eigenlines of
