@@ -4,6 +4,12 @@ Elements are immutable and canonical: an F_p value is stored as an int in
 [0, p), a rational as a reduced Fraction with positive denominator, so
 equal elements always have identical representations.  FieldSpec.canonical
 is the one canonicalisation and FieldSpec.parse the one text parser.
+
+FieldSpec.prime(p) and FieldSpec.rationals() return one shared instance per
+modulus from a bounded store, so the specs of one field are usually
+identical objects and `spec is other` settles most spec checks; a refused
+modulus raises on every call and is never stored.  FieldSpec(p) itself
+still validates p and builds a new, equal instance.
 """
 
 from __future__ import annotations
@@ -21,10 +27,8 @@ Value = Union[int, Fraction]
 _MR_BASES = (2, 3, 5, 7)  # deterministic Miller-Rabin witnesses for n < 3.2e9
 
 
-@lru_cache(maxsize=256, typed=True)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for n < 3,215,031,751.  Memoized:
-    every FieldSpec construction asks, mostly for the same few moduli."""
+    """Deterministic primality test, exact for n < 3,215,031,751."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -62,11 +66,14 @@ class FieldSpec:
 
     @classmethod
     def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
+        """The shared spec of F_p; ValueError for a modulus FieldSpec(p)
+        refuses."""
+        return _shared_spec(p)
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
-        return cls(None)
+        """The shared spec of Q."""
+        return _shared_spec(None)
 
     @property
     def is_rationals(self) -> bool:
@@ -203,6 +210,12 @@ class FieldElement:
     def __repr__(self) -> str:
         return f"{self.text()}:{self.spec}"
 
+
+# One spec per modulus, built and validated on first use.  lru_cache stores
+# no call that raised, and typed=True keeps equal moduli of different types,
+# such as 5.0 and Fraction(5), apart, so each call returns a spec field for
+# field like the one FieldSpec(p) builds.
+_shared_spec = lru_cache(maxsize=256, typed=True)(FieldSpec)
 
 # The slots' member descriptors set a frozen instance's fields without the
 # by-name lookup of object.__setattr__.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import prod
 
@@ -142,11 +143,22 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tup
                   *[Fraction(a * e + b * g + c * f + d * h, s * t)
                     for (e, f, g, h), t in zip(prods, scales)],
                   *[Fraction(e + h, t) for (e, _, _, h), t in zip(prods, scales)]]
-    keys = []
+    return tuple(dets), _key_table(n)[0], tuple(traces)
+
+
+@cache
+def _key_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+    """The strictly increasing index subsequences of 1..n in lexicographic
+    order, as tuples and as comma-joined text ("1,2,4"): those starting at
+    k are (k,), then k before every later one.  Memoised per n, which
+    _moduli_entries' budget check bounds by 16 before any table is read."""
+    keys: list = []
+    texts: list = []
     for k in range(n, 0, -1):
-        head = (k,)
+        head, text = (k,), str(k)
         keys = [head, *[head + key for key in keys], *keys]
-    return tuple(dets), tuple(keys), tuple(traces)
+        texts = [text, *[f"{text},{rest}" for rest in texts], *texts]
+    return tuple(keys), tuple(texts)
 
 
 def _split_entries(p: int | None, mats) -> tuple:

@@ -5,6 +5,11 @@ A Mat2 stores its FieldSpec once and its four entries as canonical raw
 values: residues in [0, p) over F_p, reduced Fractions over Q.  Arithmetic
 runs on the raw values, reducing each result through FieldSpec.reduce; the
 entries, trace, determinant and m are boxed as FieldElements when read.
+Internal constructors (_mat) set the two fields through the slots' member
+descriptors, without a per-call object.__setattr__, and from_rows reduces
+plain int entries mod p directly.  companion_normalize builds its companion
+form (0, -det, 1, tr) from A's raw values; Mat2.companion is the public
+constructor of the same matrix from boxed trace and determinant.
 """
 
 from __future__ import annotations
@@ -13,16 +18,14 @@ from dataclasses import dataclass
 from operator import add, neg, sub
 
 from .errors import CharTwo, ScalarInput, SingularP
-from .fields import FieldElement, FieldSpec, _fe
-
-_set = object.__setattr__
+from .fields import FieldElement, FieldSpec, _fe, _new
 
 
 def _mat(spec: FieldSpec, values: tuple) -> "Mat2":
     """A Mat2 from a spec and four canonical raw values, unchecked."""
-    M = object.__new__(Mat2)
-    _set(M, "spec", spec)
-    _set(M, "_values", values)
+    M = _new(Mat2)
+    _set_spec(M, spec)
+    _set_values(M, values)
     return M
 
 
@@ -42,14 +45,19 @@ class Mat2:
 
     def __init__(self, a11: FieldElement, a12: FieldElement,
                  a21: FieldElement, a22: FieldElement) -> None:
-        _set(self, "spec", a11.spec)
-        _set(self, "_values", tuple(map(a11.spec.canonical, (a11, a12, a21, a22))))
+        _set_spec(self, a11.spec)
+        _set_values(self, tuple(map(a11.spec.canonical, (a11, a12, a21, a22))))
 
     a11, a12, a21, a22 = (_entry(i) for i in range(4))
 
     @classmethod
     def from_rows(cls, rows, spec: FieldSpec) -> "Mat2":
+        """The matrix [[a, b], [c, d]] of ints, Fractions or elements of
+        spec, each made canonical as FieldSpec.canonical does."""
         (a, b), (c, d) = rows
+        p = spec.p
+        if p and type(a) is int and type(b) is int and type(c) is int and type(d) is int:
+            return _mat(spec, (a % p, b % p, c % p, d % p))
         return _mat(spec, tuple(map(spec.canonical, (a, b, c, d))))
 
     @classmethod
@@ -170,6 +178,12 @@ class Mat2:
         return f"Mat2({self.text()}:{self.spec})"
 
 
+# The slots' member descriptors, as in fields: they set a frozen instance's
+# fields without the by-name lookup of object.__setattr__.
+_set_spec = Mat2.spec.__set__
+_set_values = Mat2._values.__set__
+
+
 @dataclass(frozen=True, slots=True)
 class CompanionCert:
     """Certificate P with P^-1 A P = [[0, -det A], [1, tr A]]."""
@@ -207,14 +221,18 @@ def companion_normalize(A: Mat2) -> CompanionCert:
     """Deterministic change of basis to companion form [[0,-det],[1,tr]].
 
     The new basis is {v, Av} where v = e2, e1 or e1+e2 according to the
-    first nonzero of b, c, a-d, in that order (_companion_frame).
+    first nonzero of b, c, a-d, in that order (_companion_frame).  Both P
+    and the companion form are built from A's raw values; the companion
+    form equals Mat2.companion(A.tr, A.det).
     """
     if A.is_scalar:
         raise ScalarInput("scalar matrices have no companion form")
-    spec = A.spec
-    frame, branch = _companion_frame(*A._values)
+    spec, r = A.spec, A.spec.reduce
+    a, b, c, d = A._values
+    frame, branch = _companion_frame(a, b, c, d)
     P = _mat(spec, tuple(map(spec.canonical, frame)))
-    return CompanionCert(P=P, companion=Mat2.companion(A.tr, A.det), branch=branch)
+    companion = _mat(spec, (spec.canonical(0), r(b * c - a * d), spec.canonical(1), r(a + d)))
+    return CompanionCert(P=P, companion=companion, branch=branch)
 
 
 def commutant_basis(A: Mat2) -> list[Mat2]:

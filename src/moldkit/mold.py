@@ -136,8 +136,14 @@ def _classify_entries(p: Optional[int], mats) -> MoldLabel:
 
 
 def classify(t: RepTuple) -> MoldLabel:
-    """Six-way mold classification of a tuple over a field."""
-    return _classify_entries(t.spec.p, [g.values() for g in t.gens])
+    """Six-way mold classification of a tuple over a field.  The label is
+    computed once per tuple and kept in its instance __dict__, outside the
+    dataclass fields, so later calls on the same tuple read it back."""
+    memo = t.__dict__
+    label = memo.get("_label")
+    if label is None:
+        label = memo["_label"] = _classify_entries(t.spec.p, [g.values() for g in t.gens])
+    return label
 
 
 def air_witness(t: RepTuple) -> Optional[tuple[str, tuple[int, ...], FieldElement]]:
@@ -153,10 +159,10 @@ def air_witness(t: RepTuple) -> Optional[tuple[str, tuple[int, ...], FieldElemen
     precede the first pair, and an air tuple without a pair has exactly
     three lines, whose first generators are the first triple.
     """
+    if classify(t) is not MoldLabel.AIR:
+        return None
     p, gens = t.spec.p, t.gens
     mats = [g.values() for g in gens]
-    if _classify_entries(p, mats) is not MoldLabel.AIR:
-        return None
 
     def label(*idx: int) -> MoldLabel:
         return _classify_entries(p, [mats[i] for i in idx])

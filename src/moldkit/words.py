@@ -1,4 +1,11 @@
-"""Words in the generators and tuples of generator images."""
+"""Words in the generators and tuples of generator images.
+
+A RepTuple coerces its generators to a tuple and validates them in one
+pass, so a list it was built from can change later without changing the
+tuple.  mold.classify keeps a tuple's label in the instance __dict__ once
+computed; the stored label is not a field, so it takes no part in
+equality, hashing or repr, and a copied or pickled tuple carries it.
+"""
 
 from __future__ import annotations
 
@@ -50,24 +57,29 @@ class RepTuple:
     mode: str = MONOID
 
     def __post_init__(self) -> None:
-        if not self.gens:
+        gens = tuple(self.gens)
+        self.__dict__["gens"] = gens  # frozen: no setattr
+        if not gens:
             raise ValueError("need at least one generator")
         if self.mode not in (MONOID, GROUP):
             raise ValueError(f"mode must be 'monoid' or 'group', got {self.mode!r}")
-        spec = self.gens[0].spec
-        if any(g.spec is not spec and g.spec != spec for g in self.gens):
-            raise ValueError("generators from mixed field specs")
-        if self.mode == GROUP:
-            p = spec.p
-            for i, (a, b, c, d) in enumerate((g.values() for g in self.gens), start=1):
-                if p:
-                    singular = not (a * d - b * c) % p
-                else:
-                    # a d = b c, cross-multiplied: no Fraction arithmetic runs.
-                    singular = (a.numerator * d.numerator * b.denominator * c.denominator
-                                == b.numerator * c.numerator * a.denominator * d.denominator)
-                if singular:
-                    raise NonInvertibleGenerator(f"generator {i} is singular in group mode")
+        spec = gens[0].spec
+        p = spec.p
+        group = self.mode == GROUP
+        for i, g in enumerate(gens, start=1):
+            if g.spec is not spec and g.spec != spec:
+                raise ValueError("generators from mixed field specs")
+            if not group:
+                continue
+            a, b, c, d = g.values()
+            if p:
+                singular = not (a * d - b * c) % p
+            else:
+                # a d = b c, cross-multiplied: no Fraction arithmetic runs.
+                singular = (a.numerator * d.numerator * b.denominator * c.denominator
+                            == b.numerator * c.numerator * a.denominator * d.denominator)
+            if singular:
+                raise NonInvertibleGenerator(f"generator {i} is singular in group mode")
 
     @property
     def spec(self) -> FieldSpec:

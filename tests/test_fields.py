@@ -11,7 +11,7 @@ import pytest
 
 from moldkit import FieldElement, FieldSpec, embed_int, inv
 from moldkit.errors import BudgetExceeded, ZeroInverse
-from moldkit.fields import _fe, is_prime
+from moldkit.fields import _fe, _shared_spec, is_prime
 
 from conftest import F2, F3, F5, F7, F65521, Q
 
@@ -37,7 +37,7 @@ def test_characteristics():
 
 
 def test_prime_validation():
-    # The second round is answered from is_prime's memo.
+    # The second round is refused again: no refused modulus is stored.
     for _ in range(2):
         with pytest.raises(ValueError, match="^modulus is not prime: 4$"):
             FieldSpec.prime(4)
@@ -46,6 +46,39 @@ def test_prime_validation():
         with pytest.raises(ValueError, match="^prime modulus too large: 2147483648$"):
             FieldSpec.prime(2**31)
         assert FieldSpec.prime(2**31 - 1).characteristic() == 2**31 - 1
+
+
+def test_prime_and_rationals_return_one_shared_spec():
+    assert FieldSpec.prime(65521) is FieldSpec.prime(65521)
+    assert FieldSpec.rationals() is FieldSpec.rationals() is FieldSpec.prime(None)
+    assert FieldSpec.prime(5) is not FieldSpec.prime(7)
+    # The constructor still validates and builds an equal, separate spec.
+    assert FieldSpec(5) == FieldSpec.prime(5) and FieldSpec(5) is not FieldSpec.prime(5)
+    for p in (5, 5.0, Fraction(5), None):
+        assert repr(FieldSpec.prime(p)) == repr(FieldSpec(p))
+    with pytest.raises(ValueError, match="^modulus is not prime: 4$"):
+        FieldSpec(4)
+
+
+def test_a_refused_modulus_raises_on_every_call_and_is_never_stored():
+    for p, message in ((4, "modulus is not prime: 4"), (25_326_001, "modulus is not prime"),
+                       (2**31, "prime modulus too large"), (True, "modulus is not prime: True")):
+        size = _shared_spec.cache_info().currsize
+        for _ in range(3):
+            misses = _shared_spec.cache_info().misses
+            with pytest.raises(ValueError, match=f"^{message}"):
+                FieldSpec.prime(p)
+            assert _shared_spec.cache_info().misses == misses + 1
+        assert _shared_spec.cache_info().currsize == size
+
+
+def test_the_shared_spec_store_stays_bounded():
+    primes = [n for n in range(2, 10_000) if is_prime(n)][:2 * _shared_spec.cache_info().maxsize]
+    for p in primes:
+        spec = FieldSpec.prime(p)
+        assert spec == FieldSpec(p) and spec is FieldSpec.prime(p)
+        assert _shared_spec.cache_info().currsize <= _shared_spec.cache_info().maxsize
+    assert _shared_spec.cache_info().currsize == _shared_spec.cache_info().maxsize
 
 
 def test_is_prime_equals_trial_division_below_10_000():

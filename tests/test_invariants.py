@@ -23,7 +23,7 @@ from moldkit import (
 )
 from moldkit.canon import _increasing_products
 from moldkit.errors import BudgetExceeded, VanishingM
-from moldkit.invariants import MAX_TRACES, _moduli_entries, _split_entries
+from moldkit.invariants import MAX_TRACES, _key_table, _moduli_entries, _split_entries
 from moldkit.linalg import _int_scaled
 
 from conftest import (
@@ -182,6 +182,23 @@ def test_invariant_vector_order_is_increasing_subsequences(rng, spec):
                 for i in sub[1:]:
                     prod = prod * mats[i - 1]
                 assert value == prod.tr
+
+
+def test_memoised_key_table_equals_the_per_call_construction():
+    """_key_table(n) against the construction _moduli_entries ran on every
+    call before the table was memoised, and against the sorted
+    combinations, for every n the trace budget admits; its text form is
+    the comma-joined keys, and a second call returns the same objects."""
+    for n in range(1, 17):
+        keys = []
+        for k in range(n, 0, -1):
+            head = (k,)
+            keys = [head, *[head + key for key in keys], *keys]
+        table, texts = _key_table(n)
+        assert table == tuple(keys) and list(table) == increasing_subsequences(n)
+        assert texts == tuple(",".join(str(i) for i in key) for key in keys)
+        assert _key_table(n)[0] is table and _key_table(n)[1] is texts
+    assert 2**16 - 1 == MAX_TRACES
 
 
 @pytest.mark.parametrize("spec", [F2, F3, F65521, Q], ids=str)

@@ -95,18 +95,24 @@ def test_companion_normalize_examples():
 
 
 def test_companion_round_trip_exhaustive_and_random(rng):
+    """companion_normalize builds its companion form from raw values; it
+    equals Mat2.companion(tr, det), value for value and type for type."""
+    def check(A):
+        cert = companion_normalize(A)
+        assert cert.P.det
+        assert cert.P * cert.companion * cert.P.inverse() == A
+        want = Mat2.companion(A.tr, A.det)
+        assert cert.companion == want
+        assert list(map(type, cert.companion.values())) == list(map(type, want.values()))
+
     for spec in (F2, F3):
         for A in nonscalar_mats(spec):
-            cert = companion_normalize(A)
-            assert cert.P.det
-            assert cert.P * cert.companion * cert.P.inverse() == A
-            assert cert.companion == Mat2.companion(A.tr, A.det)
-    for _ in range(1000):
-        A = rand_mat(rng, Q)
-        if A.is_scalar:
-            continue
-        cert = companion_normalize(A)
-        assert cert.P * cert.companion * cert.P.inverse() == A
+            check(A)
+    for spec in (Q, F65521):
+        for _ in range(1000):
+            A = rand_mat(rng, spec)
+            if not A.is_scalar:
+                check(A)
 
 
 def test_commutant_basis():

@@ -1,6 +1,7 @@
 """Property-based check of the matrix core: Mat2 arithmetic on raw values
 agrees with the entrywise FieldElement formulas, over small and near-2^31
-primes and over Q with numerators and denominators up to 10^30."""
+primes and over Q with numerators and denominators up to 10^30, and
+Mat2.from_rows agrees with FieldSpec.canonical on every entry type."""
 
 from fractions import Fraction
 
@@ -74,3 +75,34 @@ def test_characteristic_data_and_inverse_agree_with_entrywise_formulas(case):
     assert inv.entries() == (d / det, -b / det, -c / det, a / det)
     assert canonical(spec, inv)
     assert A * inv == Mat2.identity(spec)
+
+
+ROW_SPECS = [FieldSpec.prime(p) for p in (2, 5, 65521, 2**31 - 1)] + [FieldSpec.rationals()]
+
+
+def entries(spec):
+    """Ints of any sign and size, bools, Fractions and elements of spec."""
+    ints = st.integers() | st.integers(-(2**130), 2**130)
+    fractions = st.builds(Fraction, ints, st.integers(1, BIG))
+    anything = ints | st.booleans() | fractions | ints.map(spec.element)
+    return st.tuples(ints, ints, ints, ints) | st.tuples(anything, anything, anything, anything)
+
+
+@FUZZ
+@given(st.sampled_from(ROW_SPECS).flatmap(lambda spec: st.tuples(st.just(spec), entries(spec))))
+def test_from_rows_equals_the_canonical_path(case):
+    """from_rows' plain-int fast path and its general path both give the
+    canonical values FieldSpec.canonical gives, of the same types; a
+    Fraction whose denominator p divides is refused by both."""
+    spec, (a, b, c, d) = case
+    try:
+        want = tuple(map(spec.canonical, (a, b, c, d)))
+    except ValueError:
+        with pytest.raises(ValueError):
+            Mat2.from_rows([[a, b], [c, d]], spec)
+        return
+    M = Mat2.from_rows([[a, b], [c, d]], spec)
+    assert M.spec is spec
+    assert M.values() == want and list(map(type, M.values())) == list(map(type, want))
+    assert canonical(spec, M)
+    assert M == Mat2(*map(spec.element, want)) and hash(M) == hash(Mat2(*map(spec.element, want)))

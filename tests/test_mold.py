@@ -1,5 +1,7 @@
 """Span closure, rank tests, six-way classification and air criteria."""
 
+import copy
+import pickle
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -253,6 +255,32 @@ def test_classify_matches_closure_label_constructed(rng, spec):
                 assert label is closure_label(t)
                 seen.add(label)
     assert seen == set(MoldLabel) - {MoldLabel.UNIPOTENT_F2}
+
+
+@pytest.mark.parametrize("spec", [Q, F5, F65521], ids=str)
+def test_classify_stores_one_label_per_tuple(rng, spec, monkeypatch):
+    """The label agrees with the closure oracle before and after the first
+    classify call, later calls read it back without classifying, and it
+    takes no part in equality, hashing, repr, copies or pickles."""
+    samples = [t for rank in (1, 2, 3) for _ in range(4) for t in stratum_samples(rng, spec, rank)]
+    twins = [RepTuple(t.gens, t.mode) for t in samples]
+    labels = []
+    for t, twin in zip(samples, twins):
+        want = closure_label(t)
+        assert classify(t) is want and classify(t) is want
+        labels.append(want)
+        assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
+        for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert other == t and classify(other) is want
+    assert set(labels) >= {MoldLabel.SEMISIMPLE, MoldLabel.UNIPOTENT, MoldLabel.SCALAR}
+
+    def refuse(*args):
+        raise AssertionError("a classified tuple was classified again")
+
+    monkeypatch.setattr(mold, "_classify_entries", refuse)
+    assert [classify(t) for t in samples] == labels
+    with pytest.raises(AssertionError):
+        classify(twins[0])
 
 
 def test_q_classification_and_certificates_at_benchmark_scale(rng):

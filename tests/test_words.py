@@ -8,6 +8,7 @@ import pytest
 from moldkit import FieldElement, Mat2, RepTuple, Word, fields, mat2
 from moldkit.canon import split_witness_word
 from moldkit.errors import BudgetExceeded, NoSplitGenerator, NonInvertibleGenerator
+from moldkit.invariants import invariant_vector
 from moldkit.words import words_up_to
 
 from conftest import F3, F5, F65521, Q, increasing_subsequences, rand_invertible, rand_mat
@@ -58,6 +59,19 @@ def test_matrices_and_group_tuples_are_built_without_boxing(monkeypatch):
         for singular in ([[2, 4], [1, 2]], [[Fraction(1, 2), -1], [Fraction(-1, 4), Fraction(1, 2)]]):
             with pytest.raises(NonInvertibleGenerator):
                 RepTuple((A, Mat2.from_rows(singular, spec)), mode="group")
+
+
+@pytest.mark.parametrize("spec", [F5, Q], ids=str)
+def test_rep_tuple_keeps_its_generators_when_the_given_list_changes(spec):
+    # A group-mode tuple built from a list must not take in a singular
+    # generator appended to that list later.
+    N = Mat2.from_rows([[1, 1], [0, 1]], spec)
+    gens = [N]
+    t = RepTuple(gens, "group")
+    gens.append(Mat2.from_rows([[1, 0], [0, 0]], spec))
+    assert type(t.gens) is tuple and t.gens == (N,) and t.rank == 1
+    assert t == RepTuple((N,), "group") and hash(t) == hash(RepTuple((N,), "group"))
+    assert invariant_vector(t).dets == (spec.one(), spec.one())
 
 
 def test_inverse_letters_need_group_mode():
