@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
+from math import lcm
 from typing import Optional
 
 from . import linalg
@@ -27,17 +28,32 @@ from .mold import MoldLabel, classify
 from .words import RepTuple, Word
 
 
+def _common_scaled(x: tuple, y: tuple) -> tuple:
+    """The eight integer entries of two integer-scaled (entries, scale)
+    pairs brought to one common scale, the lcm of the two: what
+    linalg._int_scaled gives for the two matrices' values at once."""
+    (u, s), (v, t) = x, y
+    if s == t:
+        return u + v
+    m = lcm(s, t)
+    i, j = m // s, m // t
+    return (*[i * e for e in u], *[j * e for e in v])
+
+
 def _pair_entries(t1: RepTuple, t2: RepTuple) -> Optional[list[tuple]]:
     """Raw entries (a, b, c, d, e, f, g, h) of each pair (A_i, B_i), or None
     when some pair differs in trace, determinant or scalar-ness, which
-    conjugation preserves.  Over Q each pair is scaled to integers by one
-    common lcm s, which scales A_i P - P B_i by s, the traces by s and the
-    determinants by s^2, and so leaves every test below alone."""
+    conjugation preserves.  Over Q each pair is read from the tuples'
+    integer-scaled views at one common scale s (_common_scaled), which
+    scales A_i P - P B_i by s, the traces by s and the determinants by
+    s^2, and so leaves every test below alone."""
     p = t1.spec.p
     pairs = []
-    for A, B in zip(t1.gens, t2.gens):
-        vals = A.values() + B.values()
-        a, b, c, d, e, f, g, h = vals if p else linalg._int_scaled(vals)[0]
+    if p:
+        views = (A.values() + B.values() for A, B in zip(t1.gens, t2.gens))
+    else:
+        views = map(_common_scaled, t1._scaled, t2._scaled)
+    for a, b, c, d, e, f, g, h in views:
         tr, det = a + d - e - h, a * d - b * c - e * h + f * g
         if (tr % p or det % p) if p else (tr or det):
             return None
@@ -64,7 +80,8 @@ def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]
     returned as pairs, so the screen runs once.
 
     Screened scalar pairs are equal and constrain nothing, so with no
-    other pair the space is all of M_2.  At the first non-scalar pair (A,
+    other pair the space is all of M_2 and the unit basis E11, E12, E21,
+    E22 is returned with no elimination.  At the first non-scalar pair (A,
     B) both are cyclic with one characteristic polynomial: with the frames
     V = [v | A v] and W = [w | B w] of mat2._companion_frame, P0 = V adj(W)
     is invertible and the pair's intertwiners are span{P0, A P0}
@@ -76,7 +93,8 @@ def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]
     per free column in increasing order: a free column is where a basis
     vector ends, so it is the reduced row echelon form of the span read
     from the last coordinate back, and rref of the reversed vectors gives
-    it in decreasing free-column order.
+    it in decreasing free-column order.  Over Q the span holds integers,
+    which rref takes as they are.
     """
     spec = t1.spec
     p = spec.p
@@ -113,7 +131,8 @@ def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]
         if p:
             span = [tuple(e % p for e in P) for P in span]
     if span is None:
-        span = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        one, zero = spec.canonical(1), spec.canonical(0)
+        return [_mat(spec, tuple(one if i == j else zero for j in range(4))) for i in range(4)]
     rows, _ = linalg.rref([P[::-1] for P in span], p)
     return [_mat(spec, v[::-1]) for v in reversed(rows)]
 
@@ -125,16 +144,26 @@ def _invertible_in_span(basis: list[Mat2], spec) -> Optional[Mat2]:
     the span is enumerated; otherwise the basis vectors and their pairwise
     sums suffice in characteristic != 2 (polarization), a 3-dimensional
     intertwiner space never contains an invertible element, and a
-    4-dimensional one contains I.
+    4-dimensional one contains I.  Over Q the candidates are tested on
+    integer-scaled entries, a sum x/s + y/t as (t x + s y)/(s t), and the
+    one returned is built as one Fraction per entry.
     """
     d = len(basis)
     if d == 0:
         return None
     if d == 4:
         return Mat2.identity(spec)
-    r = spec.reduce
     vecs = [B.values() for B in basis]
-    if spec.p is not None and spec.p**d <= 4096:
+    if spec.p is None:
+        scaled = [linalg._int_scaled(v) for v in vecs]
+        sums = ((tuple(t * e + s * f for e, f in zip(x, y)), s * t)
+                for (x, s), (y, t) in combinations(scaled, 2))
+        for (a, b, c, e), s in chain(scaled, sums):
+            if a * e - b * c:
+                return _mat(spec, tuple(Fraction(v, s) for v in (a, b, c, e)))
+        return None
+    r = spec.reduce
+    if spec.p**d <= 4096:
         # Lexicographic coefficient search keeps certificates reproducible.
         candidates = (tuple(r(sum(k * v[i] for k, v in zip(s, vecs))) for i in range(4))
                       for s in product(range(spec.p), repeat=d))
@@ -177,18 +206,18 @@ def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
 
 def _verify_certificate(t1: RepTuple, t2: RepTuple, P: Mat2, what: str) -> None:
     """Raise RuntimeError unless t1_i P = P t2_i for every i, compared
-    exactly on raw entries: mod p over F_p, and over Q, with A = A'/a,
-    P = P'/s and B = B'/b scaled to integers by linalg._int_scaled, as
-    b A'P' = a P'B', so no Fraction arithmetic runs."""
+    exactly on raw entries: mod p over F_p, and over Q, with A = A'/a and
+    B = B'/b read from the tuples' integer-scaled views and P = P'/s
+    scaled by linalg._int_scaled, as b A'P' = a P'B', so no Fraction
+    arithmetic runs."""
     p = P.spec.p
-    x, y, z, w = P.values() if p else linalg._int_scaled(P.values())[0]
-    for A, B in zip(t1.gens, t2.gens):
-        if p:
-            (a, b, c, d), sa = A.values(), 1
-            (e, f, g, h), sb = B.values(), 1
-        else:
-            (a, b, c, d), sa = linalg._int_scaled(A.values())
-            (e, f, g, h), sb = linalg._int_scaled(B.values())
+    if p:
+        x, y, z, w = P.values()
+        pairs = (((A.values(), 1), (B.values(), 1)) for A, B in zip(t1.gens, t2.gens))
+    else:
+        (x, y, z, w), _ = linalg._int_scaled(P.values())
+        pairs = zip(t1._scaled, t2._scaled)
+    for ((a, b, c, d), sa), ((e, f, g, h), sb) in pairs:
         AP = (a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w)
         PB = (x * e + y * g, x * f + y * h, z * e + w * g, z * f + w * h)
         for u, v in zip(AP, PB):
@@ -204,7 +233,8 @@ def _require_semisimple(t: RepTuple) -> None:
 def _split_coordinates(t: RepTuple) -> tuple:
     """(field, mode) and the split coordinates of _split_entries, which
     decide on the semi-simple stratum what the full invariant vectors do."""
-    return (t.spec, t.mode, *_split_entries(t.spec.p, [g.values() for g in t.gens]))
+    p = t.spec.p
+    return (t.spec, t.mode, *_split_entries(p, [g.values() for g in t.gens] if p else t._scaled))
 
 
 def ss_equivalent(t1: RepTuple, t2: RepTuple) -> bool:
@@ -220,15 +250,17 @@ def split_witness_word(t: RepTuple) -> Word:
     the lexicographic order of index subsequences, each product its prefix
     times one more generator.  Raises BudgetExceeded when the 2^n - 1
     subsequences of n generators pass MAX_TRACES."""
-    for i, g in enumerate(t.gens, start=1):
-        if g.m:
+    p = t.spec.p
+    mats = [g.values() for g in t.gens] if p else [e for e, _ in t._scaled]
+    for i, (a, b, c, d) in enumerate(mats, start=1):
+        m = (a - d) ** 2 + 4 * b * c
+        if m % p if p else m:
             return Word((i,))
-    n = len(t.gens)
+    n = len(mats)
     if 2**n - 1 > MAX_TRACES:
         raise BudgetExceeded(f"split witness search over {n} matrices needs 2^{n} - 1 "
                              f"products, over the budget of {MAX_TRACES}")
-    p = t.spec.p
-    for sub, (a, b, c, d) in _increasing_products(p, [g.values() for g in t.gens]):
+    for sub, (a, b, c, d) in _increasing_products(p, mats):
         m = (a - d) ** 2 + 4 * b * c
         if m % p if p else m:
             return Word(sub)
@@ -237,11 +269,11 @@ def split_witness_word(t: RepTuple) -> Word:
 
 def _increasing_products(p: int | None, mats):
     """Yield (key, entries) for every strictly increasing product of raw
-    (a, b, c, d) entries over F_p, or Q if p is None, in the lexicographic
-    order of the keys, its 1-based index subsequences.  Over Q the entries
-    are those of the product times a positive integer scale, so no gcd is
-    taken inside a product; the scale multiplies m by a square and leaves
-    m != 0 alone.
+    (a, b, c, d) entries over F_p, or of integer-scaled entries over Q if
+    p is None, in the lexicographic order of the keys, its 1-based index
+    subsequences.  Over Q the entries are those of the product times a
+    positive integer scale, so no gcd is taken inside a product; the scale
+    multiplies m by a square and leaves m != 0 alone.
 
     The walk is lazy and depth first, each product its prefix times one
     more matrix, so the split-witness search, which usually stops at the
@@ -250,8 +282,6 @@ def _increasing_products(p: int | None, mats):
     over all 2^n - 1 traces; the two share no logic.
     """
     n = len(mats)
-    if not p:
-        mats = [linalg._int_scaled(e)[0] for e in mats]
     stack = [((i + 1,), mats[i]) for i in reversed(range(n))]
     while stack:
         key, entries = stack.pop()
@@ -277,8 +307,9 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     tr A_s A_j in span{I, A_s}, equal coordinates force the two
     normalizations to agree on every generator, so P = V1 V2^-1 =
     V1 adj(V2) / det V2 conjugates t1 to t2.  Over Q both split
-    generators are scaled to integers by one common s, which scales
-    V1 adj(V2) and det V2 alike, and each entry of P is one Fraction.
+    generators are read from the integer-scaled views at one common s
+    (_common_scaled), which scales V1 adj(V2) and det V2 alike, and each
+    entry of P is one Fraction.
     The certificate, invertible as a product of invertible matrices, is
     re-verified as t1_i P = P t2_i.
     """
@@ -289,9 +320,11 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
         return None
     spec = t1.spec
     p = spec.p
-    vals = t1.gens[coords[2]].values() + t2.gens[coords[2]].values()
-    if not p:
-        vals = linalg._int_scaled(vals)[0]
+    s = coords[2]
+    if p:
+        vals = t1.gens[s].values() + t2.gens[s].values()
+    else:
+        vals = _common_scaled(t1._scaled[s], t2._scaled[s])
     (x, y, z, w), _ = _companion_frame(*vals[:4])
     (e, f, g, h), _ = _companion_frame(*vals[4:])
     det = e * h - f * g

@@ -28,7 +28,7 @@ from .canon import (
 )
 from .errors import MoldkitError, NonInvertibleGenerator, ParseError, ValidationError
 from .fields import FieldElement, FieldSpec
-from .invariants import _key_table, invariant_vector
+from .invariants import _key_texts, invariant_vector
 from .mat2 import Mat2, companion_normalize
 from .mold import MoldLabel, air_witness, classify
 from .words import GROUP, MONOID, RepTuple, Word
@@ -209,7 +209,7 @@ def _cmd_equiv(args) -> dict:
 def _cmd_invariants(args) -> dict:
     doc = _load_document(args.document)
     vec = invariant_vector(doc.tup)
-    traces = dict(zip(_key_table(len(vec.dets))[1], [_fe_json(v) for _, v in vec.traces]))
+    traces = dict(zip(_key_texts(len(vec.dets)), [_fe_json(v) for _, v in vec.traces]))
     return {
         "command": "invariants",
         "input_sha256": {"document": doc.sha256},

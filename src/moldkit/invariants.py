@@ -5,6 +5,10 @@ detect when a family of 2x2 matrices generates the full matrix algebra;
 the invariant vector (generator determinants plus traces of strictly
 increasing products) is a complete conjugacy invariant on the semi-simple
 stratum.
+
+Over Q the moduli and split coordinates read a tuple's integer-scaled
+view (words): a determinant is Fraction(ad - bc, s^2), a group inverse
+s adj(A) / det A in lowest terms, and each output one Fraction of ints.
 """
 
 from __future__ import annotations
@@ -13,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import prod
+from math import gcd, prod
 
 from .errors import BudgetExceeded, VanishingM
 from .fields import FieldElement, _fe
-from .linalg import _int_scaled
 from .mat2 import Mat2
 from .words import GROUP, RepTuple, Word
 
@@ -28,14 +31,37 @@ MAX_TRACES = 65_535
 
 def delta2(A: Mat2, B: Mat2) -> FieldElement:
     """Symmetric pair discriminant; zero iff A, B generate a proper subalgebra."""
-    trA, trB, trAB = A.tr, B.tr, (A * B).tr
-    return (trA * trA * B.det + trB * trB * A.det + trAB * trAB
-            - trA * trB * trAB - 4 * A.det * B.det)
+    spec = A._common_spec(B)
+    return _fe(spec.reduce(_delta2_entries(A.values(), B.values())), spec)
 
 
 def tau3(A: Mat2, B: Mat2, C: Mat2) -> FieldElement:
     """tr(ABC) - tr(ACB); alternating in the last two arguments."""
-    return (A * B * C).tr - (A * C * B).tr
+    A._common_spec(C)
+    spec = A._common_spec(B)
+    return _fe(spec.reduce(_tau3_entries(A.values(), B.values(), C.values())), spec)
+
+
+def _delta2_entries(A: tuple, B: tuple):
+    """delta2 of raw entries (a, b, c, d) and (e, f, g, h), unreduced; of
+    degree 2 in each matrix."""
+    a, b, c, d = A
+    e, f, g, h = B
+    trA, trB, trAB = a + d, e + h, a * e + b * g + c * f + d * h
+    detA, detB = a * d - b * c, e * h - f * g
+    return trA * trA * detB + trB * trB * detA + trAB * (trAB - trA * trB) - 4 * detA * detB
+
+
+def _tau3_entries(A: tuple, B: tuple, C: tuple):
+    """tau3 = tr(A K) of raw entries, unreduced, linear in each matrix:
+    K = BC - CB is trace-free with K11 = f y - g x, K12 = x (e - h) -
+    f (w - z) and K21 = g (w - z) - y (e - h) for B = (e, f, g, h) and
+    C = (w, x, y, z)."""
+    a, b, c, d = A
+    e, f, g, h = B
+    w, x, y, z = C
+    return ((a - d) * (f * y - g * x) + b * (g * (w - z) - y * (e - h))
+            + c * (x * (e - h) - f * (w - z)))
 
 
 def delta4(A1: Mat2, A2: Mat2, A3: Mat2, A4: Mat2) -> FieldElement:
@@ -86,7 +112,8 @@ def invariant_vector(t: RepTuple) -> InvariantVector:
     of them.
     """
     spec = t.spec
-    dets, keys, traces = _moduli_entries(spec.p, [g.values() for g in t.gens], t.mode == GROUP)
+    mats = [g.values() for g in t.gens] if spec.p else t._scaled
+    dets, keys, traces = _moduli_entries(spec.p, mats, t.mode == GROUP)
     return InvariantVector(
         dets=tuple([_fe(v, spec) for v in dets]),
         traces=tuple(zip(keys, [_fe(v, spec) for v in traces])))
@@ -94,31 +121,33 @@ def invariant_vector(t: RepTuple) -> InvariantVector:
 
 def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tuple]:
     """Determinants, increasing-product keys and their traces of raw (a,
-    b, c, d) entries over F_p (canonical residues), or Q (Fractions) if p
-    is None, after appending the inverses in group mode.
+    b, c, d) entries over F_p (canonical residues), or over Q if p is None
+    of integer-scaled (entries, s) pairs (RepTuple._scaled), after
+    appending the inverses in group mode.
 
     One suffix-first pass: the products whose first index is k are A_k,
     then A_k times every product whose first index is later, in key order,
     so the lexicographic list is built from the last matrix down.  The
     products of A_1, half the list, feed nothing else and are read as
-    traces only, tr(A_1 X) = a e + b g + c f + d h.  Over Q every matrix
-    is first scaled to integer entries, so no gcd is taken inside a
-    product and each trace is one Fraction(num, scale).
+    traces only, tr(A_1 X) = a e + b g + c f + d h.  Over Q everything
+    runs on integers: an inverse is the integer form of _inverse_scaled,
+    a determinant is Fraction(ad - bc, s^2), no gcd is taken inside a
+    product, and each trace is one Fraction(num, scale).
     """
     n = 2 * len(mats) if group else len(mats)
     if 2**n - 1 > MAX_TRACES:
         raise BudgetExceeded(f"invariant vector of {n} matrices needs 2^{n} - 1 traces, "
                              f"over the budget of {MAX_TRACES}")
-    dets = [a * d - b * c for a, b, c, d in mats]
-    if group:
-        inv = ([pow(x, p - 2, p) for x in dets] if p else [1 / x for x in dets])
-        mats = list(mats) + [(d * i, -b * i, -c * i, a * i)
-                             for (a, b, c, d), i in zip(mats, inv)]
-        dets += inv
     # prods holds the products whose first index is after k, in key order;
     # over Q, scales holds their denominators.
     prods, scales = [], []
     if p:
+        dets = [a * d - b * c for a, b, c, d in mats]
+        if group:
+            inv = [pow(x, p - 2, p) for x in dets]
+            mats = list(mats) + [(d * i, -b * i, -c * i, a * i)
+                                 for (a, b, c, d), i in zip(mats, inv)]
+            dets += inv
         dets = [x % p for x in dets]
         mats = [tuple(x % p for x in e) for e in mats]
         for k in range(n - 1, 0, -1):
@@ -130,7 +159,10 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tup
         traces = [(a + d) % p, *[(a * e + b * g + c * f + d * h) % p for e, f, g, h in prods],
                   *[(e + h) % p for e, _, _, h in prods]]
     else:
-        mats, mat_scales = zip(*map(_int_scaled, mats))
+        if group:
+            mats = [*mats, *map(_inverse_scaled, mats)]
+        mats, mat_scales = zip(*mats)
+        dets = [Fraction(a * d - b * c, s * s) for (a, b, c, d), s in zip(mats, mat_scales)]
         for k in range(n - 1, 0, -1):
             a, b, c, d = mats[k]
             s = mat_scales[k]
@@ -143,22 +175,43 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tup
                   *[Fraction(a * e + b * g + c * f + d * h, s * t)
                     for (e, f, g, h), t in zip(prods, scales)],
                   *[Fraction(e + h, t) for (e, _, _, h), t in zip(prods, scales)]]
-    return tuple(dets), _key_table(n)[0], tuple(traces)
+    return tuple(dets), _key_table(n), tuple(traces)
+
+
+def _inverse_scaled(scaled: tuple) -> tuple:
+    """The integer-scaled pair of M^-1 for M = A/s given as (A, s):
+    s adj(A) / det A divided by the gcd g of its entries and det A, g of
+    the sign of det A, which is linalg._int_scaled(M.inverse().values())."""
+    (a, b, c, d), s = scaled
+    det = a * d - b * c
+    g = gcd(s * gcd(a, b, c, d), det)
+    if det < 0:
+        g = -g
+    return (s * d // g, -s * b // g, -s * c // g, s * a // g), det // g
 
 
 @cache
-def _key_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...]]:
+def _key_table(n: int) -> tuple[tuple[int, ...], ...]:
     """The strictly increasing index subsequences of 1..n in lexicographic
-    order, as tuples and as comma-joined text ("1,2,4"): those starting at
-    k are (k,), then k before every later one.  Memoised per n, which
-    _moduli_entries' budget check bounds by 16 before any table is read."""
+    order: those starting at k are (k,), then k before every later one.
+    Memoised per n, which _moduli_entries' budget check bounds by 16
+    before any table is read."""
     keys: list = []
+    for k in range(n, 0, -1):
+        head = (k,)
+        keys = [head, *[head + key for key in keys], *keys]
+    return tuple(keys)
+
+
+@cache
+def _key_texts(n: int) -> tuple[str, ...]:
+    """The keys of _key_table(n) as comma-joined text ("1,2,4"), memoised
+    apart so that only the CLI's invariants report holds them."""
     texts: list = []
     for k in range(n, 0, -1):
-        head, text = (k,), str(k)
-        keys = [head, *[head + key for key in keys], *keys]
+        text = str(k)
         texts = [text, *[f"{text},{rest}" for rest in texts], *texts]
-    return tuple(keys), tuple(texts)
+    return tuple(texts)
 
 
 def _split_entries(p: int | None, mats) -> tuple:
@@ -166,11 +219,11 @@ def _split_entries(p: int | None, mats) -> tuple:
     Q if p is None, A_s the first matrix with m = (a - d)^2 + 4 b c != 0.
     On the semi-simple stratum every A_j lies in span{I, A_s} and is fixed
     by tr A_j and tr A_s A_j, so these O(m) values are a complete conjugacy
-    invariant there, and a function of the full moduli vector.  Over Q each
-    matrix is first scaled to integers, so m is tested on integers and each
-    value is one Fraction(num, scale)."""
+    invariant there, and a function of the full moduli vector.  Over Q the
+    matrices come as integer-scaled (entries, s) pairs (RepTuple._scaled),
+    so m is tested on integers and each value is one Fraction(num, scale)."""
     if not p:
-        scaled = [_int_scaled(e) for e in mats]
+        scaled = mats
         mats = [e for e, _ in scaled]
     for s, (a, b, c, d) in enumerate(mats):
         m = (a - d) ** 2 + 4 * b * c

@@ -10,11 +10,14 @@ One fraction-free elimination serves both fields: each pivot row clears
 its column from the others as row_i = v row_i - f row_r, and the new row
 is reduced mod p over F_p, or divided by the gcd of its entries over Q,
 where rows are first scaled to integers by the lcm of their denominators
-(_int_scaled, shared with the Q mold and moduli kernels), so no Fraction
-arithmetic runs.  Output rows are normalised once, by pow(pivot, -1, p)
-or as Fractions x / pivot.  The reduced row echelon form of a row space
+(_int_scaled), so no Fraction arithmetic runs; a row of ints is kept as
+it is.  Output rows are normalised once, by pow(pivot, -1, p) or as
+Fractions x / pivot.  The reduced row echelon form of a row space
 is unique, so the rows and pivots are those of normalise-first
 Gauss-Jordan.  Q results are Fractions, for int entries and literal 0s too.
+
+_int_scaled also scales a RepTuple's generators, once each when the tuple
+is built; the Q kernels read that stored view (words).
 """
 
 from __future__ import annotations
@@ -26,16 +29,20 @@ from typing import Sequence
 Vector = tuple
 
 
-def _int_scaled(values) -> tuple[list[int], int]:
-    """(s * v for v in values, s): rationals (Fractions or ints) scaled to
-    integers by s, the lcm of their denominators."""
-    s = lcm(*(x.denominator for x in values))
-    return [x.numerator * (s // x.denominator) for x in values], s
+def _int_scaled(values) -> tuple[tuple[int, ...], int]:
+    """(tuple of s * v for v in values, s): rationals (Fractions or ints)
+    scaled to integers by s, the lcm of their denominators."""
+    ratios = [x.as_integer_ratio() for x in values]
+    s = lcm(*[d for _, d in ratios])
+    return tuple([n * (s // d) for n, d in ratios]), s
 
 
 def rref(rows: Sequence[Vector], p: int | None) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows] if p else [_int_scaled(r)[0] for r in rows]
+    if p:
+        work = [list(r) for r in rows]
+    else:
+        work = [r if all(type(x) is int for x in r) else _int_scaled(r)[0] for r in rows]
     pivots: list[int] = []
     r = 0
     for c in range(len(work[0]) if work else 0):

@@ -6,19 +6,24 @@ values: residues in [0, p) over F_p, reduced Fractions over Q.  Arithmetic
 runs on the raw values, reducing each result through FieldSpec.reduce; the
 entries, trace, determinant and m are boxed as FieldElements when read.
 Internal constructors (_mat) set the two fields through the slots' member
-descriptors, without a per-call object.__setattr__, and from_rows reduces
-plain int entries mod p directly.  companion_normalize builds its companion
-form (0, -det, 1, tr) from A's raw values; Mat2.companion is the public
-constructor of the same matrix from boxed trace and determinant.
+descriptors, without a per-call object.__setattr__; from_rows reduces
+plain int entries mod p directly, and over Q stores four Fractions as
+they are.  companion_normalize builds its companion form (0, -det, 1, tr)
+from A's raw values, over Q on A's integer-scaled entries (a, b, c, d)/s
+as Fraction(bc - ad, s^2) and Fraction(a + d, s), so no Fraction
+arithmetic runs; Mat2.companion is the public constructor of the same
+matrix from boxed trace and determinant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add, neg, sub
 
 from .errors import CharTwo, ScalarInput, SingularP
 from .fields import FieldElement, FieldSpec, _fe, _new
+from .linalg import _int_scaled
 
 
 def _mat(spec: FieldSpec, values: tuple) -> "Mat2":
@@ -58,6 +63,9 @@ class Mat2:
         p = spec.p
         if p and type(a) is int and type(b) is int and type(c) is int and type(d) is int:
             return _mat(spec, (a % p, b % p, c % p, d % p))
+        if (not p and type(a) is Fraction and type(b) is Fraction
+                and type(c) is Fraction and type(d) is Fraction):
+            return _mat(spec, (a, b, c, d))
         return _mat(spec, tuple(map(spec.canonical, (a, b, c, d))))
 
     @classmethod
@@ -222,16 +230,22 @@ def companion_normalize(A: Mat2) -> CompanionCert:
 
     The new basis is {v, Av} where v = e2, e1 or e1+e2 according to the
     first nonzero of b, c, a-d, in that order (_companion_frame).  Both P
-    and the companion form are built from A's raw values; the companion
-    form equals Mat2.companion(A.tr, A.det).
+    and the companion form are built from A's raw values, the companion
+    form over Q from A's integer-scaled entries; it equals
+    Mat2.companion(A.tr, A.det).
     """
     if A.is_scalar:
         raise ScalarInput("scalar matrices have no companion form")
-    spec, r = A.spec, A.spec.reduce
+    spec, p = A.spec, A.spec.p
     a, b, c, d = A._values
     frame, branch = _companion_frame(a, b, c, d)
     P = _mat(spec, tuple(map(spec.canonical, frame)))
-    companion = _mat(spec, (spec.canonical(0), r(b * c - a * d), spec.canonical(1), r(a + d)))
+    if p:
+        neg_det, tr = (b * c - a * d) % p, (a + d) % p
+    else:
+        (a, b, c, d), s = _int_scaled(A._values)
+        neg_det, tr = Fraction(b * c - a * d, s * s), Fraction(a + d, s)
+    companion = _mat(spec, (spec.canonical(0), neg_det, spec.canonical(1), tr))
     return CompanionCert(P=P, companion=companion, branch=branch)
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import linalg
 from .fields import FieldElement, _fe
-from .invariants import delta2, tau3
+from .invariants import _delta2_entries, _tau3_entries, delta2
 from .mat2 import Mat2, _mat
 from .words import GROUP, RepTuple
 
@@ -118,15 +118,13 @@ def _label(p: Optional[int], state: tuple) -> MoldLabel:
 
 
 def _classify_entries(p: Optional[int], mats) -> MoldLabel:
-    """Mold label of raw (a, b, c, d) entry tuples over F_p, or Q if p is
-    None: a fold of _step over their trace-free rows (a - d, b, c), which
-    span the algebra modulo I, returning air as soon as the rank is 3.
-    Over Q each matrix is first scaled to integer entries by a positive s,
-    which scales its row by s: no zero test changes, and no Fraction
-    arithmetic runs.
+    """Mold label of raw (a, b, c, d) entry tuples over F_p, or over Q if
+    p is None of integer entries, each matrix scaled by its own positive
+    s (RepTuple._scaled): a fold of _step over their trace-free rows
+    (a - d, b, c), which span the algebra modulo I, returning air as soon
+    as the rank is 3.  Scaling a matrix by s scales its row by s, so no
+    zero test changes, and no Fraction arithmetic runs.
     """
-    if p is None:
-        mats = [linalg._int_scaled(e)[0] for e in mats]
     state = _SCALAR
     for a, b, c, d in mats:
         state = _step(p, state, ((a - d) % p, b % p, c % p) if p else (a - d, b, c))
@@ -142,7 +140,9 @@ def classify(t: RepTuple) -> MoldLabel:
     memo = t.__dict__
     label = memo.get("_label")
     if label is None:
-        label = memo["_label"] = _classify_entries(t.spec.p, [g.values() for g in t.gens])
+        p = t.spec.p
+        mats = [g.values() for g in t.gens] if p else [e for e, _ in memo["_scaled"]]
+        label = memo["_label"] = _classify_entries(p, mats)
     return label
 
 
@@ -153,19 +153,29 @@ def air_witness(t: RepTuple) -> Optional[tuple[str, tuple[int, ...], FieldElemen
     delta2 != 0, else ("tau", (i, j, k), value) for the first triple with
     tau3 != 0, or None.  The zero tests are the kernel's on a generator and
     on pairs (air iff delta2 != 0, dim <= 2 iff parallel trace-free rows);
-    only the value comes from delta2 or tau3.  As i the search skips
-    scalars and lines already scanned without a partner.  Through a line
-    pass at most two planes with delta2 = 0, so at most four such lines
-    precede the first pair, and an air tuple without a pair has exactly
-    three lines, whose first generators are the first triple.
+    only the value comes from the delta2 or tau3 polynomial, over Q on the
+    integer-scaled entries divided by the scales to the polynomial's
+    degree in each matrix, 2 or 1.  As i the
+    search skips scalars and lines already scanned without a partner.
+    Through a line pass at most two planes with delta2 = 0, so at most
+    four such lines precede the first pair, and an air tuple without a
+    pair has exactly three lines, whose first generators are the first
+    triple.
     """
     if classify(t) is not MoldLabel.AIR:
         return None
-    p, gens = t.spec.p, t.gens
-    mats = [g.values() for g in gens]
+    spec = t.spec
+    p = spec.p
+    mats = [g.values() for g in t.gens] if p else [e for e, _ in t._scaled]
 
     def label(*idx: int) -> MoldLabel:
         return _classify_entries(p, [mats[i] for i in idx])
+
+    def value(polynomial, idx: tuple, power: int) -> FieldElement:
+        v = polynomial(*[mats[i] for i in idx])
+        if p:
+            return _fe(v % p, spec)
+        return _fe(Fraction(v, math.prod(t._scaled[i][1] for i in idx) ** power), spec)
 
     scanned: list[int] = []
     for i in range(len(mats)):
@@ -173,10 +183,10 @@ def air_witness(t: RepTuple) -> Optional[tuple[str, tuple[int, ...], FieldElemen
             continue
         for j in range(i + 1, len(mats)):
             if label(i, j) is MoldLabel.AIR:
-                return ("delta", (i + 1, j + 1), delta2(gens[i], gens[j]))
+                return ("delta", (i + 1, j + 1), value(_delta2_entries, (i, j), 2))
         scanned.append(i)
     i, j, k = scanned
-    return ("tau", (i + 1, j + 1, k + 1), tau3(gens[i], gens[j], gens[k]))
+    return ("tau", (i + 1, j + 1, k + 1), value(_tau3_entries, (i, j, k), 1))
 
 
 def air_by_discriminants(t: RepTuple) -> bool:

@@ -2,9 +2,13 @@
 
 A RepTuple coerces its generators to a tuple and validates them in one
 pass, so a list it was built from can change later without changing the
-tuple.  mold.classify keeps a tuple's label in the instance __dict__ once
-computed; the stored label is not a field, so it takes no part in
-equality, hashing or repr, and a copied or pickled tuple carries it.
+tuple.  Over Q the same pass stores the integer-scaled view _scaled in
+the instance __dict__: one linalg._int_scaled (entries, s) pair per
+generator.  The group-mode singular check runs on those integers, and
+every Q kernel reads the view instead of scaling again; over F_p none is
+stored.  mold.classify keeps the label there too.  Neither is a field,
+so neither takes part in equality, hashing or repr, and a copied or
+pickled tuple carries both.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from typing import Iterator
 
 from .errors import NonInvertibleGenerator
 from .fields import FieldSpec
+from .linalg import _int_scaled
 from .mat2 import Mat2, conjugate
 
 MONOID = "monoid"
@@ -66,20 +71,19 @@ class RepTuple:
         spec = gens[0].spec
         p = spec.p
         group = self.mode == GROUP
+        scaled = []
         for i, g in enumerate(gens, start=1):
             if g.spec is not spec and g.spec != spec:
                 raise ValueError("generators from mixed field specs")
+            if not p:
+                scaled.append(_int_scaled(g.values()))
             if not group:
                 continue
-            a, b, c, d = g.values()
-            if p:
-                singular = not (a * d - b * c) % p
-            else:
-                # a d = b c, cross-multiplied: no Fraction arithmetic runs.
-                singular = (a.numerator * d.numerator * b.denominator * c.denominator
-                            == b.numerator * c.numerator * a.denominator * d.denominator)
-            if singular:
+            a, b, c, d = g.values() if p else scaled[-1][0]
+            if not ((a * d - b * c) % p if p else a * d - b * c):
                 raise NonInvertibleGenerator(f"generator {i} is singular in group mode")
+        if not p:
+            self.__dict__["_scaled"] = tuple(scaled)
 
     @property
     def spec(self) -> FieldSpec:

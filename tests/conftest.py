@@ -207,6 +207,29 @@ def increasing_subsequences(n):
     return sorted(subs)
 
 
+def moduli_reference(t):
+    """(dets, traces) of a tuple as invariant_vector keys them, from
+    Mat2.__mul__, Mat2.inverse and .tr alone: the generators, followed by
+    their inverses in group mode, det A = (tr(A)^2 - tr(A A)) / 2 (outside
+    characteristic 2), and each increasing product its prefix times one
+    more matrix."""
+    mats = list(t.gens) + ([A.inverse() for A in t.gens] if t.mode == "group" else [])
+    dets = tuple((A.tr * A.tr - (A * A).tr) / 2 for A in mats)
+    products = {}
+    for key in increasing_subsequences(len(mats)):
+        M = mats[key[-1] - 1]
+        products[key] = products[key[:-1]] * M if len(key) > 1 else M
+    return dets, tuple((key, M.tr) for key, M in products.items())
+
+
+def invertible_in_span_reference(basis):
+    """The first of the basis vectors, then their pairwise sums, with det
+    != 0, in plain field arithmetic on Mat2s; None if there is none.  The
+    candidate order of canon._invertible_in_span outside tiny fields."""
+    candidates = list(basis) + [A + B for A, B in combinations(basis, 2)]
+    return next((M for M in candidates if M.det), None)
+
+
 @cache
 def packed_entries(q):
     """The raw entries (a, b, c, d) of M_2(F_q), indexed by the packed

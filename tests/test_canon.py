@@ -46,6 +46,7 @@ from conftest import (
     Q,
     all_mats,
     intertwiner_reference,
+    invertible_in_span_reference,
     invertible_mats,
     rand_invertible,
     rand_mat,
@@ -182,6 +183,60 @@ def test_intertwiner_basis_equals_the_elimination_reference_on_seeded_pairs(rng,
                 assert_solver_matches_reference(t1, t1)
                 other = stratum_samples(rng, spec, rank)[rng.randrange(5)]
                 assert_solver_matches_reference(t1, other)
+
+
+def test_all_scalar_pairs_give_the_unit_basis_without_elimination(monkeypatch, rng):
+    """Screened scalar pairs constrain nothing: the basis is E11, E12, E21,
+    E22 in canonical values, as the elimination reference gives it, and
+    rref is not called."""
+    cases = []
+    for spec in (F5, F65521, Q):
+        for rank in (1, 2, 3):
+            t = RepTuple(tuple(Mat2.identity(spec).scale(rand_mat(rng, spec).a11)
+                               for _ in range(rank)))
+            cases.append((t, intertwiner_reference(t, t)))
+
+    def refuse(*args):
+        raise AssertionError("rref called for an all-scalar tuple")
+
+    monkeypatch.setattr(canon.linalg, "rref", refuse)
+    for t, reference in cases:
+        spec = t.spec
+        one, zero = spec.canonical(1), spec.canonical(0)
+        basis = canon.intertwiner_basis(t, t)
+        assert basis == reference == [Mat2.from_rows(rows, spec) for rows in (
+            [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]])]
+        assert all(x in (one, zero) and type(x) is type(one) for M in basis for x in M.values())
+        assert general_conjugator(t, t) == Mat2.identity(spec)
+
+
+def test_q_invertible_in_span_equals_the_fraction_reference(rng):
+    """Over Q the candidates are tested on integer-scaled entries: the same
+    first invertible basis vector or pairwise sum as plain Fraction
+    arithmetic finds, on spans of dimension 1-3 with small and with
+    30-digit entries, singular vectors and singular sums among them."""
+    def big():
+        return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+
+    def singular(entry):
+        a, b, c = entry(), entry(), entry()
+        while not a:
+            a = entry()
+        return Mat2.from_rows([[a, b], [c, b * c / a]], Q)
+
+    found = sums = 0
+    for entry in (lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)), big):
+        for _ in range(150):
+            basis = [rng.choice((singular, lambda e: rand_mat(rng, Q)))(entry)
+                     for _ in range(rng.randint(1, 3))]
+            want = invertible_in_span_reference(basis)
+            got = canon._invertible_in_span(basis, Q)
+            assert got == want
+            if got is not None:
+                assert all(type(x) is Fraction for x in got.values())
+                found += 1
+                sums += got not in basis
+    assert found > 100 and sums > 10
 
 
 def test_a_later_pair_can_refuse_the_one_intertwiner_left(rng):

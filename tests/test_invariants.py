@@ -1,6 +1,7 @@
 """Discriminants, trace identities, invariant vectors and closed formulas."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -23,7 +24,14 @@ from moldkit import (
 )
 from moldkit.canon import _increasing_products
 from moldkit.errors import BudgetExceeded, VanishingM
-from moldkit.invariants import MAX_TRACES, _key_table, _moduli_entries, _split_entries
+from moldkit.invariants import (
+    MAX_TRACES,
+    _inverse_scaled,
+    _key_table,
+    _key_texts,
+    _moduli_entries,
+    _split_entries,
+)
 from moldkit.linalg import _int_scaled
 
 from conftest import (
@@ -36,6 +44,7 @@ from conftest import (
     det4_oracle,
     increasing_subsequences,
     invertible_mats,
+    moduli_reference,
     rand_invertible,
     rand_mat,
     stratum_samples,
@@ -187,18 +196,37 @@ def test_invariant_vector_order_is_increasing_subsequences(rng, spec):
 def test_memoised_key_table_equals_the_per_call_construction():
     """_key_table(n) against the construction _moduli_entries ran on every
     call before the table was memoised, and against the sorted
-    combinations, for every n the trace budget admits; its text form is
+    combinations, for every n the trace budget admits; _key_texts(n) is
     the comma-joined keys, and a second call returns the same objects."""
     for n in range(1, 17):
         keys = []
         for k in range(n, 0, -1):
             head = (k,)
             keys = [head, *[head + key for key in keys], *keys]
-        table, texts = _key_table(n)
+        table, texts = _key_table(n), _key_texts(n)
         assert table == tuple(keys) and list(table) == increasing_subsequences(n)
         assert texts == tuple(",".join(str(i) for i in key) for key in keys)
-        assert _key_table(n)[0] is table and _key_table(n)[1] is texts
+        assert _key_table(n) is table and _key_texts(n) is texts
     assert 2**16 - 1 == MAX_TRACES
+
+
+def test_invariant_vector_builds_no_key_text():
+    """The library's moduli pass reads the key tuples only: after an
+    invariant_vector call on 8 group generators (n = 16) no text table is
+    held.  What the call leaves behind is the memoised key table, about
+    7 MB under tracemalloc; the texts held about 5 MB more."""
+    A = Mat2.from_rows([[1, 1], [0, 1]], F2)
+    t = RepTuple((A,) * 8, mode="group")
+    _key_table.cache_clear()
+    _key_texts.cache_clear()
+    tracemalloc.start()
+    try:
+        assert len(invariant_vector(t).traces) == MAX_TRACES
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _key_table.cache_info().currsize == 1 and _key_texts.cache_info().currsize == 0
+    assert held < 10 * 2**20
 
 
 @pytest.mark.parametrize("spec", [F2, F3, F65521, Q], ids=str)
@@ -208,20 +236,56 @@ def test_moduli_entries_equal_the_lazy_walk(rng, spec):
     each trace (a + d) / scale of the walk's product, the scale over Q the
     product of its matrices' integer scales.  n = 1..12 augmented matrices,
     monoid mode at every n and group mode at even n, where the inverses
-    come from Mat2.inverse; over Q the entries have denominators."""
+    come from Mat2.inverse; over Q the entries have denominators, and both
+    passes take the integer-scaled entries a RepTuple stores."""
     p = spec.p
     for n in range(1, 13):
         for group in (False, True) if n % 2 == 0 else (False,):
             gens = ([rand_invertible(rng, spec) for _ in range(n // 2)] if group
                     else [rand_mat(rng, spec) for _ in range(n)])
             mats = gens + [g.inverse() for g in gens] if group else gens
-            dets, keys, traces = _moduli_entries(p, [g.values() for g in gens], group)
+            entries = [g.values() if p else _int_scaled(g.values()) for g in gens]
+            dets, keys, traces = _moduli_entries(p, entries, group)
             assert dets == tuple(M.det.value for M in mats)
-            walk = list(_increasing_products(p, [M.values() for M in mats]))
+            walk = list(_increasing_products(
+                p, [M.values() if p else _int_scaled(M.values())[0] for M in mats]))
             assert list(keys) == [key for key, _ in walk]
             scales = [1 if p else _int_scaled(M.values())[1] for M in mats]
             assert list(traces) == [(a + d) % p if p else Fraction(a + d, prod(scales[i - 1] for i in key))
                                     for key, (a, _, _, d) in walk]
+
+
+def test_q_invariant_vector_equals_the_matrix_oracle(rng):
+    """invariant_vector over Q, which runs on the integer-scaled view,
+    against moduli_reference's Mat2 products, inverses and traces: ranks
+    1-4 in both modes, tuples of every stratum with small entries and with
+    30-digit numerators and denominators, negative determinants among
+    them.  Each group-mode inverse's integer form is the one _int_scaled
+    gives for Mat2.inverse."""
+    def big():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(10**29, 10**30 - 1),
+                        rng.randint(10**29, 10**30 - 1))
+
+    def big_mat():
+        return Mat2.from_rows([[big(), big()], [big(), big()]], Q)
+
+    negative = group = 0
+    for rank in (1, 2, 3, 4):
+        for mat in (None, big_mat):
+            for base in stratum_samples(rng, Q, rank, mat):
+                for mode in ("monoid", "group"):
+                    if mode == "group" and not all(g.det for g in base.gens):
+                        continue
+                    t = RepTuple(base.gens, mode)
+                    vec = invariant_vector(t)
+                    assert (vec.dets, vec.traces) == moduli_reference(t)
+                    assert len(vec.traces) == 2 ** len(vec.dets) - 1
+                    if mode == "group":
+                        group += 1
+                        for g, scaled in zip(t.gens, t._scaled):
+                            assert _inverse_scaled(scaled) == _int_scaled(g.inverse().values())
+                    negative += sum(g.det.value < 0 for g in t.gens)
+    assert group >= 30 and negative >= 20
 
 
 def split_entries_reference(mats):
@@ -233,8 +297,8 @@ def split_entries_reference(mats):
 
 
 def test_q_split_entries_equal_the_fraction_reference(rng):
-    """Split coordinates over Q from integer-scaled entries, against plain
-    Fraction arithmetic: equal values, all of them Fractions, on tuples
+    """Split coordinates over Q from the integer-scaled entries a RepTuple
+    stores, against plain Fraction arithmetic on the entries: equal values, all of them Fractions, on tuples
     of every stratum whose first matrices have m = 0, with entries of
     small and of about 10^12 numerators and denominators."""
     def big():
@@ -248,11 +312,12 @@ def test_q_split_entries_equal_the_fraction_reference(rng):
                 mats = [Mat2.identity(Q).scale(Q.element(Fraction(2, 3))).values(),
                         Mat2.from_rows([[1, Fraction(1, 7)], [0, 1]], Q).values(),
                         *[g.values() for g in t.gens]]
+                scaled = [_int_scaled(e) for e in mats]
                 if not any((a - d) ** 2 + 4 * b * c for a, b, c, d in mats):
                     with pytest.raises(ValueError, match="no matrix has m != 0"):
-                        _split_entries(None, mats)
+                        _split_entries(None, scaled)
                     continue
-                out = _split_entries(None, mats)
+                out = _split_entries(None, scaled)
                 assert out == split_entries_reference(mats)
                 assert all(type(x) is Fraction for x in (out[1], *out[2], *out[3]))
                 checked += 1

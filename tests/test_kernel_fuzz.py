@@ -10,6 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moldkit.linalg import _int_scaled
 from moldkit.mold import _AIR, _SCALAR, MoldLabel, _classify_entries, _label, _step
 
 PRIMES = (2, 3, 5, 7, 65521)
@@ -117,8 +118,10 @@ def field_and_entries():
 @FUZZ
 @given(field_and_entries())
 def test_classify_entries_is_the_label_of_the_folded_state(case):
-    """Over Q the fold runs on the Fraction rows themselves, so the check
-    covers the integer scaling that _classify_entries applies first."""
+    """Over Q _classify_entries takes each matrix integer-scaled, as a
+    RepTuple stores it, while the fold runs on the Fraction rows
+    themselves, so the check covers the scaling."""
     p, mats = case
     trace_free = [((a - d) % p, b % p, c % p) if p else (a - d, b, c) for a, b, c, d in mats]
-    assert _classify_entries(p, mats) is _label(p, fold(p, _SCALAR, trace_free))
+    entries = mats if p else [_int_scaled(e)[0] for e in mats]
+    assert _classify_entries(p, entries) is _label(p, fold(p, _SCALAR, trace_free))

@@ -7,8 +7,22 @@ from fractions import Fraction
 
 import pytest
 
-from moldkit import FieldElement, RepTuple, general_conjugator, linalg
+from moldkit import (
+    FieldElement,
+    Mat2,
+    MoldLabel,
+    RepTuple,
+    classify,
+    companion_normalize,
+    general_conjugator,
+    invariant_vector,
+    linalg,
+    ss_conjugator,
+    ss_equivalent,
+)
 from moldkit import canon, fields, mold
+from moldkit.canon import split_witness_word
+from moldkit.mold import air_witness
 
 from conftest import (
     F2,
@@ -101,10 +115,19 @@ def test_conjugacy_solver_builds_no_field_element_in_linalg(monkeypatch, rng):
     assert len(screens) == 30  # one screen per conjugator call, reused by the solver
 
 
-def test_q_rref_and_nullspace_of_int_entries_are_fractions():
+def test_q_rref_and_nullspace_of_int_entries_are_fractions(monkeypatch):
+    """Rows of ints are taken as they are, with no rescaling; output
+    values are Fractions all the same."""
+    scaled = []
+    int_scaled = linalg._int_scaled
+    monkeypatch.setattr(linalg, "_int_scaled", lambda row: scaled.append(row) or int_scaled(row))
     red, pivots = linalg.rref([(3, 1), (1, 2)], None)
     assert red == [(1, 0), (0, 1)] and pivots == [0, 1]
     assert all(type(x) is Fraction for row in red for x in row)
+    assert scaled == []
+    rows = [(6, 4, 0), (Fraction(1, 2), 1, 3), (0, True, 1)]
+    assert linalg.rref(rows, None) == rref_reference(rows)
+    assert scaled == rows[1:]
 
 
 def _q_system(rng):
@@ -174,22 +197,73 @@ def test_fp_rref_and_nullspace_equal_the_normalise_first_reference(rng, p):
         assert all(type(x) is int and 0 <= x < p for row in red for x in row)
 
 
+def _q_decide_cases(rng):
+    """(mode, generators, a conjugate's generators, another tuple's
+    generators) for stratum_samples over Q of rank 1-4 in both modes, group
+    mode where every generator is invertible, built before any Fraction
+    operator is patched."""
+    cases = []
+    for rank in (1, 2, 3, 4):
+        for _ in range(3):
+            samples = stratum_samples(rng, Q, rank)
+            for mode in ("monoid", "group"):
+                for t in samples:
+                    if mode == "group" and not all(g.det for g in t.gens):
+                        continue
+                    conj = t.conjugated(rand_invertible(rng, Q)).gens
+                    others = [u.gens for u in samples if u is not t
+                              and (mode == "monoid" or all(g.det for g in u.gens))]
+                    cases.append((mode, t.gens, conj, rng.choice(others)))
+    return cases
+
+
+def _q_decide(mode, gens, conj, other):
+    """Every Q decider on one case: the labels, the air witness, the moduli
+    vector, general conjugators to a conjugate and to another tuple, the
+    semi-simple deciders and split witness, and the companion forms."""
+    t, t2, t3 = (RepTuple(g, mode) for g in (gens, conj, other))
+    out = [classify(t), classify(t3), air_witness(t), invariant_vector(t),
+           general_conjugator(t, t2), general_conjugator(t, t3)]
+    if classify(t) is MoldLabel.SEMISIMPLE:
+        out += [ss_conjugator(t, t2), ss_equivalent(t, t2), split_witness_word(t)]
+        if classify(t3) is MoldLabel.SEMISIMPLE:
+            out += [ss_conjugator(t, t3), ss_equivalent(t, t3)]
+    return out + [companion_normalize(g) for g in gens if not g.is_scalar]
+
+
 def test_q_kernels_run_no_fraction_arithmetic(monkeypatch, rng):
+    """With Fraction's arithmetic operators refusing, Q rref, the kernel
+    classifier on integer-scaled entries, and the whole Q decide path run
+    and give what they gave before: group-mode RepTuple construction,
+    classify, air_witness, invariant_vector, general_conjugator on
+    conjugate and non-conjugate pairs, ss_conjugator, ss_equivalent,
+    split_witness_word and companion_normalize.  Building a Fraction stays
+    allowed."""
     systems = [_q_system(rng)[0] for _ in range(100)]
-    tuples = [[g.values() for g in t.gens]
+    tuples = [[linalg._int_scaled(g.values())[0] for g in t.gens]
               for rank in (1, 2, 3) for _ in range(10) for t in stratum_samples(rng, Q, rank)]
-    tuples += [[(1, 0, 0, 1), (Fraction(1, 3), 2, 0, Fraction(1, 3))]]
+    tuples += [[(1, 0, 0, 1), (1, 6, 0, 1)]]
     rrefs = [linalg.rref(rows, None) for rows in systems]
     labels = [mold._classify_entries(None, mats) for mats in tuples]
     assert len(set(labels)) == 5
+    cases = _q_decide_cases(rng)
+    answers = [_q_decide(*case) for case in cases]
+    assert sum(mode == "group" for mode, *_ in cases) >= 30
+    flat = [x for out in answers for x in out]
+    assert sum(x is MoldLabel.SEMISIMPLE for x in flat) >= 10
+    assert sum(isinstance(x, Mat2) for x in flat) >= 40 and None in flat
+    assert any(isinstance(x, tuple) and x[0] == "delta" for x in flat)
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic in a Q kernel")
 
-    for op in ("add", "sub", "mul", "truediv"):
+    for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow"):
         monkeypatch.setattr(Fraction, f"__{op}__", refuse)
         monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
+    for op in ("neg", "abs"):
+        monkeypatch.setattr(Fraction, f"__{op}__", refuse)
     with pytest.raises(AssertionError):
         Fraction(1, 2) + 1
     assert [linalg.rref(rows, None) for rows in systems] == rrefs
     assert [mold._classify_entries(None, mats) for mats in tuples] == labels
+    assert [_q_decide(*case) for case in cases] == answers

@@ -18,6 +18,7 @@ from moldkit import (
     common_invariant_line,
     conjugate,
     delta2,
+    delta4,
     general_conjugator,
     span_closure,
     ss_conjugator,
@@ -320,6 +321,45 @@ def test_q_classification_and_certificates_at_benchmark_scale(rng):
                     assert all(conjugate(P, A) == B for A, B in zip(t1.gens, t2.gens))
     assert seen == set(MoldLabel) - {MoldLabel.UNIPOTENT_F2}
     assert size > 10**11
+
+
+@pytest.mark.parametrize("spec", [F65521, Q], ids=str)
+def test_air_witness_values_equal_the_determinant_oracle(rng, spec):
+    """air_witness computes delta2 and tau3 on raw entries, over Q on the
+    integer-scaled view with one Fraction per value: each delta value is
+    -delta4(I, A, B, AB) and each tau value delta4(A, B, C, I), the 4x4
+    permutation-sum determinants in field arithmetic, here with 30-digit
+    numerators and denominators over Q."""
+    def entry():
+        if spec.p:
+            return rng.randrange(spec.p)
+        return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
+
+    def mat():
+        return Mat2.from_rows([[entry(), entry()], [entry(), entry()]], spec)
+
+    I = Mat2.identity(spec)
+    # Pairwise proper subalgebras, air as a triple: only tau witnesses it,
+    # after a change of basis and affine changes x I + y M of each matrix.
+    triple = [Mat2.from_rows(rows, spec) for rows in ([[1, 0], [0, 2]], [[1, 0], [1, 2]],
+                                                        [[2, 1], [0, 1]])]
+    kinds = set()
+    for _ in range(40):
+        P = mat()
+        while not P.det:
+            P = mat()
+        planes = [I.scale(entry()) + conjugate(P, M).scale(entry() or 1) for M in triple]
+        for gens in ([mat(), mat()], [mat(), I.scale(entry()), mat(), mat()], planes):
+            t = RepTuple(tuple(gens))
+            witness = air_witness(t)
+            if witness is None:
+                continue
+            kind, idx, value = witness
+            M = [t.gens[i - 1] for i in idx]
+            want = -delta4(I, M[0], M[1], M[0] * M[1]) if kind == "delta" else delta4(*M, I)
+            assert value == want and value.spec == spec
+            kinds.add(kind)
+    assert kinds == {"delta", "tau"}
 
 
 def test_deciders_do_not_use_span_closure(monkeypatch, rng):

@@ -1,11 +1,16 @@
 """Words, tuple validation and the split-witness search."""
 
+import copy
+import pickle
 import time
 from fractions import Fraction
 
 import pytest
 
-from moldkit import FieldElement, Mat2, RepTuple, Word, fields, mat2
+from moldkit import FieldElement, Mat2, MoldLabel, RepTuple, Word, canon, classify, fields
+from moldkit import linalg, mat2, ss_equivalent
+from moldkit.linalg import _int_scaled
+from moldkit.mold import air_witness
 from moldkit.canon import split_witness_word
 from moldkit.errors import BudgetExceeded, NoSplitGenerator, NonInvertibleGenerator
 from moldkit.invariants import invariant_vector
@@ -72,6 +77,37 @@ def test_rep_tuple_keeps_its_generators_when_the_given_list_changes(spec):
     assert type(t.gens) is tuple and t.gens == (N,) and t.rank == 1
     assert t == RepTuple((N,), "group") and hash(t) == hash(RepTuple((N,), "group"))
     assert invariant_vector(t).dets == (spec.one(), spec.one())
+
+
+@pytest.mark.parametrize("mode", ["monoid", "group"])
+def test_q_tuples_store_one_integer_scaled_view(monkeypatch, rng, mode):
+    """Over Q a RepTuple scales each generator once, when it is built, to
+    the pair linalg._int_scaled gives; the view takes no part in equality,
+    hashing or repr, a copy or pickle carries it, and the kernels read it
+    without scaling again.  Over F_p no view is stored."""
+    gens = tuple(rand_invertible(rng, Q) for _ in range(3))
+    t = RepTuple(list(gens), mode)
+    assert t._scaled == tuple(_int_scaled(g.values()) for g in gens)
+    assert all(type(x) is int and s > 0 for ints, s in t._scaled for x in ints)
+    twin = RepTuple(gens, mode)
+    classify(twin)
+    assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
+    for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert other._scaled == t._scaled and other == t
+    assert "_scaled" not in RepTuple(tuple(rand_invertible(rng, F5) for _ in range(2)), mode).__dict__
+    A = gens[0]
+    while not A.m:
+        A = rand_invertible(rng, Q)
+    split = RepTuple((A, Mat2.identity(Q).scale(Q.element(2)) + A.scale(Q.element(3))), mode)
+
+    def refuse(values):
+        raise AssertionError("a generator was scaled again")
+
+    monkeypatch.setattr(linalg, "_int_scaled", refuse)
+    assert classify(t) is MoldLabel.AIR and air_witness(t)[0] == "delta"
+    assert len(invariant_vector(t).traces) == 2 ** (6 if mode == "group" else 3) - 1
+    assert canon._pair_entries(t, twin) is not None
+    assert classify(split) is MoldLabel.SEMISIMPLE and ss_equivalent(split, split)
 
 
 def test_inverse_letters_need_group_mode():
