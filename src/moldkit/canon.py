@@ -4,7 +4,6 @@ for the semi-simple, unipotent and characteristic-2 unipotent strata."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm
 from typing import Optional
@@ -21,7 +20,7 @@ from .errors import (
     NotUnipotent,
     NotUnipotentF2,
 )
-from .fields import FieldElement
+from .fields import FieldElement, _ratio
 from .invariants import MAX_TRACES, _split_entries
 from .mat2 import Mat2, _companion_frame, _mat, eta
 from .mold import MoldLabel, classify
@@ -43,17 +42,13 @@ def _common_scaled(x: tuple, y: tuple) -> tuple:
 def _pair_entries(t1: RepTuple, t2: RepTuple) -> Optional[list[tuple]]:
     """Raw entries (a, b, c, d, e, f, g, h) of each pair (A_i, B_i), or None
     when some pair differs in trace, determinant or scalar-ness, which
-    conjugation preserves.  Over Q each pair is read from the tuples'
-    integer-scaled views at one common scale s (_common_scaled), which
-    scales A_i P - P B_i by s, the traces by s and the determinants by
-    s^2, and so leaves every test below alone."""
+    conjugation preserves.  Each pair is read from the tuples'
+    integer-scaled views at one common scale s (_common_scaled; s = 1 over
+    F_p), which scales A_i P - P B_i by s, the traces by s and the
+    determinants by s^2, and so leaves every test below alone."""
     p = t1.spec.p
     pairs = []
-    if p:
-        views = (A.values() + B.values() for A, B in zip(t1.gens, t2.gens))
-    else:
-        views = map(_common_scaled, t1._scaled, t2._scaled)
-    for a, b, c, d, e, f, g, h in views:
+    for a, b, c, d, e, f, g, h in map(_common_scaled, t1._scaled, t2._scaled):
         tr, det = a + d - e - h, a * d - b * c - e * h + f * g
         if (tr % p or det % p) if p else (tr or det):
             return None
@@ -137,42 +132,35 @@ def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]
     return [_mat(spec, v[::-1]) for v in reversed(rows)]
 
 
-def _invertible_in_span(basis: list[Mat2], spec) -> Optional[Mat2]:
-    """An invertible element of the span, or None if there is none.
+def _invertible_in_span(basis: list[Mat2], spec) -> Optional[tuple]:
+    """The integer entries and scale (P', s) of an invertible element P =
+    P'/s of the span, or None if there is none.
 
     det restricts to a quadratic form on the span.  For tiny prime fields
     the span is enumerated; otherwise the basis vectors and their pairwise
     sums suffice in characteristic != 2 (polarization), a 3-dimensional
     intertwiner space never contains an invertible element, and a
-    4-dimensional one contains I.  Over Q the candidates are tested on
-    integer-scaled entries, a sum x/s + y/t as (t x + s y)/(s t), and the
-    one returned is built as one Fraction per entry.
+    4-dimensional one contains I.  The candidates are integer-scaled,
+    residues with s = 1 over F_p, and a sum x/s + y/t is (t x + s y)/(s t).
     """
     d = len(basis)
     if d == 0:
         return None
     if d == 4:
-        return Mat2.identity(spec)
+        return (1, 0, 0, 1), 1
+    p = spec.p
     vecs = [B.values() for B in basis]
-    if spec.p is None:
-        scaled = [linalg._int_scaled(v) for v in vecs]
-        sums = ((tuple(t * e + s * f for e, f in zip(x, y)), s * t)
-                for (x, s), (y, t) in combinations(scaled, 2))
-        for (a, b, c, e), s in chain(scaled, sums):
-            if a * e - b * c:
-                return _mat(spec, tuple(Fraction(v, s) for v in (a, b, c, e)))
-        return None
-    r = spec.reduce
-    if spec.p**d <= 4096:
+    if p and p**d <= 4096:
         # Lexicographic coefficient search keeps certificates reproducible.
-        candidates = (tuple(r(sum(k * v[i] for k, v in zip(s, vecs))) for i in range(4))
-                      for s in product(range(spec.p), repeat=d))
+        candidates = ((tuple(sum(k * v[i] for k, v in zip(s, vecs)) for i in range(4)), 1)
+                      for s in product(range(p), repeat=d))
     else:
-        candidates = chain(vecs, (tuple(r(x + y) for x, y in zip(vecs[i], vecs[j]))
-                                  for i, j in combinations(range(d), 2)))
-    for a, b, c, e in candidates:
-        if r(a * e - b * c):
-            return _mat(spec, (a, b, c, e))
+        scaled = [(v, 1) if p else linalg._int_scaled(v) for v in vecs]
+        candidates = chain(scaled, ((tuple(t * e + s * f for e, f in zip(x, y)), s * t)
+                                    for (x, s), (y, t) in combinations(scaled, 2)))
+    for (a, b, c, e), s in candidates:
+        if (a * e - b * c) % p if p else a * e - b * c:
+            return (a, b, c, e), s
     # With d in {1, 2}, det vanishes identically on the span (char != 2);
     # with d = 3, an invertible P0 would force dim in {1, 2, 4}.
     return None
@@ -197,31 +185,29 @@ def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     pairs = _pair_entries(t1, t2)
     if pairs is None:
         return None
-    P = _invertible_in_span(intertwiner_basis(t1, t2, pairs=pairs), t1.spec)
-    if P is None:
+    spec = t1.spec
+    found = _invertible_in_span(intertwiner_basis(t1, t2, pairs=pairs), spec)
+    if found is None:
         return None
-    _verify_certificate(t1, t2, P, "intertwiner")
-    return P
+    entries, s = found
+    _verify_certificate(t1, t2, entries, "intertwiner")
+    return _mat(spec, tuple([_ratio(spec.p, v, s) for v in entries]))
 
 
-def _verify_certificate(t1: RepTuple, t2: RepTuple, P: Mat2, what: str) -> None:
-    """Raise RuntimeError unless t1_i P = P t2_i for every i, compared
-    exactly on raw entries: mod p over F_p, and over Q, with A = A'/a and
-    B = B'/b read from the tuples' integer-scaled views and P = P'/s
-    scaled by linalg._int_scaled, as b A'P' = a P'B', so no Fraction
-    arithmetic runs."""
-    p = P.spec.p
-    if p:
-        x, y, z, w = P.values()
-        pairs = (((A.values(), 1), (B.values(), 1)) for A, B in zip(t1.gens, t2.gens))
-    else:
-        (x, y, z, w), _ = linalg._int_scaled(P.values())
-        pairs = zip(t1._scaled, t2._scaled)
-    for ((a, b, c, d), sa), ((e, f, g, h), sb) in pairs:
+def _verify_certificate(t1: RepTuple, t2: RepTuple, P: tuple, what: str) -> None:
+    """Raise RuntimeError unless t1_i P = P t2_i for every i, for P given
+    by the integer entries P' of a nonzero multiple, which its producer
+    holds.  With A = A'/a and B = B'/b read from the tuples'
+    integer-scaled views (a = b = 1 over F_p), the test is b A'P' = a P'B',
+    exact on integers, mod p over F_p, so no Fraction arithmetic runs."""
+    p = t1.spec.p
+    x, y, z, w = P
+    for ((a, b, c, d), sa), ((e, f, g, h), sb) in zip(t1._scaled, t2._scaled):
         AP = (a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w)
         PB = (x * e + y * g, x * f + y * h, z * e + w * g, z * f + w * h)
         for u, v in zip(AP, PB):
-            if (sb * u - sa * v) % p if p else sb * u != sa * v:
+            t = sb * u - sa * v
+            if t % p if p else t:
                 raise RuntimeError(f"{what} failed verification; this is a bug")
 
 
@@ -233,8 +219,7 @@ def _require_semisimple(t: RepTuple) -> None:
 def _split_coordinates(t: RepTuple) -> tuple:
     """(field, mode) and the split coordinates of _split_entries, which
     decide on the semi-simple stratum what the full invariant vectors do."""
-    p = t.spec.p
-    return (t.spec, t.mode, *_split_entries(p, [g.values() for g in t.gens] if p else t._scaled))
+    return (t.spec, t.mode, *_split_entries(t.spec.p, t._scaled))
 
 
 def ss_equivalent(t1: RepTuple, t2: RepTuple) -> bool:
@@ -251,7 +236,7 @@ def split_witness_word(t: RepTuple) -> Word:
     times one more generator.  Raises BudgetExceeded when the 2^n - 1
     subsequences of n generators pass MAX_TRACES."""
     p = t.spec.p
-    mats = [g.values() for g in t.gens] if p else [e for e, _ in t._scaled]
+    mats = [e for e, _ in t._scaled]
     for i, (a, b, c, d) in enumerate(mats, start=1):
         m = (a - d) ** 2 + 4 * b * c
         if m % p if p else m:
@@ -306,36 +291,26 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     mat2._companion_frame; since every generator is fixed by tr A_j and
     tr A_s A_j in span{I, A_s}, equal coordinates force the two
     normalizations to agree on every generator, so P = V1 V2^-1 =
-    V1 adj(V2) / det V2 conjugates t1 to t2.  Over Q both split
-    generators are read from the integer-scaled views at one common s
-    (_common_scaled), which scales V1 adj(V2) and det V2 alike, and each
-    entry of P is one Fraction.
-    The certificate, invertible as a product of invertible matrices, is
-    re-verified as t1_i P = P t2_i.
+    V1 adj(V2) / det V2 conjugates t1 to t2.  Both split generators are
+    read from the integer-scaled views at one common s (_common_scaled),
+    which scales V1 adj(V2) and det V2 alike, and each entry of P is one
+    fields._ratio.  The certificate, invertible as a product of invertible
+    matrices, is re-verified as t1_i P = P t2_i on the integers
+    V1 adj(V2).
     """
     _require_semisimple(t1)
     _require_semisimple(t2)
     coords = _split_coordinates(t1)
     if coords != _split_coordinates(t2):
         return None
-    spec = t1.spec
-    p = spec.p
     s = coords[2]
-    if p:
-        vals = t1.gens[s].values() + t2.gens[s].values()
-    else:
-        vals = _common_scaled(t1._scaled[s], t2._scaled[s])
+    vals = _common_scaled(t1._scaled[s], t2._scaled[s])
     (x, y, z, w), _ = _companion_frame(*vals[:4])
     (e, f, g, h), _ = _companion_frame(*vals[4:])
     det = e * h - f * g
     num = (x * h - y * g, y * e - x * f, z * h - w * g, w * e - z * f)
-    if p:
-        i = pow(det, -1, p)
-        P = _mat(spec, tuple(v * i % p for v in num))
-    else:
-        P = _mat(spec, tuple(Fraction(v, det) for v in num))
-    _verify_certificate(t1, t2, P, "semi-simple certificate")
-    return P
+    _verify_certificate(t1, t2, num, "semi-simple certificate")
+    return _mat(t1.spec, tuple([_ratio(t1.spec.p, v, det) for v in num]))
 
 
 @dataclass(frozen=True)

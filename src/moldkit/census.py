@@ -401,7 +401,7 @@ def _split_vectors(q: int, members: list[tuple], lams: list[tuple[int, ...]]):
     product of one column per j over u in lams[j], with u = t alone at
     j = s.  Tuples of one orbit share their coordinates, so a set of the
     vectors counts each orbit's value once, with no coset restriction."""
-    s, det, traces, pairs = _split_entries(q, members)
+    s, det, traces, pairs = _split_entries(q, [(e, 1) for e in members])
     x = traces[s]
     for t in lams[s]:
         columns = [[((a + 2 * u) % q, (b + t * a + u * x + 2 * t * u) % q)

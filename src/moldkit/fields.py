@@ -233,6 +233,16 @@ def _fe(value: Value, spec: FieldSpec) -> FieldElement:
     return x
 
 
+def _ratio(p: int | None, num: int, den: int) -> Value:
+    """The canonical raw value of the ratio num / den of ints, den != 0 and
+    prime to p: num mod p when den is 1, num den^-1 mod p otherwise, and
+    Fraction(num, den) over Q (p None).  The integer kernels box every
+    output through it."""
+    if p:
+        return num % p if den == 1 else num * pow(den, -1, p) % p
+    return Fraction(num, den)
+
+
 def embed_int(n: int, spec: FieldSpec) -> FieldElement:
     """Canonical image of an integer; embed_int(p, F_p) = 0."""
     return spec.element(n)

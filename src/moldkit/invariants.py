@@ -6,9 +6,10 @@ the invariant vector (generator determinants plus traces of strictly
 increasing products) is a complete conjugacy invariant on the semi-simple
 stratum.
 
-Over Q the moduli and split coordinates read a tuple's integer-scaled
-view (words): a determinant is Fraction(ad - bc, s^2), a group inverse
-s adj(A) / det A in lowest terms, and each output one Fraction of ints.
+The moduli and split coordinates read a tuple's integer-scaled view
+(words), residues with scale 1 over F_p.  Over Q a determinant is
+Fraction(ad - bc, s^2), a group inverse s adj(A) / det A in lowest terms,
+and each output one Fraction of ints.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations, permutations
 from math import gcd, prod
 
 from .errors import BudgetExceeded, VanishingM
-from .fields import FieldElement, _fe
+from .fields import FieldElement, _fe, _ratio
 from .mat2 import Mat2
 from .words import GROUP, RepTuple, Word
 
@@ -112,18 +113,17 @@ def invariant_vector(t: RepTuple) -> InvariantVector:
     of them.
     """
     spec = t.spec
-    mats = [g.values() for g in t.gens] if spec.p else t._scaled
-    dets, keys, traces = _moduli_entries(spec.p, mats, t.mode == GROUP)
+    dets, keys, traces = _moduli_entries(spec.p, t._scaled, t.mode == GROUP)
     return InvariantVector(
         dets=tuple([_fe(v, spec) for v in dets]),
         traces=tuple(zip(keys, [_fe(v, spec) for v in traces])))
 
 
 def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tuple]:
-    """Determinants, increasing-product keys and their traces of raw (a,
-    b, c, d) entries over F_p (canonical residues), or over Q if p is None
-    of integer-scaled (entries, s) pairs (RepTuple._scaled), after
-    appending the inverses in group mode.
+    """Determinants, increasing-product keys and their traces of integer-
+    scaled ((a, b, c, d), s) pairs (RepTuple._scaled) over F_p, where the
+    entries are canonical residues and s = 1, or over Q if p is None,
+    after appending the inverses in group mode.
 
     One suffix-first pass: the products whose first index is k are A_k,
     then A_k times every product whose first index is later, in key order,
@@ -142,6 +142,7 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tup
     # over Q, scales holds their denominators.
     prods, scales = [], []
     if p:
+        mats = [e for e, _ in mats]
         dets = [a * d - b * c for a, b, c, d in mats]
         if group:
             inv = [pow(x, p - 2, p) for x in dets]
@@ -214,32 +215,23 @@ def _key_texts(n: int) -> tuple[str, ...]:
     return tuple(texts)
 
 
-def _split_entries(p: int | None, mats) -> tuple:
-    """(s, det A_s, (tr A_j)_j, (tr A_s A_j)_j) of raw entries over F_p, or
-    Q if p is None, A_s the first matrix with m = (a - d)^2 + 4 b c != 0.
-    On the semi-simple stratum every A_j lies in span{I, A_s} and is fixed
-    by tr A_j and tr A_s A_j, so these O(m) values are a complete conjugacy
-    invariant there, and a function of the full moduli vector.  Over Q the
-    matrices come as integer-scaled (entries, s) pairs (RepTuple._scaled),
-    so m is tested on integers and each value is one Fraction(num, scale)."""
-    if not p:
-        scaled = mats
-        mats = [e for e, _ in scaled]
-    for s, (a, b, c, d) in enumerate(mats):
+def _split_entries(p: int | None, scaled) -> tuple:
+    """(s, det A_s, (tr A_j)_j, (tr A_s A_j)_j) of integer-scaled (entries,
+    scale) pairs (RepTuple._scaled) over F_p, or Q if p is None, A_s the
+    first matrix with m = (a - d)^2 + 4 b c != 0.  On the semi-simple
+    stratum every A_j lies in span{I, A_s} and is fixed by tr A_j and
+    tr A_s A_j, so these O(m) values are a complete conjugacy invariant
+    there, and a function of the full moduli vector.  m is tested on the
+    integers, and each value is one fields._ratio(p, num, scale)."""
+    for s, ((a, b, c, d), t) in enumerate(scaled):
         m = (a - d) ** 2 + 4 * b * c
         if m % p if p else m:
             break
     else:
         raise ValueError("no matrix has m != 0; the tuple is not semi-simple")
-    det = a * d - b * c
-    if not p:
-        t = scaled[s][1]
-        return (s, Fraction(det, t * t),
-                tuple(Fraction(e + h, u) for (e, _, _, h), u in scaled),
-                tuple(Fraction(a * e + b * g + c * f + d * h, t * u) for (e, f, g, h), u in scaled))
-    traces = [(e + h) % p for e, _, _, h in mats]
-    pairs = [(a * e + b * g + c * f + d * h) % p for e, f, g, h in mats]
-    return s, det % p, tuple(traces), tuple(pairs)
+    return (s, _ratio(p, a * d - b * c, t * t),
+            tuple([_ratio(p, e + h, u) for (e, _, _, h), u in scaled]),
+            tuple([_ratio(p, a * e + b * g + c * f + d * h, t * u) for (e, f, g, h), u in scaled]))
 
 
 def det_from_traces(t1: FieldElement, t2: FieldElement, t3: FieldElement) -> FieldElement:

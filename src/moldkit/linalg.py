@@ -16,8 +16,9 @@ Fractions x / pivot.  The reduced row echelon form of a row space
 is unique, so the rows and pivots are those of normalise-first
 Gauss-Jordan.  Q results are Fractions, for int entries and literal 0s too.
 
-_int_scaled also scales a RepTuple's generators, once each when the tuple
-is built; the Q kernels read that stored view (words).
+_int_scaled also scales a Q RepTuple's generators, once each when the
+tuple is built (words); over F_p the stored view is each generator's
+residues with scale 1, and _int_scaled is never called.
 """
 
 from __future__ import annotations
@@ -64,13 +65,10 @@ def rref(rows: Sequence[Vector], p: int | None) -> tuple[list[Vector], list[int]
         r += 1
         if r == len(work):
             break
-    zero, out = Fraction(0), []
-    for row, c in zip(work, pivots):
-        v = row[c]
-        if p:
-            s = pow(v, -1, p)
-            out.append(tuple(x * s % p for x in row))
-        else:
-            out.append(tuple(Fraction(x, v) if x else zero for x in row))
-    return out, pivots
+    if p:
+        inverses = [pow(row[c], -1, p) for row, c in zip(work, pivots)]
+        return [tuple(x * s % p for x in row) for row, s in zip(work, inverses)], pivots
+    zero = Fraction(0)
+    return [tuple(Fraction(x, row[c]) if x else zero for x in row)
+            for row, c in zip(work, pivots)], pivots
 

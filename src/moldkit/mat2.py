@@ -9,10 +9,10 @@ Internal constructors (_mat) set the two fields through the slots' member
 descriptors, without a per-call object.__setattr__; from_rows reduces
 plain int entries mod p directly, and over Q stores four Fractions as
 they are.  companion_normalize builds its companion form (0, -det, 1, tr)
-from A's raw values, over Q on A's integer-scaled entries (a, b, c, d)/s
-as Fraction(bc - ad, s^2) and Fraction(a + d, s), so no Fraction
-arithmetic runs; Mat2.companion is the public constructor of the same
-matrix from boxed trace and determinant.
+from A's integer-scaled entries (a, b, c, d)/s, A's residues with s = 1
+over F_p, as the ratios (bc - ad)/s^2 and (a + d)/s (fields._ratio), so no
+Fraction arithmetic runs; Mat2.companion is the public constructor of the
+same matrix from boxed trace and determinant.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 from .errors import CharTwo, ScalarInput, SingularP
-from .fields import FieldElement, FieldSpec, _fe, _new
+from .fields import FieldElement, FieldSpec, _fe, _new, _ratio
 from .linalg import _int_scaled
 
 
@@ -229,23 +229,19 @@ def companion_normalize(A: Mat2) -> CompanionCert:
     """Deterministic change of basis to companion form [[0,-det],[1,tr]].
 
     The new basis is {v, Av} where v = e2, e1 or e1+e2 according to the
-    first nonzero of b, c, a-d, in that order (_companion_frame).  Both P
-    and the companion form are built from A's raw values, the companion
-    form over Q from A's integer-scaled entries; it equals
-    Mat2.companion(A.tr, A.det).
+    first nonzero of b, c, a-d, in that order (_companion_frame).  P is
+    built from A's raw values, and the companion form from A's
+    integer-scaled entries (A's residues with scale 1 over F_p) through
+    fields._ratio; it equals Mat2.companion(A.tr, A.det).
     """
     if A.is_scalar:
         raise ScalarInput("scalar matrices have no companion form")
     spec, p = A.spec, A.spec.p
-    a, b, c, d = A._values
-    frame, branch = _companion_frame(a, b, c, d)
+    frame, branch = _companion_frame(*A._values)
     P = _mat(spec, tuple(map(spec.canonical, frame)))
-    if p:
-        neg_det, tr = (b * c - a * d) % p, (a + d) % p
-    else:
-        (a, b, c, d), s = _int_scaled(A._values)
-        neg_det, tr = Fraction(b * c - a * d, s * s), Fraction(a + d, s)
-    companion = _mat(spec, (spec.canonical(0), neg_det, spec.canonical(1), tr))
+    (a, b, c, d), s = (A._values, 1) if p else _int_scaled(A._values)
+    companion = _mat(spec, (spec.canonical(0), _ratio(p, b * c - a * d, s * s),
+                            spec.canonical(1), _ratio(p, a + d, s)))
     return CompanionCert(P=P, companion=companion, branch=branch)
 
 

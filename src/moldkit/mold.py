@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import linalg
-from .fields import FieldElement, _fe
+from .fields import FieldElement, _fe, _ratio
 from .invariants import _delta2_entries, _tau3_entries, delta2
 from .mat2 import Mat2, _mat
 from .words import GROUP, RepTuple
@@ -73,8 +73,8 @@ _AIR = (3,)
 
 
 def _step(p: Optional[int], state: tuple, row: tuple) -> tuple:
-    """The kernel state after one more trace-free row (a - d, b, c), reduced
-    mod p over F_p (integers over Q, p None).
+    """The kernel state after one more trace-free row (a - d, b, c) of
+    integers, over F_p (zero tests mod p) or over Q (p None).
 
     With w = u x v for the rows of A and B, delta2(A, B) = -det(AB - BA) =
     w0^2 + w1 w2, and tau3(A, B, C) = tr(A(BC - CB)) is the determinant of
@@ -118,16 +118,17 @@ def _label(p: Optional[int], state: tuple) -> MoldLabel:
 
 
 def _classify_entries(p: Optional[int], mats) -> MoldLabel:
-    """Mold label of raw (a, b, c, d) entry tuples over F_p, or over Q if
-    p is None of integer entries, each matrix scaled by its own positive
-    s (RepTuple._scaled): a fold of _step over their trace-free rows
+    """Mold label of integer (a, b, c, d) entry tuples, each matrix scaled
+    by its own positive s (RepTuple._scaled; s = 1 over F_p, whose entries
+    are canonical residues): a fold of _step over their trace-free rows
     (a - d, b, c), which span the algebra modulo I, returning air as soon
-    as the rank is 3.  Scaling a matrix by s scales its row by s, so no
-    zero test changes, and no Fraction arithmetic runs.
+    as the rank is 3.  Scaling a matrix by s scales its row by s, and over
+    F_p a - d is zero only when it is 0 mod p, so no zero test changes,
+    and no Fraction arithmetic runs.
     """
     state = _SCALAR
     for a, b, c, d in mats:
-        state = _step(p, state, ((a - d) % p, b % p, c % p) if p else (a - d, b, c))
+        state = _step(p, state, (a - d, b, c))
         if state is _AIR:
             return MoldLabel.AIR
     return _label(p, state)
@@ -140,9 +141,7 @@ def classify(t: RepTuple) -> MoldLabel:
     memo = t.__dict__
     label = memo.get("_label")
     if label is None:
-        p = t.spec.p
-        mats = [g.values() for g in t.gens] if p else [e for e, _ in memo["_scaled"]]
-        label = memo["_label"] = _classify_entries(p, mats)
+        label = memo["_label"] = _classify_entries(t.spec.p, [e for e, _ in memo["_scaled"]])
     return label
 
 
@@ -153,9 +152,9 @@ def air_witness(t: RepTuple) -> Optional[tuple[str, tuple[int, ...], FieldElemen
     delta2 != 0, else ("tau", (i, j, k), value) for the first triple with
     tau3 != 0, or None.  The zero tests are the kernel's on a generator and
     on pairs (air iff delta2 != 0, dim <= 2 iff parallel trace-free rows);
-    only the value comes from the delta2 or tau3 polynomial, over Q on the
-    integer-scaled entries divided by the scales to the polynomial's
-    degree in each matrix, 2 or 1.  As i the
+    only the value comes from the delta2 or tau3 polynomial on the
+    integer-scaled entries, divided by the scales to the polynomial's
+    degree in each matrix, 2 or 1 (fields._ratio).  As i the
     search skips scalars and lines already scanned without a partner.
     Through a line pass at most two planes with delta2 = 0, so at most
     four such lines precede the first pair, and an air tuple without a
@@ -164,18 +163,15 @@ def air_witness(t: RepTuple) -> Optional[tuple[str, tuple[int, ...], FieldElemen
     """
     if classify(t) is not MoldLabel.AIR:
         return None
-    spec = t.spec
-    p = spec.p
-    mats = [g.values() for g in t.gens] if p else [e for e, _ in t._scaled]
+    p = t.spec.p
+    mats = [e for e, _ in t._scaled]
 
     def label(*idx: int) -> MoldLabel:
         return _classify_entries(p, [mats[i] for i in idx])
 
     def value(polynomial, idx: tuple, power: int) -> FieldElement:
         v = polynomial(*[mats[i] for i in idx])
-        if p:
-            return _fe(v % p, spec)
-        return _fe(Fraction(v, math.prod(t._scaled[i][1] for i in idx) ** power), spec)
+        return _fe(_ratio(p, v, math.prod(t._scaled[i][1] for i in idx) ** power), t.spec)
 
     scanned: list[int] = []
     for i in range(len(mats)):

@@ -2,11 +2,12 @@
 
 A RepTuple coerces its generators to a tuple and validates them in one
 pass, so a list it was built from can change later without changing the
-tuple.  Over Q the same pass stores the integer-scaled view _scaled in
-the instance __dict__: one linalg._int_scaled (entries, s) pair per
-generator.  The group-mode singular check runs on those integers, and
-every Q kernel reads the view instead of scaling again; over F_p none is
-stored.  mold.classify keeps the label there too.  Neither is a field,
+tuple.  The same pass stores the integer-scaled view _scaled in the
+instance __dict__, one (entries, s) pair per generator: over F_p the
+generator's residues with s = 1, over Q the pair linalg._int_scaled
+gives.  The group-mode singular check runs on those integers, and every
+kernel reads the view, so none branches on the field to find its
+entries.  mold.classify keeps the label there too.  Neither is a field,
 so neither takes part in equality, hashing or repr, and a copied or
 pickled tuple carries both.
 """
@@ -75,15 +76,12 @@ class RepTuple:
         for i, g in enumerate(gens, start=1):
             if g.spec is not spec and g.spec != spec:
                 raise ValueError("generators from mixed field specs")
-            if not p:
-                scaled.append(_int_scaled(g.values()))
-            if not group:
-                continue
-            a, b, c, d = g.values() if p else scaled[-1][0]
-            if not ((a * d - b * c) % p if p else a * d - b * c):
-                raise NonInvertibleGenerator(f"generator {i} is singular in group mode")
-        if not p:
-            self.__dict__["_scaled"] = tuple(scaled)
+            scaled.append((g.values(), 1) if p else _int_scaled(g.values()))
+            if group:
+                a, b, c, d = scaled[-1][0]
+                if not ((a * d - b * c) % p if p else a * d - b * c):
+                    raise NonInvertibleGenerator(f"generator {i} is singular in group mode")
+        self.__dict__["_scaled"] = tuple(scaled)
 
     @property
     def spec(self) -> FieldSpec:

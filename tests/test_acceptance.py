@@ -109,7 +109,7 @@ def test_criterion_03_trace_equivalence_field_level():
         vec_to_rep = {}
         for idxs in stratum_tuples(q, m, MoldLabel.SEMISIMPLE):
             rep = min(tuple(p[i] for i in idxs) for p in perms)
-            vec = _moduli_entries(q, [entries[i] for i in idxs], False)
+            vec = _moduli_entries(q, [(entries[i], 1) for i in idxs], False)
             checked += 1
             if rep in rep_to_vec and rep_to_vec[rep] != vec:
                 ok = False  # one orbit, two invariant vectors

@@ -58,6 +58,16 @@ def mat(spec, rows):
     return Mat2.from_rows(rows, spec)
 
 
+def invertible_in_span(basis, spec):
+    """canon._invertible_in_span's element (P', s) of the span as the Mat2
+    P'/s, built through Fraction entries; None when it finds none."""
+    found = canon._invertible_in_span(basis, spec)
+    if found is None:
+        return None
+    (a, b, c, d), s = found
+    return mat(spec, [[Fraction(a, s), Fraction(b, s)], [Fraction(c, s), Fraction(d, s)]])
+
+
 def verify_conjugator(P, t1, t2):
     """Independent certificate check: invertible and P^-1 A P = B entrywise."""
     det = P.a11 * P.a22 - P.a12 * P.a21
@@ -139,7 +149,7 @@ def assert_solver_matches_reference(t1, t2):
     any pair, general_conjugator returns the reference's
     _invertible_in_span, so the screen drops only pairs with none."""
     reference = intertwiner_reference(t1, t2)
-    expected = canon._invertible_in_span(reference, t1.spec)
+    expected = invertible_in_span(reference, t1.spec)
     if canon._pair_entries(t1, t2) is None:
         assert expected is None
         with pytest.raises(ValueError, match="differ in trace"):
@@ -230,7 +240,7 @@ def test_q_invertible_in_span_equals_the_fraction_reference(rng):
             basis = [rng.choice((singular, lambda e: rand_mat(rng, Q)))(entry)
                      for _ in range(rng.randint(1, 3))]
             want = invertible_in_span_reference(basis)
-            got = canon._invertible_in_span(basis, Q)
+            got = invertible_in_span(basis, Q)
             assert got == want
             if got is not None:
                 assert all(type(x) is Fraction for x in got.values())
@@ -333,11 +343,11 @@ def test_general_conjugator_refuses_a_wrong_certificate(monkeypatch, spec):
     """The exact re-verification of t1_i P = P t2_i raises on a wrong
     invertible P and accepts a scalar multiple of a right one."""
     t = RepTuple((mat(spec, [[Fraction(1, 2), 0], [0, 3]]), mat(spec, [[Fraction(2, 3), 0], [0, 5]])))
-    monkeypatch.setattr(canon, "_invertible_in_span", lambda basis, spec_: mat(spec, [[1, 1], [0, 1]]))
+    monkeypatch.setattr(canon, "_invertible_in_span", lambda *args: ((1, 1, 0, 1), 1))
     with pytest.raises(RuntimeError, match="intertwiner failed verification"):
         general_conjugator(t, t)
     scalar = mat(spec, [[Fraction(3, 7), 0], [0, Fraction(3, 7)]])
-    monkeypatch.setattr(canon, "_invertible_in_span", lambda basis, spec_: scalar)
+    monkeypatch.setattr(canon, "_invertible_in_span", lambda *args: ((3, 0, 0, 3), 7))
     assert general_conjugator(t, t) == scalar
 
 

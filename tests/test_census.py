@@ -94,7 +94,8 @@ def test_packed_invariant_vector_agrees_with_exact(rng):
         pool = list(space_indices(3, mode))
         for _ in range(200):
             idxs = (rng.choice(pool), rng.choice(pool))
-            dets, keys, traces = _moduli_entries(3, [entries[i] for i in idxs], mode == "group")
+            mats = [(entries[i], 1) for i in idxs]
+            dets, keys, traces = _moduli_entries(3, mats, mode == "group")
             vec = invariant_vector(lift_tuple(3, idxs, mode))
             assert dets == tuple(d.value for d in vec.dets)
             assert keys == tuple(sub for sub, _ in vec.traces)
@@ -366,9 +367,9 @@ def test_semisimple_orbits_share_representative_vector_group_mode():
             if idxs != min(orbit):
                 continue
             orbits += 1
-            vector = _moduli_entries(key.q, [entries[i] for i in idxs], True)
+            vector = _moduli_entries(key.q, [(entries[i], 1) for i in idxs], True)
             for member in orbit:
-                assert _moduli_entries(key.q, [entries[i] for i in member], True) == vector
+                assert _moduli_entries(key.q, [(entries[i], 1) for i in member], True) == vector
         assert orbits == orbit_census(key, use_cache=False).orbits[MoldLabel.SEMISIMPLE]
 
 
@@ -524,14 +525,14 @@ def test_semisimple_representatives_have_distinct_full_and_split_vectors(q, m, m
     """The report separates semi-simple orbits by their split coordinates;
     the full moduli vectors of the same representatives separate them too."""
     counts, representatives = semisimple_representatives(CensusKey(q, m, mode), DEFAULT_BUDGET)
-    full = {_moduli_entries(q, mats, mode == "group") for mats in representatives}
-    split = {_split_entries(q, mats) for mats in representatives}
+    full = {_moduli_entries(q, [(e, 1) for e in mats], mode == "group") for mats in representatives}
+    split = {_split_entries(q, [(e, 1) for e in mats]) for mats in representatives}
     assert len(full) == len(split) == len(representatives) == counts.orbits[MoldLabel.SEMISIMPLE]
 
 
 def test_split_entries_need_a_matrix_with_nonzero_m():
     with pytest.raises(ValueError):
-        _split_entries(3, [(1, 0, 0, 1), (0, 1, 0, 0)])
+        _split_entries(3, [((1, 0, 0, 1), 1), ((0, 1, 0, 0), 1)])
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -852,7 +853,7 @@ def translate_split_entries(q, members, lams):
     census._split_vectors."""
     want = Counter()
     for lam in product(*lams):
-        mats = [((x + t) % q, y, z, t) for (x, y, z, _), t in zip(members, lam)]
+        mats = [(((x + t) % q, y, z, t), 1) for (x, y, z, _), t in zip(members, lam)]
         s, det, traces, pairs = _split_entries(q, mats)
         want[(s, det), tuple(zip(traces, pairs))] += 1
     return want

@@ -11,7 +11,7 @@ import pytest
 
 from moldkit import FieldElement, FieldSpec, embed_int, inv
 from moldkit.errors import BudgetExceeded, ZeroInverse
-from moldkit.fields import _fe, _shared_spec, is_prime
+from moldkit.fields import _fe, _ratio, _shared_spec, is_prime
 
 from conftest import F2, F3, F5, F7, F65521, Q
 
@@ -222,3 +222,27 @@ def test_non_coercible_operands_raise_type_error():
                 op(x, 1.5)
             with pytest.raises(TypeError):
                 op(1.5, x)
+
+
+@pytest.mark.parametrize("spec", [F2, F5, F65521, FieldSpec.prime(2**31 - 1), Q], ids=str)
+def test_ratio_is_the_canonical_value_of_the_fraction(rng, spec):
+    """_ratio(p, num, den), the one boxing of the integer kernels' ratios,
+    is FieldSpec.canonical(Fraction(num, den)), value and type, for zero,
+    small, negative and huge numerators, den = 1 and dens of every sign
+    and size prime to p."""
+    p = spec.p
+    nums = [0, 1, -1, 7, -7, 2**31 - 1, -(2**31), 10**40, -(10**40) - 3]
+    nums += [rng.randint(-10**60, 10**60) for _ in range(40)]
+    dens = [1, -1, 2, 3, -5, 2**31 + 11, 10**25 + 7]
+    dens += [rng.choice((-1, 1)) * rng.randint(1, 10**50) for _ in range(40)]
+    checked = 0
+    for num in nums:
+        for den in dens:
+            if p and den % p == 0:
+                continue
+            want = spec.canonical(Fraction(num, den))
+            got = _ratio(p, num, den)
+            assert got == want and type(got) is type(want), (num, den)
+            checked += 1
+    assert checked > 1000
+

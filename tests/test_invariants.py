@@ -244,7 +244,7 @@ def test_moduli_entries_equal_the_lazy_walk(rng, spec):
             gens = ([rand_invertible(rng, spec) for _ in range(n // 2)] if group
                     else [rand_mat(rng, spec) for _ in range(n)])
             mats = gens + [g.inverse() for g in gens] if group else gens
-            entries = [g.values() if p else _int_scaled(g.values()) for g in gens]
+            entries = [(g.values(), 1) if p else _int_scaled(g.values()) for g in gens]
             dets, keys, traces = _moduli_entries(p, entries, group)
             assert dets == tuple(M.det.value for M in mats)
             walk = list(_increasing_products(

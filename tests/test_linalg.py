@@ -20,13 +20,14 @@ from moldkit import (
     ss_conjugator,
     ss_equivalent,
 )
-from moldkit import canon, fields, mold
+from moldkit import canon, fields, mat2, mold, words
 from moldkit.canon import split_witness_word
 from moldkit.mold import air_witness
 
 from conftest import (
     F2,
     F3,
+    F5,
     F65521,
     Q,
     in_span,
@@ -197,30 +198,36 @@ def test_fp_rref_and_nullspace_equal_the_normalise_first_reference(rng, p):
         assert all(type(x) is int and 0 <= x < p for row in red for x in row)
 
 
-def _q_decide_cases(rng):
+def _decide_cases(rng, spec):
     """(mode, generators, a conjugate's generators, another tuple's
-    generators) for stratum_samples over Q of rank 1-4 in both modes, group
-    mode where every generator is invertible, built before any Fraction
-    operator is patched."""
+    generators) for stratum_samples over spec of rank 1-4 in both modes,
+    group mode where every generator is invertible (and some other tuple
+    is), built before any Fraction operator is patched."""
     cases = []
     for rank in (1, 2, 3, 4):
         for _ in range(3):
-            samples = stratum_samples(rng, Q, rank)
+            samples = stratum_samples(rng, spec, rank)
             for mode in ("monoid", "group"):
                 for t in samples:
                     if mode == "group" and not all(g.det for g in t.gens):
                         continue
-                    conj = t.conjugated(rand_invertible(rng, Q)).gens
+                    conj = t.conjugated(rand_invertible(rng, spec)).gens
                     others = [u.gens for u in samples if u is not t
                               and (mode == "monoid" or all(g.det for g in u.gens))]
-                    cases.append((mode, t.gens, conj, rng.choice(others)))
+                    if others:
+                        cases.append((mode, t.gens, conj, rng.choice(others)))
     return cases
 
 
+def _q_decide_cases(rng):
+    return _decide_cases(rng, Q)
+
+
 def _q_decide(mode, gens, conj, other):
-    """Every Q decider on one case: the labels, the air witness, the moduli
-    vector, general conjugators to a conjugate and to another tuple, the
-    semi-simple deciders and split witness, and the companion forms."""
+    """Every decider on one case, over any field: the labels, the air
+    witness, the moduli vector, general conjugators to a conjugate and to
+    another tuple, the semi-simple deciders and split witness, and the
+    companion forms."""
     t, t2, t3 = (RepTuple(g, mode) for g in (gens, conj, other))
     out = [classify(t), classify(t3), air_witness(t), invariant_vector(t),
            general_conjugator(t, t2), general_conjugator(t, t3)]
@@ -266,4 +273,33 @@ def test_q_kernels_run_no_fraction_arithmetic(monkeypatch, rng):
         Fraction(1, 2) + 1
     assert [linalg.rref(rows, None) for rows in systems] == rrefs
     assert [mold._classify_entries(None, mats) for mats in tuples] == labels
+    assert [_q_decide(*case) for case in cases] == answers
+
+
+@pytest.mark.parametrize("spec", [F2, F5, F65521], ids=str)
+def test_fp_kernels_build_no_fraction_and_scale_nothing(monkeypatch, rng, spec):
+    """The F_p twin of test_q_kernels_run_no_fraction_arithmetic: with
+    Fraction construction and linalg._int_scaled refusing, wherever a
+    module binds it, the whole F_p decide path runs in both modes and gives
+    what it gave before: RepTuple construction, classify, air_witness,
+    invariant_vector, general_conjugator on conjugate and non-conjugate
+    pairs, ss_conjugator, ss_equivalent, split_witness_word and
+    companion_normalize.  Over F_p a tuple's view is its residues with
+    scale 1, so nothing is scaled."""
+    cases = _decide_cases(rng, spec)
+    answers = [_q_decide(*case) for case in cases]
+    assert sum(mode == "group" for mode, *_ in cases) >= 5
+    flat = [x for out in answers for x in out]
+    assert sum(x is MoldLabel.SEMISIMPLE for x in flat) >= 10
+    assert sum(isinstance(x, Mat2) for x in flat) >= 40 and None in flat
+    assert any(isinstance(x, tuple) and x[0] == "delta" for x in flat)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Q work in an F_p kernel")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for module in (linalg, words, mat2):
+        monkeypatch.setattr(module, "_int_scaled", refuse)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2)
     assert [_q_decide(*case) for case in cases] == answers

@@ -84,7 +84,8 @@ def test_q_tuples_store_one_integer_scaled_view(monkeypatch, rng, mode):
     """Over Q a RepTuple scales each generator once, when it is built, to
     the pair linalg._int_scaled gives; the view takes no part in equality,
     hashing or repr, a copy or pickle carries it, and the kernels read it
-    without scaling again.  Over F_p no view is stored."""
+    without scaling again.  Over F_p the view is each generator's
+    residues with scale 1: its values() tuple itself."""
     gens = tuple(rand_invertible(rng, Q) for _ in range(3))
     t = RepTuple(list(gens), mode)
     assert t._scaled == tuple(_int_scaled(g.values()) for g in gens)
@@ -94,7 +95,10 @@ def test_q_tuples_store_one_integer_scaled_view(monkeypatch, rng, mode):
     assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
     for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert other._scaled == t._scaled and other == t
-    assert "_scaled" not in RepTuple(tuple(rand_invertible(rng, F5) for _ in range(2)), mode).__dict__
+    fp_gens = tuple(rand_invertible(rng, F5) for _ in range(2))
+    fp_view = RepTuple(fp_gens, mode)._scaled
+    assert fp_view == tuple((g.values(), 1) for g in fp_gens)
+    assert all(ints is g.values() for (ints, _), g in zip(fp_view, fp_gens))
     A = gens[0]
     while not A.m:
         A = rand_invertible(rng, Q)
