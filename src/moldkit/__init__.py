@@ -19,7 +19,6 @@ from .canon import (
     unipotent_decompose,
     unipotent_reconstruct,
 )
-from .census import CensusKey, StratumCounts, consistency_report, orbit_census, stratum_census
 from .fields import FieldElement, FieldSpec, embed_int, inv
 from .invariants import (
     InvariantVector,
@@ -53,6 +52,21 @@ from .mold import (
 from .words import GROUP, MONOID, RepTuple, Word
 
 __version__ = "0.1.0"
+
+# The census names resolve on first access (PEP 562), so that importing
+# moldkit does not load the census module.  They are looked up in
+# moldkit.census on every access and not cached here, so a rebinding of a
+# census function there shows through the package name too.
+_CENSUS_NAMES = ("CensusKey", "StratumCounts", "consistency_report", "orbit_census",
+                 "stratum_census")
+
+
+def __getattr__(name: str):
+    if name in _CENSUS_NAMES:
+        from . import census
+
+        return getattr(census, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ABChart",

@@ -4,6 +4,7 @@ for the semi-simple, unipotent and characteristic-2 unipotent strata."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, combinations, product
 from math import lcm
 from typing import Optional
@@ -66,13 +67,11 @@ def _defect(pair: tuple, P: tuple) -> tuple:
             c * x + d * z - z * e - w * g, c * y + d * w - z * f - w * h)
 
 
-def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]] = None
-                      ) -> list[Mat2]:
-    """Basis of the solution space {P : t1_i P = P t2_i for all i}, for
-    tuples whose pairs agree in trace, determinant and scalar-ness (the
-    screen of general_conjugator); ValueError otherwise.  A caller that
-    has already screened passes the raw entries _pair_entries(t1, t2)
-    returned as pairs, so the screen runs once.
+def _intertwiner_rows(pairs: list[tuple], p: int | None) -> list[tuple]:
+    """Basis of the intertwiner space of screened raw pairs (_pair_entries)
+    as (P', s) pairs of integer entries and a scale, the basis vector
+    being P'/s: residues with s = 1 over F_p, and over Q integers with gcd
+    1 and s > 0, what linalg._int_scaled gives for the vector's values.
 
     Screened scalar pairs are equal and constrain nothing, so with no
     other pair the space is all of M_2 and the unit basis E11, E12, E21,
@@ -87,16 +86,10 @@ def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]
     The basis is the one the 4m x 4 system's nullspace gives, one vector
     per free column in increasing order: a free column is where a basis
     vector ends, so it is the reduced row echelon form of the span read
-    from the last coordinate back, and rref of the reversed vectors gives
-    it in decreasing free-column order.  Over Q the span holds integers,
-    which rref takes as they are.
+    from the last coordinate back, and the echelon of the reversed
+    vectors (linalg._insert) gives it in decreasing free-column order,
+    each vector as its integer row and pivot value.
     """
-    spec = t1.spec
-    p = spec.p
-    if pairs is None:
-        pairs = _pair_entries(t1, t2)
-        if pairs is None:
-            raise ValueError("the pairs differ in trace, determinant or scalar-ness")
     span = None
     for pair in pairs:
         if span is None:
@@ -126,38 +119,57 @@ def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]
         if p:
             span = [tuple(e % p for e in P) for P in span]
     if span is None:
-        one, zero = spec.canonical(1), spec.canonical(0)
-        return [_mat(spec, tuple(one if i == j else zero for j in range(4))) for i in range(4)]
-    rows, _ = linalg.rref([P[::-1] for P in span], p)
-    return [_mat(spec, v[::-1]) for v in reversed(rows)]
+        return [(tuple(int(i == j) for j in range(4)), 1) for i in range(4)]
+    echelon: list = []
+    for P in span:
+        linalg._insert(echelon, P[::-1], p)
+    return [(tuple(e[::-1]), e[c]) for e, c in reversed(echelon)]
 
 
-def _invertible_in_span(basis: list[Mat2], spec) -> Optional[tuple]:
+def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]] = None
+                      ) -> list[Mat2]:
+    """Basis of the solution space {P : t1_i P = P t2_i for all i}, for
+    tuples whose pairs agree in trace, determinant and scalar-ness (the
+    screen of general_conjugator); ValueError otherwise.  A caller that
+    has already screened passes the raw entries _pair_entries(t1, t2)
+    returned as pairs, so the screen runs once.  The basis is
+    _intertwiner_rows's, each P'/s boxed in canonical values: the
+    nullspace basis of the 4m x 4 system, in its order.
+    """
+    spec = t1.spec
+    if pairs is None:
+        pairs = _pair_entries(t1, t2)
+        if pairs is None:
+            raise ValueError("the pairs differ in trace, determinant or scalar-ness")
+    p = spec.p
+    return [_mat(spec, tuple([_ratio(p, x, s) for x in P]))
+            for P, s in _intertwiner_rows(pairs, p)]
+
+
+def _invertible_in_span(rows: list[tuple], p: int | None) -> Optional[tuple]:
     """The integer entries and scale (P', s) of an invertible element P =
-    P'/s of the span, or None if there is none.
+    P'/s of the span of the basis rows, (entries, scale) pairs as
+    _intertwiner_rows gives them, or None if there is none.
 
     det restricts to a quadratic form on the span.  For tiny prime fields
     the span is enumerated; otherwise the basis vectors and their pairwise
     sums suffice in characteristic != 2 (polarization), a 3-dimensional
     intertwiner space never contains an invertible element, and a
-    4-dimensional one contains I.  The candidates are integer-scaled,
-    residues with s = 1 over F_p, and a sum x/s + y/t is (t x + s y)/(s t).
+    4-dimensional one contains I.  A sum x/s + y/t is (t x + s y)/(s t).
     """
-    d = len(basis)
+    d = len(rows)
     if d == 0:
         return None
     if d == 4:
         return (1, 0, 0, 1), 1
-    p = spec.p
-    vecs = [B.values() for B in basis]
     if p and p**d <= 4096:
         # Lexicographic coefficient search keeps certificates reproducible.
+        vecs = [v for v, _ in rows]
         candidates = ((tuple(sum(k * v[i] for k, v in zip(s, vecs)) for i in range(4)), 1)
                       for s in product(range(p), repeat=d))
     else:
-        scaled = [(v, 1) if p else linalg._int_scaled(v) for v in vecs]
-        candidates = chain(scaled, ((tuple(t * e + s * f for e, f in zip(x, y)), s * t)
-                                    for (x, s), (y, t) in combinations(scaled, 2)))
+        candidates = chain(rows, ((tuple(t * e + s * f for e, f in zip(x, y)), s * t)
+                                  for (x, s), (y, t) in combinations(rows, 2)))
     for (a, b, c, e), s in candidates:
         if (a * e - b * c) % p if p else a * e - b * c:
             return (a, b, c, e), s
@@ -172,9 +184,10 @@ def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     Decides membership in the same conjugation orbit over the base field.
     A pair that differs in trace, determinant or scalar-ness, which
     conjugation preserves, gives None before any intertwiner is built;
-    otherwise any returned certificate is re-verified as t1_i P = P t2_i,
-    which for an invertible P (_invertible_in_span checks det P) is
-    P^-1 t1_i P = t2_i.
+    otherwise the intertwiner basis is read as integer rows
+    (_intertwiner_rows), and any returned certificate is re-verified as
+    t1_i P = P t2_i, which for an invertible P (_invertible_in_span checks
+    det P) is P^-1 t1_i P = t2_i.
     """
     if len(t1.gens) != len(t2.gens):
         raise ValueError("tuples have different lengths")
@@ -186,7 +199,7 @@ def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     if pairs is None:
         return None
     spec = t1.spec
-    found = _invertible_in_span(intertwiner_basis(t1, t2, pairs=pairs), spec)
+    found = _invertible_in_span(_intertwiner_rows(pairs, spec.p), spec.p)
     if found is None:
         return None
     entries, s = found
@@ -293,10 +306,10 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     normalizations to agree on every generator, so P = V1 V2^-1 =
     V1 adj(V2) / det V2 conjugates t1 to t2.  Both split generators are
     read from the integer-scaled views at one common s (_common_scaled),
-    which scales V1 adj(V2) and det V2 alike, and each entry of P is one
-    fields._ratio.  The certificate, invertible as a product of invertible
-    matrices, is re-verified as t1_i P = P t2_i on the integers
-    V1 adj(V2).
+    which scales V1 adj(V2) and det V2 alike.  P is boxed as V1 adj(V2)
+    times one inverse of det V2 mod p, or as one Fraction per entry over
+    Q.  The certificate, invertible as a product of invertible matrices,
+    is re-verified as t1_i P = P t2_i on the integers V1 adj(V2).
     """
     _require_semisimple(t1)
     _require_semisimple(t2)
@@ -310,7 +323,11 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     det = e * h - f * g
     num = (x * h - y * g, y * e - x * f, z * h - w * g, w * e - z * f)
     _verify_certificate(t1, t2, num, "semi-simple certificate")
-    return _mat(t1.spec, tuple([_ratio(t1.spec.p, v, det) for v in num]))
+    p = t1.spec.p
+    if p:
+        inverse = pow(det, -1, p)
+        return _mat(t1.spec, tuple([v * inverse % p for v in num]))
+    return _mat(t1.spec, tuple([Fraction(v, det) for v in num]))
 
 
 @dataclass(frozen=True)

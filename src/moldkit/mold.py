@@ -46,23 +46,37 @@ class SubalgebraBasis:
 
 
 def span_closure(t: RepTuple) -> SubalgebraBasis:
-    """Fixpoint of span + span*span starting from {I} union generators.
+    """The unital algebra the generators span: the span of all words.
 
-    Terminates in at most three rounds since the dimension is at most 4.
-    The returned basis is the reduced row echelon form of the closure, so
-    it is deterministic and contains I in its span.
+    The words are walked breadth first from I on raw integer rows, each
+    element found multiplied on the right by every generator, and each
+    product goes into one reduced echelon (linalg._insert), kept up to
+    date as rows go in; a product that adds a row is a new element.  The
+    span of the elements found is then closed under right multiplication
+    by the generators and holds I, so it holds every word.  The walk stops
+    at dimension 4 or when no product adds a row.  Over Q the generators
+    are scaled to integers (linalg._int_scaled), which scales each product
+    by a positive integer and leaves the span alone, and no Fraction
+    arithmetic runs until the rows are normalised.  The returned basis is
+    the reduced row echelon form of the closure, so it is deterministic
+    and contains I in its span.  The kernel classifier is not consulted.
     """
     spec = t.spec
-    rows = [Mat2.identity(spec).values()] + [g.values() for g in t.gens]
-    basis_rows, _ = linalg.rref(rows, spec.p)
-    while len(basis_rows) < 4:
-        mats = [_mat(spec, row) for row in basis_rows]
-        products = [(x * y).values() for x in mats for y in mats]
-        new_rows, _ = linalg.rref(basis_rows + products, spec.p)
-        if len(new_rows) == len(basis_rows):
-            break
-        basis_rows = new_rows
-    return SubalgebraBasis(tuple(_mat(spec, row) for row in basis_rows))
+    p = spec.p
+    gens = [g.values() if p else linalg._int_scaled(g.values())[0] for g in t.gens]
+    found = [(1, 0, 0, 1)]
+    echelon: list = []
+    linalg._insert(echelon, found[0], p)
+    for a, b, c, d in found:
+        for e, f, g, h in gens:
+            if len(found) == 4:
+                break
+            product = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+            if p:
+                product = (product[0] % p, product[1] % p, product[2] % p, product[3] % p)
+            if linalg._insert(echelon, product, p):
+                found.append(product)
+    return SubalgebraBasis(tuple([_mat(spec, row) for row in linalg._normalised(echelon, p)]))
 
 
 # Kernel states: the rank of the trace-free rows folded so far, followed

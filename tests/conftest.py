@@ -171,6 +171,30 @@ def in_span(basis_rref, pivots, v, p):
     return not any(residue)
 
 
+def span_closure_reference(t):
+    """The closure as a fixpoint of span + span*span, from {I} and the
+    generators, in Mat2 products and rref_reference: each round boxes the
+    basis, multiplies every ordered pair and reduces the old rows with the
+    products, until a round adds no row or the dimension is 4.  The
+    reference mold.span_closure, a walk over words on integer rows, must
+    equal exactly."""
+    spec = t.spec
+
+    def box(row):
+        return Mat2.from_rows([row[:2], row[2:]], spec)
+
+    rows, _ = rref_reference([Mat2.identity(spec).values()] + [g.values() for g in t.gens],
+                             spec.p)
+    while len(rows) < 4:
+        mats = [box(row) for row in rows]
+        new_rows, _ = rref_reference(rows + [(x * y).values() for x in mats for y in mats],
+                                     spec.p)
+        if len(new_rows) == len(rows):
+            break
+        rows = new_rows
+    return mold.SubalgebraBasis(tuple(box(row) for row in rows))
+
+
 def closure_label(t):
     """Six-way label read off the span closure: dim 4 air, 3 borel, 1
     scalar; dim 2 is semi-simple when some basis element has m != 0, else

@@ -16,6 +16,7 @@ from moldkit import (
     conjugate,
     general_conjugator,
     invariant_vector,
+    linalg,
     scalar_decompose,
     ss_conjugator,
     ss_equivalent,
@@ -59,9 +60,13 @@ def mat(spec, rows):
 
 
 def invertible_in_span(basis, spec):
-    """canon._invertible_in_span's element (P', s) of the span as the Mat2
-    P'/s, built through Fraction entries; None when it finds none."""
-    found = canon._invertible_in_span(basis, spec)
+    """canon._invertible_in_span's element (P', s) of the span of a basis
+    of Mat2s, given as the (entries, scale) rows _intertwiner_rows returns
+    (residues with scale 1 over F_p, _int_scaled over Q), as the Mat2
+    P'/s built through Fraction entries; None when it finds none."""
+    p = spec.p
+    rows = [(M.values(), 1) if p else linalg._int_scaled(M.values()) for M in basis]
+    found = canon._invertible_in_span(rows, p)
     if found is None:
         return None
     (a, b, c, d), s = found
@@ -147,10 +152,13 @@ def assert_solver_matches_reference(t1, t2):
     """On a pair that passes general_conjugator's screen, intertwiner_basis
     equals the 4m x 4 elimination reference in values and value types; on
     any pair, general_conjugator returns the reference's
-    _invertible_in_span, so the screen drops only pairs with none."""
+    _invertible_in_span, so the screen drops only pairs with none.  The
+    integer rows general_conjugator reads are the basis vectors' residues
+    with scale 1 over F_p, and their _int_scaled form over Q."""
     reference = intertwiner_reference(t1, t2)
     expected = invertible_in_span(reference, t1.spec)
-    if canon._pair_entries(t1, t2) is None:
+    pairs = canon._pair_entries(t1, t2)
+    if pairs is None:
         assert expected is None
         with pytest.raises(ValueError, match="differ in trace"):
             canon.intertwiner_basis(t1, t2)
@@ -159,6 +167,9 @@ def assert_solver_matches_reference(t1, t2):
         assert basis == reference
         assert [list(map(type, M.values())) for M in basis] == [
             list(map(type, M.values())) for M in reference]
+        p = t1.spec.p
+        assert canon._intertwiner_rows(pairs, p) == [
+            (M.values(), 1) if p else linalg._int_scaled(M.values()) for M in reference]
     P = general_conjugator(t1, t2)
     assert P == expected
     if P is not None:
@@ -198,7 +209,7 @@ def test_intertwiner_basis_equals_the_elimination_reference_on_seeded_pairs(rng,
 def test_all_scalar_pairs_give_the_unit_basis_without_elimination(monkeypatch, rng):
     """Screened scalar pairs constrain nothing: the basis is E11, E12, E21,
     E22 in canonical values, as the elimination reference gives it, and
-    rref is not called."""
+    no elimination runs."""
     cases = []
     for spec in (F5, F65521, Q):
         for rank in (1, 2, 3):
@@ -207,9 +218,10 @@ def test_all_scalar_pairs_give_the_unit_basis_without_elimination(monkeypatch, r
             cases.append((t, intertwiner_reference(t, t)))
 
     def refuse(*args):
-        raise AssertionError("rref called for an all-scalar tuple")
+        raise AssertionError("elimination run for an all-scalar tuple")
 
     monkeypatch.setattr(canon.linalg, "rref", refuse)
+    monkeypatch.setattr(canon.linalg, "_insert", refuse)
     for t, reference in cases:
         spec = t.spec
         one, zero = spec.canonical(1), spec.canonical(0)
@@ -221,10 +233,12 @@ def test_all_scalar_pairs_give_the_unit_basis_without_elimination(monkeypatch, r
 
 
 def test_q_invertible_in_span_equals_the_fraction_reference(rng):
-    """Over Q the candidates are tested on integer-scaled entries: the same
-    first invertible basis vector or pairwise sum as plain Fraction
-    arithmetic finds, on spans of dimension 1-3 with small and with
-    30-digit entries, singular vectors and singular sums among them."""
+    """Over Q the basis comes in as integer rows with positive scales, as
+    _intertwiner_rows gives it, and the candidates are tested on integers:
+    the same first invertible basis vector or pairwise sum as plain
+    Fraction arithmetic finds, on spans of dimension 1-3 with small and
+    with 30-digit entries, singular vectors and singular sums among
+    them."""
     def big():
         return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**30))
 

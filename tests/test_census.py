@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from array import array
 from collections import Counter
@@ -10,6 +13,7 @@ from itertools import combinations, product
 
 import pytest
 
+import moldkit
 from moldkit import Mat2, MoldLabel, RepTuple, census, classify, conjugate
 from moldkit.census import (
     _LABELS,
@@ -963,3 +967,45 @@ def test_points_census_at_rank_1100_through_the_cli():
     sizes = stratum_polynomials(2, m, "monoid")
     assert body["points"] == {label.value: sum(s * c for s, c in by_size.items())
                               for label, by_size in sizes.items()}
+
+
+_LAZY_IMPORT_CHECK = """
+import sys
+import moldkit
+loaded = sorted(name for name in sys.modules if name.startswith("moldkit"))
+assert "moldkit.census" not in loaded and "moldkit.cli" not in loaded, loaded
+namespace = {}
+exec("from moldkit import *", namespace)
+assert sorted(name for name in namespace if not name.startswith("__")) == sorted(moldkit.__all__)
+import moldkit.census
+assert namespace["stratum_census"] is moldkit.census.stratum_census
+assert namespace["CensusKey"] is moldkit.census.CensusKey
+assert "moldkit.cli" not in sys.modules
+print(moldkit.stratum_census(moldkit.CensusKey(2, 1), use_cache=False).total)
+"""
+
+
+def test_import_moldkit_loads_neither_census_nor_cli(tmp_path):
+    """A bare import moldkit, in a fresh interpreter, loads neither the
+    census nor the CLI; the census names resolve all the same, through
+    the package and through import *."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(moldkit.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "MOLDKIT_CACHE": str(tmp_path)}
+    out = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_CHECK], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "16\n"
+
+
+def test_package_census_names_follow_a_rebinding_in_census(monkeypatch):
+    """The package's census names are looked up in moldkit.census on each
+    access, so a wrapper bound there, as a tracer binds one, shows through
+    moldkit.stratum_census too."""
+    def wrapper(*args, **kwargs):
+        return stratum_census(*args, **kwargs)
+
+    monkeypatch.setattr(census, "stratum_census", wrapper)
+    assert moldkit.stratum_census is wrapper
+    assert "stratum_census" not in vars(moldkit)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        moldkit.no_such_name

@@ -8,7 +8,6 @@ from fractions import Fraction
 import pytest
 
 from moldkit import (
-    FieldElement,
     Mat2,
     MoldLabel,
     RepTuple,
@@ -83,7 +82,7 @@ def test_conjugacy_solver_builds_no_field_element_in_linalg(monkeypatch, rng):
                  if isinstance(node, ast.ImportFrom) and node.module]
     assert not any("fields" in name for name in imported)
 
-    intertwiner_basis, calls, field_code = canon.intertwiner_basis, [], []
+    intertwiner_rows, calls, field_code = canon._intertwiner_rows, [], []
     pair_entries, screens = canon._pair_entries, []
 
     def screen(t1, t2):
@@ -94,18 +93,18 @@ def test_conjugacy_solver_builds_no_field_element_in_linalg(monkeypatch, rng):
         if event == "call" and frame.f_code.co_filename == fields.__file__:
             field_code.append(frame.f_code.co_name)
 
-    def watched(t1, t2, *, pairs):
+    def watched(pairs, p):
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            basis = intertwiner_basis(t1, t2, pairs=pairs)
+            rows = intertwiner_rows(pairs, p)
         finally:
             sys.setprofile(previous)
-        calls.append(basis)
-        assert not any(isinstance(x, FieldElement) for M in basis for x in M.values())
-        return basis
+        calls.append(rows)
+        assert all(type(x) is int for P, s in rows for x in (*P, s))
+        return rows
 
-    monkeypatch.setattr(canon, "intertwiner_basis", watched)
+    monkeypatch.setattr(canon, "_intertwiner_rows", watched)
     monkeypatch.setattr(canon, "_pair_entries", screen)
     for spec in (F3, F65521, Q):
         for _ in range(10):

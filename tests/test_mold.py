@@ -41,6 +41,7 @@ from conftest import (
     rand_invertible,
     rand_mat,
     rank,
+    span_closure_reference,
     stratum_samples,
     word_images,
 )
@@ -84,6 +85,87 @@ def test_span_closure_matches_word_image_span(rng):
     for _ in range(40):
         t = RepTuple((rand_mat(rng, Q), rand_mat(rng, Q)))
         assert span_closure(t).dim == oracle_dim(t)
+
+
+def test_span_closure_equals_the_reference_on_all_f2_pairs():
+    mats2 = all_mats(F2)
+    dims = set()
+    for A in mats2:
+        for B in mats2:
+            t = RepTuple((A, B))
+            closure = span_closure(t)
+            assert closure == span_closure_reference(t)
+            dims.add(closure.dim)
+    assert dims == {1, 2, 3, 4}
+
+
+def _seeded_closure_tuples(rng, spec):
+    """stratum_samples of ranks 1-4 over spec, each in monoid mode and, when
+    every generator is invertible, in group mode."""
+    tuples = []
+    for rank in (1, 2, 3, 4):
+        for _ in range(6):
+            for t in stratum_samples(rng, spec, rank):
+                tuples.append(t)
+                if all(g.det for g in t.gens):
+                    tuples.append(RepTuple(t.gens, "group"))
+    return tuples
+
+
+@pytest.mark.parametrize("spec", [F3, F65521, FieldSpec.prime(2**31 - 1), Q], ids=str)
+def test_span_closure_equals_the_reference_on_seeded_tuples(rng, spec):
+    tuples = _seeded_closure_tuples(rng, spec)
+    assert sum(t.mode == "group" for t in tuples) >= 20
+    dims = set()
+    for t in tuples:
+        closure = span_closure(t)
+        reference = span_closure_reference(t)
+        assert closure == reference
+        assert [list(map(type, M.values())) for M in closure.basis] == [
+            list(map(type, M.values())) for M in reference.basis]
+        dims.add(closure.dim)
+    assert dims == {1, 2, 3, 4}
+
+
+def test_q_span_closure_builds_no_fraction_before_boxing(monkeypatch, rng):
+    """Over Q the closure runs on integer rows: with Fraction construction,
+    and with it all Fraction arithmetic, refused until linalg normalises
+    the echelon rows, it gives the reference's basis.  It reads the
+    generators' values only: with each tuple's integer-scaled view
+    removed and the kernel classifier refusing, nothing changes."""
+    tuples = _seeded_closure_tuples(rng, Q)
+    tuples.append(RepTuple((Mat2.from_rows([[Fraction(10**30, 7), 0], [0, 1]], Q),)))
+    want = [span_closure_reference(t) for t in tuples]
+    for t in tuples:
+        del t.__dict__["_scaled"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel classifier in span_closure")
+
+    for name in ("classify", "_classify_entries", "_step", "_label"):
+        monkeypatch.setattr(mold, name, refuse)
+    boxing, normalised, new = [], linalg._normalised, Fraction.__new__
+
+    def boxed(echelon, p):
+        boxing.append(p)
+        try:
+            return normalised(echelon, p)
+        finally:
+            boxing.pop()
+
+    def guarded(cls, *args, **kwargs):
+        if not boxing:
+            raise AssertionError("a Fraction built before the rows are boxed")
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_normalised", boxed)
+    monkeypatch.setattr(Fraction, "__new__", guarded)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2)
+    got = [span_closure(t) for t in tuples]
+    monkeypatch.undo()
+    assert got == want
+    assert {closure.dim for closure in got} == {1, 2, 3, 4}
 
 
 def minors_rank_le2_oracle(t, max_len=3):
