@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
-from math import lcm
-from typing import Optional
+from math import gcd, lcm
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .errors import (
@@ -21,11 +21,11 @@ from .errors import (
     NotUnipotent,
     NotUnipotentF2,
 )
-from .fields import FieldElement, _ratio
+from .fields import FieldElement, Value, _fe, _ratio
 from .invariants import MAX_TRACES, _split_entries
-from .mat2 import Mat2, _companion_frame, _mat, eta
+from .mat2 import Mat2, _companion_frame, _mat
 from .mold import MoldLabel, classify
-from .words import RepTuple, Word
+from .words import GROUP, RepTuple, Word
 
 
 def _common_scaled(x: tuple, y: tuple) -> tuple:
@@ -330,17 +330,146 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     return _mat(t1.spec, tuple([Fraction(v, det) for v in num]))
 
 
+class _Algebra(NamedTuple):
+    """The commutative algebra span{I, X} of a chart matrix X = X'/s,
+    read from integer-scaled views: X' = (a', b', c', d') and s, with tr'
+    and det' the trace and determinant of X'.  gens holds for each
+    generator A_i the integer triple (U, V, D) with A_i = (U I + V X')/D,
+    or None when A_i is outside the span; invs holds the triples of the
+    inverses in group mode and is None in monoid mode.  Triples are
+    residues over F_p, with D = 1 in gens, and over Q have gcd 1 and
+    D > 0 (_triple)."""
+
+    p: int | None
+    x: tuple
+    s: int
+    tr: int
+    det: int
+    gens: tuple
+    invs: Optional[tuple]
+
+    def fold(self, w: Word) -> Optional[tuple]:
+        """The triple (U, V, D) of rho(w) = (U I + V X')/D, multiplied
+        letter by letter from (1, 0, 1) as (U + V X')(u + v X') =
+        (U u - V v det') + (U v + u V + V v tr') X', since X'^2 = tr' X' -
+        det' I, with D = 1 over F_p (one inverse at the end, if an inverse
+        letter made D != 1); None as soon as a letter's generator is
+        outside the span.  A bad letter raises what RepTuple.evaluate
+        raises for it."""
+        p, tr, det, gens, invs = self.p, self.tr, self.det, self.gens, self.invs
+        U, V, D = 1, 0, 1
+        for i in w.letters:
+            if i > 0:
+                g = gens[i - 1]
+            elif invs is None:
+                raise ValueError("inverse letters require group mode")
+            else:
+                g = invs[-i - 1]
+            if g is None:
+                return None
+            u, v, e = g
+            U, V, D = U * u - V * v * det, U * v + u * V + V * v * tr, D * e
+            if p:
+                U, V, D = U % p, V % p, D % p
+            elif (k := gcd(U, V, D)) != 1:
+                U, V, D = U // k, V // k, D // k
+        if p and D != 1:
+            inv = pow(D, -1, p)
+            return U * inv % p, V * inv % p, 1
+        return U, V, D
+
+    def image(self, f: tuple) -> tuple:
+        """Canonical raw entries of the fold f's image (U I + V X')/D."""
+        U, V, D = f
+        p, (a, b, c, d) = self.p, self.x
+        return (_ratio(p, U + V * a, D), _ratio(p, V * b, D), _ratio(p, V * c, D),
+                _ratio(p, U + V * d, D))
+
+    def det_of(self, f: tuple) -> Value:
+        """Canonical raw det of the fold f's image: det(U I + V X')/D^2."""
+        U, V, D = f
+        return _ratio(self.p, _norm(self, U, V), D * D)
+
+
+def _norm(alg: _Algebra, u: int, v: int) -> int:
+    """det(u I + v X') = u^2 + u v tr' + v^2 det'."""
+    return u * u + u * v * alg.tr + v * v * alg.det
+
+
+def _triple(p: int | None, U: int, V: int, D: int) -> tuple:
+    """(U, V, D) as residues over F_p, and over Q divided by the gcd with
+    the sign that makes D > 0."""
+    if p:
+        return U % p, V % p, D % p
+    k = gcd(U, V, D) if D > 0 else -gcd(U, V, D)
+    return U // k, V // k, D // k
+
+
+def _algebra(tup: RepTuple, X: tuple) -> Optional[_Algebra]:
+    """The _Algebra of span{I, X} over tup's generators for a chart matrix
+    given as its integer-scaled pair (X', s), or None for a scalar X.
+
+    A generator A = (a, b, c, d)/t lies in the span when its entries agree
+    with X' off the identity: with the pivot pi the first nonzero of b', c'
+    and a' - d', and mu A's entry at the pivot (b, c or a - d), that is
+    b pi = mu b', c pi = mu c' and (a - d) pi = mu (a' - d'), checked on
+    integers, mod p over F_p.  Then A = ((a pi - mu a') I + mu X')/(t pi),
+    over F_p times one inverse of pi, so D = 1 (t = 1).  The inverse of
+    (u I + v X')/e is e ((u + v tr') I - v X')/det(u I + v X'), nonzero in
+    group mode.
+    """
+    p = tup.spec.p
+    (a_, b_, c_, d_), s = X
+    pivot = b_ or c_ or a_ - d_
+    if not pivot:
+        return None
+    inv = pow(pivot, -1, p) if p else 1
+    tr, det = a_ + d_, a_ * d_ - b_ * c_
+    gens = []
+    for (a, b, c, d), t in tup._scaled:
+        mu = b if b_ else c if c_ else a - d
+        off = (b * pivot - mu * b_, c * pivot - mu * c_, (a - d) * pivot - mu * (a_ - d_))
+        if any(x % p for x in off) if p else any(off):
+            gens.append(None)
+        else:
+            gens.append(_triple(p, (a * pivot - mu * a_) * inv, mu * inv, t * pivot * inv))
+    alg = _Algebra(p, X[0], s, tr, det, tuple(gens), None)
+    if tup.mode != GROUP:
+        return alg
+    invs = []
+    for g in gens:
+        if g is None:
+            invs.append(None)
+        else:
+            u, v, e = g
+            invs.append(_triple(p, e * (u + v * tr), -e * v, _norm(alg, u, v)))
+    return alg._replace(invs=tuple(invs))
+
+
 @dataclass(frozen=True)
 class CharDeriv:
     """Character r = tr/2 and derivation d coordinatizing a unipotent tuple.
 
-    d is normalized by d(alpha) = 1 at the chart generator alpha; values on
-    arbitrary words are read from the word's evaluated image on demand.
+    d is normalized by d(alpha) = 1 at the chart generator alpha.  Since
+    w -> r(w) + d(w) eps is an algebra map into the dual numbers, values on
+    words are folded on integers from the generators' coordinates in
+    span{I, A_alpha} (_Algebra.fold), which the chart keeps in its
+    instance __dict__ as _algebra: not a field, so it takes no part in
+    equality, hashing or repr, and a copied or pickled chart carries it.
+    A chart built directly on a tuple that is not unipotent reads a word
+    with a letter outside the span from its evaluated image instead.
     """
 
     tup: RepTuple = field(repr=False)
     alpha_index: int
     eta_mat: Mat2
+
+    def __post_init__(self) -> None:
+        # Without a fold (characteristic 2, or alpha past the rank) every
+        # word is read off its image, raising as evaluation does there.
+        t, i = self.tup, self.alpha_index
+        ok = 0 < i <= t.rank and t.spec.p != 2
+        self.__dict__["_algebra"] = _algebra(t, t._scaled[i - 1]) if ok else None
 
     def r(self, w: Word) -> FieldElement:
         return self.coords(w)[0]
@@ -349,29 +478,47 @@ class CharDeriv:
         return self.coords(w)[1]
 
     def coords(self, w: Word) -> tuple[FieldElement, FieldElement]:
-        """(r(w), d(w)) from one evaluation of w: d(w) is the coordinate y
-        of rho(w) = x I + y A_alpha, so that eta(rho(w)) = y eta(A_alpha)."""
-        M = self.tup.evaluate(w)
-        coords = M.span_coords(self.tup.gens[self.alpha_index - 1])
-        if coords is None:
-            raise NotUnipotent("image is outside the chart span; tuple is not unipotent")
-        return M.tr / self.tup.spec.element(2), coords[1]
+        """(r(w), d(w)): for rho(w) = (U I + V A')/D with A_alpha = A'/s,
+        r = (2U + V tr')/(2D) and d = V s/D, the coordinate of A_alpha, so
+        that eta(rho(w)) = d eta(A_alpha).  Off the fold, both come from
+        one evaluation of w."""
+        alg, spec = self._algebra, self.tup.spec
+        f = alg and alg.fold(w)
+        if f is None:
+            M = self.tup.evaluate(w)
+            coords = M.span_coords(self.tup.gens[self.alpha_index - 1])
+            if coords is None:
+                raise NotUnipotent("image is outside the chart span; tuple is not unipotent")
+            return M.tr / spec.element(2), coords[1]
+        U, V, D = f
+        p = spec.p
+        return _fe(_ratio(p, 2 * U + V * alg.tr, 2 * D), spec), _fe(_ratio(p, V * alg.s, D), spec)
 
 
 def unipotent_decompose(t: RepTuple) -> CharDeriv:
-    """Character/derivation chart of a unipotent tuple (characteristic != 2)."""
+    """Character/derivation chart of a unipotent tuple (characteristic != 2),
+    at the first non-scalar generator A_alpha = A'/s, whose eta is boxed
+    from the view as ((a' - d')/2s, b'/s, c'/s, (d' - a')/2s)."""
     if t.spec.characteristic() == 2:
         raise CharTwo("unipotent charts over characteristic 2 use the (a, b) machinery")
     if classify(t) is not MoldLabel.UNIPOTENT:
         raise NotUnipotent("tuple is not in the unipotent stratum")
     alpha = next(i for i, g in enumerate(t.gens, start=1) if not g.is_scalar)
-    return CharDeriv(tup=t, alpha_index=alpha, eta_mat=eta(t.gens[alpha - 1]))
+    p, ((a, b, c, d), s) = t.spec.p, t._scaled[alpha - 1]
+    eta_mat = _mat(t.spec, (_ratio(p, a - d, 2 * s), _ratio(p, b, s), _ratio(p, c, s),
+                            _ratio(p, d - a, 2 * s)))
+    return CharDeriv(tup=t, alpha_index=alpha, eta_mat=eta_mat)
 
 
 def unipotent_reconstruct(cd: CharDeriv, w: Word) -> Mat2:
-    """r(w) I + d(w) eta(alpha); reproduces generator images exactly."""
-    r, d = cd.coords(w)
-    return Mat2.identity(cd.tup.spec).scale(r) + cd.eta_mat.scale(d)
+    """r(w) I + d(w) eta(alpha), which is rho(w) itself: on the fold its
+    entries (U + V a', V b', V c', U + V d')/D, each boxed once."""
+    alg, spec = cd._algebra, cd.tup.spec
+    f = alg and alg.fold(w)
+    if f is None:
+        r, d = cd.coords(w)
+        return Mat2.identity(spec).scale(r) + cd.eta_mat.scale(d)
+    return _mat(spec, alg.image(f))
 
 
 @dataclass(frozen=True)
@@ -382,7 +529,11 @@ class ABChart:
     base word; d(w) = det rho(w).  A chart obtained by transition keeps the
     root chart it descends from and the folded gluing constants c, k with
     a = a_root + c b_root and b = k b_root, so evaluation costs the same at
-    any depth of a transition chain.
+    any depth of a transition chain.  Values are folded on integers in the
+    root chart's span{I, Z} (_Algebra.fold), kept in the root's instance
+    __dict__ as _algebra and shared by its transition charts, as in
+    CharDeriv; a word with a letter outside the span is read from its
+    evaluated image instead.
     """
 
     tup: RepTuple = field(repr=False)
@@ -392,6 +543,17 @@ class ABChart:
     c: Optional[FieldElement] = None
     k: Optional[FieldElement] = None
 
+    def __post_init__(self) -> None:
+        # A Z over another field has no fold; evaluation refuses the mix.
+        if self.root is not None:
+            alg = self.root._algebra
+        elif self.Z.spec == self.tup.spec:
+            Z = self.Z.values()
+            alg = _algebra(self.tup, (Z, 1) if self.tup.spec.p else linalg._int_scaled(Z))
+        else:
+            alg = None
+        self.__dict__["_algebra"] = alg
+
     @property
     def alpha_index(self) -> Optional[int]:
         if len(self.base_word) == 1 and self.base_word.letters[0] > 0:
@@ -399,20 +561,39 @@ class ABChart:
         return None
 
     def d(self, w: Word) -> FieldElement:
-        return self.tup.evaluate(w).det
+        alg = self._algebra
+        f = alg and alg.fold(w)
+        return self.tup.evaluate(w).det if f is None else _fe(alg.det_of(f), self.tup.spec)
 
     def a(self, w: Word) -> FieldElement:
-        return self._ab(self.tup.evaluate(w))[0]
+        return self.coords(w)[0]
 
     def b(self, w: Word) -> FieldElement:
-        return self._ab(self.tup.evaluate(w))[1]
+        return self.coords(w)[1]
 
     def coords(self, w: Word) -> tuple[FieldElement, FieldElement, FieldElement]:
-        """(a(w), b(w), d(w)) from one evaluation of w."""
-        M = self.tup.evaluate(w)
-        return (*self._ab(M), M.det)
+        """(a(w), b(w), d(w)) from one fold of w, or off the fold from one
+        evaluation."""
+        alg = self._algebra
+        f = alg and alg.fold(w)
+        if f is None:
+            M = self.tup.evaluate(w)
+            return (*self._image_ab(M), M.det)
+        return (*self._fold_ab(f), _fe(alg.det_of(f), self.tup.spec))
 
-    def _ab(self, M: Mat2) -> tuple[FieldElement, FieldElement]:
+    def _fold_ab(self, f: tuple) -> tuple[FieldElement, FieldElement]:
+        """(a, b) of the fold f of a word in the root chart: a_root = U/D
+        and b_root = V s/D for Z_root = Z'/s, carried by c = c1/c2 and
+        k = k1/k2 as a = (U c2 + c1 V s)/(D c2) and b = k1 V s/(k2 D)."""
+        U, V, D = f
+        spec = self.tup.spec
+        c1, c2, k1, k2 = (0, 1, 1, 1) if self.root is None else (
+            *self.c.value.as_integer_ratio(), *self.k.value.as_integer_ratio())
+        Vs = V * self._algebra.s
+        return (_fe(_ratio(spec.p, U * c2 + c1 * Vs, D * c2), spec),
+                _fe(_ratio(spec.p, k1 * Vs, k2 * D), spec))
+
+    def _image_ab(self, M: Mat2) -> tuple[FieldElement, FieldElement]:
         """(a, b) of a word image M: its coordinates in the root chart,
         carried to this chart by the folded constants c and k."""
         Z = self.Z if self.root is None else self.root.Z
@@ -434,9 +615,16 @@ def uf2_decompose(t: RepTuple) -> ABChart:
 
 
 def uf2_reconstruct(ch: ABChart, w: Word) -> Mat2:
-    """a(w) I + b(w) Z; det of the result equals d(w)."""
-    a, b = ch._ab(ch.tup.evaluate(w))
-    return Mat2.identity(ch.tup.spec).scale(a) + ch.Z.scale(b)
+    """a(w) I + b(w) Z; det of the result equals d(w).  On the fold it is
+    rho(w) = (U I + V Z')/D in the root chart, each entry boxed once,
+    which in characteristic 2 is a(w) I + b(w) Z at any depth of a
+    transition chain."""
+    alg, spec = ch._algebra, ch.tup.spec
+    f = alg and alg.fold(w)
+    if f is None:
+        a, b = ch._image_ab(ch.tup.evaluate(w))
+        return Mat2.identity(spec).scale(a) + ch.Z.scale(b)
+    return _mat(spec, alg.image(f))
 
 
 def uf2_transition(ch: ABChart, beta_word: Word) -> ABChart:
@@ -445,13 +633,19 @@ def uf2_transition(ch: ABChart, beta_word: Word) -> ABChart:
     The new coefficients follow the gluing formulas
     b'(w) = b(w) b(beta)^-1 and a'(w) = a(w) + a(beta) b(beta)^-1 b(w),
     folded into the root chart's constants: c' = c + a(beta) b(beta)^-1 k
-    and k' = k b(beta)^-1.
+    and k' = k b(beta)^-1.  The new Z = rho(beta) and a(beta), b(beta) come
+    from one fold of beta, or off the fold from one evaluation.
     """
-    Z = ch.tup.evaluate(beta_word)
-    a_beta, b_beta = ch._ab(Z)
+    alg, spec = ch._algebra, ch.tup.spec
+    f = alg and alg.fold(beta_word)
+    if f is None:
+        Z = ch.tup.evaluate(beta_word)
+        a_beta, b_beta = ch._image_ab(Z)
+    else:
+        Z = _mat(spec, alg.image(f))
+        a_beta, b_beta = ch._fold_ab(f)
     if not b_beta:
         raise ChartOverlapEmpty("b(beta) = 0: the chart overlap is empty")
-    spec = ch.tup.spec
     root, c, k = (ch, spec.zero(), spec.one()) if ch.root is None else (ch.root, ch.c, ch.k)
     b_inv = b_beta.inv()
     return ABChart(tup=ch.tup, base_word=beta_word, Z=Z,

@@ -8,7 +8,18 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from moldkit import FieldSpec, Mat2, MoldLabel, RepTuple, conjugate, linalg, mold, span_closure
+from moldkit import (
+    FieldSpec,
+    Mat2,
+    MoldLabel,
+    RepTuple,
+    Word,
+    conjugate,
+    linalg,
+    mold,
+    span_closure,
+)
+from moldkit.canon import CharDeriv
 from moldkit.census import (
     StratumCounts,
     _class_fibres,
@@ -221,6 +232,31 @@ def word_images(t, max_len):
         frontier = [M * g for M in frontier for g in t.gens]
         images.extend(frontier)
     return images
+
+
+def chart_reference(chart, w):
+    """A chart's values on w read from the word's evaluated image, the path
+    canon takes off the fold: ((r, d), r I + d eta) for a CharDeriv, from
+    the coordinates of the image in span{I, A_alpha}, and ((a, b, d),
+    a I + b Z) for an ABChart, from its coordinates in the root chart's
+    span{I, Z} carried by the chart's constants c and k."""
+    spec = chart.tup.spec
+    M = chart.tup.evaluate(w)
+    I = Mat2.identity(spec)
+    if isinstance(chart, CharDeriv):
+        _, d = M.span_coords(chart.tup.gens[chart.alpha_index - 1])
+        r = M.tr / spec.element(2)
+        return (r, d), I.scale(r) + chart.eta_mat.scale(d)
+    a, b = M.span_coords((chart.root or chart).Z)
+    if chart.root is not None:
+        a, b = a + chart.c * b, chart.k * b
+    return (a, b, M.det), I.scale(a) + chart.Z.scale(b)
+
+
+def signed_words(rank, max_len):
+    """All words of length <= max_len in the letters +-1, ..., +-rank."""
+    letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    return [Word(w) for n in range(max_len + 1) for w in product(letters, repeat=n)]
 
 
 def increasing_subsequences(n):

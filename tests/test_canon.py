@@ -1,5 +1,7 @@
 """Conjugacy deciders with certificates and the three decompositions."""
 
+import copy
+import pickle
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -46,11 +48,13 @@ from conftest import (
     F65521,
     Q,
     all_mats,
+    chart_reference,
     intertwiner_reference,
     invertible_in_span_reference,
     invertible_mats,
     rand_invertible,
     rand_mat,
+    signed_words,
     stratum_samples,
 )
 
@@ -304,6 +308,68 @@ def test_charts_refuse_a_word_whose_image_leaves_the_span():
     assert ch.coords(Word((2, 2))) == (F2.one(), F2.zero(), F2.one())
 
 
+def _chart_calls(spec):
+    """Every chart call on a monoid pair and a group pair over spec, as
+    (tuple, call) pairs: the character/derivation chart outside
+    characteristic 2, the (a, b)-chart and a transition chart in it."""
+    if spec.characteristic() == 2:
+        A = mat(spec, [[0, 1], [1, 0]])
+        calls = []
+        # I + A is singular, so the group pair repeats A.
+        for t in (RepTuple((A, Mat2.identity(spec) + A)), RepTuple((A, A), "group")):
+            for ch in (uf2_decompose(t), uf2_transition(uf2_decompose(t), Word((2,)))):
+                calls += [(t, ch.a), (t, ch.b), (t, ch.d), (t, ch.coords),
+                          (t, lambda w, ch=ch: uf2_reconstruct(ch, w)),
+                          (t, lambda w, ch=ch: uf2_transition(ch, w))]
+        return calls
+    I, N = Mat2.identity(spec), mat(spec, [[0, 1], [0, 0]])
+    calls = []
+    for mode in ("monoid", "group"):
+        t = RepTuple((I.scale(spec.element(2)) + N, I + N), mode)
+        cd = unipotent_decompose(t)
+        calls += [(t, cd.r), (t, cd.d), (t, cd.coords),
+                  (t, lambda w, cd=cd: unipotent_reconstruct(cd, w))]
+    return calls
+
+
+@pytest.mark.parametrize("spec", [F2, F5, Q])
+def test_chart_calls_refuse_bad_letters_as_evaluate_does(spec):
+    """An inverse letter in monoid mode raises evaluate's ValueError from
+    every chart call, and a letter past the rank the exception type that
+    RepTuple.evaluate raises, ahead of or behind a valid letter."""
+    for t, call in _chart_calls(spec):
+        if t.mode == "monoid":
+            for w in (Word((-1,)), Word((1, -2))):
+                with pytest.raises(ValueError, match="^inverse letters require group mode$"):
+                    call(w)
+        for w in (Word((3,)), Word((1, 3)), Word((-3,)), Word((3, -1))):
+            if t.mode == "monoid" and w.letters[0] < 0:
+                continue
+            try:
+                t.evaluate(w)
+            except Exception as exc:
+                expected = type(exc)
+            with pytest.raises(expected) as info:
+                call(w)
+            assert type(info.value) is expected
+
+
+@pytest.mark.parametrize("spec", [F5, Q])
+def test_a_chart_reads_a_scalar_square_of_a_generator_outside_the_span(spec):
+    """B outside span{I, A} with tr B = 0 has B^2 = -det B I: the chart
+    reads it as (1, 0), its reconstruction is I, and B itself is refused
+    by every chart call, in both modes."""
+    A, B = mat(spec, [[1, 1], [0, 1]]), mat(spec, [[0, 1], [1, 0]])
+    for mode in ("monoid", "group"):
+        cd = CharDeriv(tup=RepTuple((A, B), mode), alpha_index=1, eta_mat=eta(A))
+        assert cd.coords(Word((2, 2))) == (spec.one(), spec.zero())
+        assert (cd.r(Word((2, 2))), cd.d(Word((2, 2)))) == (spec.one(), spec.zero())
+        assert unipotent_reconstruct(cd, Word((2, 2))) == Mat2.identity(spec)
+        for call in (cd.coords, cd.r, cd.d, lambda w: unipotent_reconstruct(cd, w)):
+            with pytest.raises(NotUnipotent):
+                call(Word((1, 2)))
+
+
 def test_a_chart_based_at_a_longer_word_has_no_alpha_index():
     A = mat(F2, [[0, 1], [1, 0]])
     ch = uf2_decompose(RepTuple((A, Mat2.identity(F2) + A)))
@@ -453,7 +519,11 @@ def test_unipotent_chart_properties(rng):
                 assert 2 * (X * Y).tr == X.tr * Y.tr
 
 
-def test_chart_values_come_from_one_evaluation_per_word(monkeypatch):
+def test_chart_values_evaluate_no_word_on_the_fold(monkeypatch):
+    """Charts from unipotent_decompose, uf2_decompose and uf2_transition
+    fold every value and evaluate no word; a chart built directly on a
+    tuple that is not unipotent evaluates a word with a letter outside the
+    span at most once per call."""
     evaluated = []
     evaluate = RepTuple.evaluate
 
@@ -463,27 +533,144 @@ def test_chart_values_come_from_one_evaluation_per_word(monkeypatch):
 
     monkeypatch.setattr(RepTuple, "evaluate", counted)
 
-    def once(fn, w):
+    def calls(fn, w, most):
         evaluated.clear()
-        fn(w)
-        assert evaluated == [w]
+        try:
+            fn(w)
+        except (NotUnipotent, NotUnipotentF2, ChartOverlapEmpty):
+            pass
+        assert evaluated in ([], [w]) if most else evaluated == []
 
     words = list(words_up_to(2, 3))
     N = mat(Q, [[0, 1], [0, 0]])
-    t = RepTuple((Mat2.identity(Q).scale(Q.element(2)) + N, Mat2.identity(Q) + N.scale(Q.element(3))))
+    I = Mat2.identity(Q)
+    t = RepTuple((I.scale(Q.element(2)) + N, I + N.scale(Q.element(3))))
     cd = unipotent_decompose(t)
-    for w in words:
-        once(lambda w: unipotent_reconstruct(cd, w), w)
-        once(cd.coords, w)
-        assert cd.coords(w) == (cd.r(w), cd.d(w))
     A = mat(F2, [[0, 1], [1, 0]])
     ch = uf2_decompose(RepTuple((A, Mat2.identity(F2) + A)))
-    once(lambda w: uf2_transition(ch, w), Word((2,)))
-    for chart in (ch, uf2_transition(uf2_transition(ch, Word((2,))), Word((2, 1)))):
-        for w in words:
-            once(lambda w: uf2_reconstruct(chart, w), w)
-            once(chart.coords, w)
+    calls(lambda w: uf2_transition(ch, w), Word((2,)), False)
+    via = uf2_transition(uf2_transition(ch, Word((2,))), Word((2, 1)))
+    for w in words:
+        for fn in (cd.coords, cd.r, cd.d, lambda w: unipotent_reconstruct(cd, w)):
+            calls(fn, w, False)
+        assert cd.coords(w) == (cd.r(w), cd.d(w))
+        for chart in (ch, via):
+            for fn in (chart.coords, chart.a, chart.b, chart.d,
+                       lambda w: uf2_reconstruct(chart, w)):
+                calls(fn, w, False)
             assert chart.coords(w) == (chart.a(w), chart.b(w), chart.d(w))
+    for spec in (F5, Q):
+        A, B = mat(spec, [[1, 1], [0, 1]]), mat(spec, [[0, 1], [1, 0]])
+        direct = CharDeriv(tup=RepTuple((A, B)), alpha_index=1, eta_mat=eta(A))
+        for w in words:
+            for fn in (direct.coords, direct.r, direct.d,
+                       lambda w: unipotent_reconstruct(direct, w)):
+                calls(fn, w, True)
+    A, B = mat(F2, [[1, 1], [0, 1]]), mat(F2, [[0, 1], [1, 0]])
+    direct = ABChart(tup=RepTuple((A, B)), base_word=Word((1,)), Z=A)
+    for w in words:
+        for fn in (direct.coords, direct.a, direct.b, direct.d,
+                   lambda w: uf2_reconstruct(direct, w), lambda w: uf2_transition(direct, w)):
+            calls(fn, w, True)
+
+
+def unipotent_tuple(rng, spec, rank, mode):
+    """A seeded unipotent tuple x_i I + y_i N, N a conjugate of E12, with
+    x_i != 0 in group mode and some y_i = 0 at random: scalar generators."""
+    P = rand_invertible(rng, spec, span=4)
+    N = P.inverse() * mat(spec, [[0, 1], [0, 0]]) * P
+    while True:
+        gens = []
+        for _ in range(rank):
+            x = rand_mat(rng, spec, span=4).a11
+            while mode == "group" and not x:
+                x = rand_mat(rng, spec, span=4).a11
+            y = rand_mat(rng, spec, span=4).a12 if rng.random() < 0.8 else spec.zero()
+            gens.append(Mat2.identity(spec).scale(x) + N.scale(y))
+        t = RepTuple(tuple(gens), mode)
+        if classify(t) is MoldLabel.UNIPOTENT:
+            return t
+
+
+def assert_chart_is_the_evaluation(chart, words):
+    """coords, d and the reconstruction of the fold equal the values read
+    from each word's evaluated image (conftest.chart_reference)."""
+    for w in words:
+        values, image = chart_reference(chart, w)
+        assert chart.coords(w) == values
+        if isinstance(chart, CharDeriv):
+            assert (chart.r(w), chart.d(w)) == values
+            assert unipotent_reconstruct(chart, w) == image
+        else:
+            assert (chart.a(w), chart.b(w), chart.d(w)) == values
+            assert uf2_reconstruct(chart, w) == image
+
+
+@pytest.mark.parametrize("spec", [F3, F5, Q], ids=str)
+def test_unipotent_fold_equals_the_evaluation(rng, spec):
+    """Every word of length <= 6 in group mode, inverse letters included
+    (<= 4 over Q), every positive word of length <= 6 in monoid mode, and
+    rank-3 group words of length <= 2."""
+    group_len = 4 if spec.is_rationals else 6
+    for rank, mode, count, words in ((2, "group", 2, signed_words(2, group_len)),
+                                     (2, "monoid", 6, list(words_up_to(2, 6))),
+                                     (3, "group", 4, signed_words(3, 2))):
+        for _ in range(count):
+            t = unipotent_tuple(rng, spec, rank, mode)
+            assert_chart_is_the_evaluation(unipotent_decompose(t), words)
+
+
+def test_uf2_fold_equals_the_evaluation_on_transition_chains_and_word_bases():
+    """Every rank-2 (a, b)-chart over F_2 in both modes on every word of
+    length <= 6 (signed words of length <= 4 off the first group tuple),
+    and on the words of length <= 3 a chart built directly at a non-scalar
+    word, a transition there and a two-step transition chain."""
+    group = [t for t in (RepTuple((A, B), "group") for A in invertible_mats(F2)
+                         for B in invertible_mats(F2)) if classify(t) is MoldLabel.UNIPOTENT_F2]
+    for t in uf2_tuples_f2(2) + group:
+        ch = uf2_decompose(t)
+        if t.mode == "group":
+            words = signed_words(2, 6 if t is group[0] else 4)
+        else:
+            words = list(words_up_to(2, 6))
+        assert_chart_is_the_evaluation(ch, words)
+        bases = [w for w in words_up_to(2, 3) if not t.evaluate(w).is_scalar]
+        beta, gamma = bases[-1], bases[0]
+        via = uf2_transition(ch, beta)
+        charts = [ABChart(tup=t, base_word=beta, Z=t.evaluate(beta)), via]
+        if via.b(gamma):
+            charts.append(uf2_transition(via, gamma))
+        for chart in charts:
+            assert_chart_is_the_evaluation(chart, [w for w in words if len(w) <= 3])
+
+
+def test_a_2000_letter_q_group_word_folds_to_its_evaluation(rng):
+    t = unipotent_tuple(rng, Q, 3, "group")
+    cd = unipotent_decompose(t)
+    w = Word(tuple(rng.choice((1, 2, 3, -1, -2, -3)) for _ in range(2000)))
+    M = t.evaluate(w)
+    assert unipotent_reconstruct(cd, w) == M
+    assert cd.coords(w) == chart_reference(cd, w)[0]
+    assert max(x.denominator for x in M.values()) > 1
+
+
+def test_chart_algebra_is_kept_out_of_equality_and_survives_copy_and_pickle():
+    """The generator coordinates a chart folds from sit in its instance
+    __dict__, not in a field: equal charts compare and hash alike and
+    print without them, and a copied or pickled chart carries them."""
+    N = mat(Q, [[0, 1], [0, 0]])
+    I = Mat2.identity(Q)
+    t = RepTuple((I + N.scale(Q.element(Fraction(1, 2))), I.scale(Q.element(3))), "group")
+    A = mat(F2, [[0, 1], [1, 0]])
+    ch = uf2_decompose(RepTuple((A, Mat2.identity(F2) + A)))
+    for chart in (unipotent_decompose(t), ch, uf2_transition(ch, Word((2,)))):
+        assert "_algebra" in vars(chart) and "_algebra" not in repr(chart)
+        twin = type(chart)(**{f: getattr(chart, f) for f in chart.__dataclass_fields__})
+        assert twin == chart and hash(twin) == hash(chart)
+        for other in (copy.copy(chart), copy.deepcopy(chart), pickle.loads(pickle.dumps(chart))):
+            assert other == chart and vars(other)["_algebra"] == vars(chart)["_algebra"]
+            assert other.coords(Word((2, 1, 2))) == chart.coords(Word((2, 1, 2)))
+    assert vars(uf2_transition(ch, Word((2,))))["_algebra"] is vars(ch)["_algebra"]
 
 
 def test_uf2_decompose_example():
