@@ -294,13 +294,17 @@ def test_a_later_pair_can_refuse_the_one_intertwiner_left(rng):
 def test_charts_refuse_a_word_whose_image_leaves_the_span():
     """A chart built directly on a tuple that is not unipotent reads the
     words inside span{I, A_1} and refuses the others: the swap leaves it,
-    its square I does not."""
-    for spec in (F5, Q):
+    its square I does not, in both modes and through every chart call."""
+    for spec, mode in product((F5, Q), ("monoid", "group")):
         A, B = mat(spec, [[1, 1], [0, 1]]), mat(spec, [[0, 1], [1, 0]])
-        cd = CharDeriv(tup=RepTuple((A, B)), alpha_index=1, eta_mat=eta(A))
-        with pytest.raises(NotUnipotent, match="outside the chart span"):
-            cd.coords(Word((2,)))
+        cd = CharDeriv(tup=RepTuple((A, B), mode), alpha_index=1, eta_mat=eta(A))
+        for call in (cd.coords, cd.r, cd.d, lambda w: unipotent_reconstruct(cd, w)):
+            for w in (Word((2,)), Word((1, 2))):
+                with pytest.raises(NotUnipotent, match="outside the chart span"):
+                    call(w)
         assert cd.coords(Word((2, 2))) == (spec.one(), spec.zero())
+        assert (cd.r(Word((2, 2))), cd.d(Word((2, 2)))) == (spec.one(), spec.zero())
+        assert unipotent_reconstruct(cd, Word((2, 2))) == Mat2.identity(spec)
     A, B = mat(F2, [[1, 1], [0, 1]]), mat(F2, [[0, 1], [1, 0]])
     ch = ABChart(tup=RepTuple((A, B)), base_word=Word((1,)), Z=A)
     with pytest.raises(NotUnipotentF2, match="outside span"):
@@ -352,22 +356,6 @@ def test_chart_calls_refuse_bad_letters_as_evaluate_does(spec):
             with pytest.raises(expected) as info:
                 call(w)
             assert type(info.value) is expected
-
-
-@pytest.mark.parametrize("spec", [F5, Q])
-def test_a_chart_reads_a_scalar_square_of_a_generator_outside_the_span(spec):
-    """B outside span{I, A} with tr B = 0 has B^2 = -det B I: the chart
-    reads it as (1, 0), its reconstruction is I, and B itself is refused
-    by every chart call, in both modes."""
-    A, B = mat(spec, [[1, 1], [0, 1]]), mat(spec, [[0, 1], [1, 0]])
-    for mode in ("monoid", "group"):
-        cd = CharDeriv(tup=RepTuple((A, B), mode), alpha_index=1, eta_mat=eta(A))
-        assert cd.coords(Word((2, 2))) == (spec.one(), spec.zero())
-        assert (cd.r(Word((2, 2))), cd.d(Word((2, 2)))) == (spec.one(), spec.zero())
-        assert unipotent_reconstruct(cd, Word((2, 2))) == Mat2.identity(spec)
-        for call in (cd.coords, cd.r, cd.d, lambda w: unipotent_reconstruct(cd, w)):
-            with pytest.raises(NotUnipotent):
-                call(Word((1, 2)))
 
 
 def test_a_chart_based_at_a_longer_word_has_no_alpha_index():
