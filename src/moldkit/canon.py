@@ -15,11 +15,13 @@ from .errors import (
     CharNotTwo,
     CharTwo,
     ChartOverlapEmpty,
+    MoldkitError,
     NoSplitGenerator,
     NotScalar,
     NotSemiSimple,
     NotUnipotent,
     NotUnipotentF2,
+    ScalarInput,
 )
 from .fields import FieldElement, Value, _fe, _ratio
 from .invariants import MAX_TRACES, _split_entries
@@ -334,11 +336,10 @@ class _Algebra(NamedTuple):
     """The commutative algebra span{I, X} of a chart matrix X = X'/s,
     read from integer-scaled views: X' = (a', b', c', d') and s, with tr'
     and det' the trace and determinant of X'.  gens holds for each
-    generator A_i the integer triple (U, V, D) with A_i = (U I + V X')/D,
-    or None when A_i is outside the span; invs holds the triples of the
-    inverses in group mode and is None in monoid mode.  Triples are
-    residues over F_p, with D = 1 in gens, and over Q have gcd 1 and
-    D > 0 (_triple)."""
+    generator A_i the integer triple (U, V, D) with A_i = (U I + V X')/D;
+    invs holds the triples of the inverses in group mode and is None in
+    monoid mode.  Triples are residues over F_p, with D = 1 in gens, and
+    over Q have gcd 1 and D > 0 (_triple)."""
 
     p: int | None
     x: tuple
@@ -348,26 +349,22 @@ class _Algebra(NamedTuple):
     gens: tuple
     invs: Optional[tuple]
 
-    def fold(self, w: Word) -> Optional[tuple]:
+    def fold(self, w: Word) -> tuple:
         """The triple (U, V, D) of rho(w) = (U I + V X')/D, multiplied
         letter by letter from (1, 0, 1) as (U + V X')(u + v X') =
         (U u - V v det') + (U v + u V + V v tr') X', since X'^2 = tr' X' -
         det' I, with D = 1 over F_p (one inverse at the end, if an inverse
-        letter made D != 1); None as soon as a letter's generator is
-        outside the span.  A bad letter raises what RepTuple.evaluate
+        letter made D != 1).  A bad letter raises what RepTuple.evaluate
         raises for it."""
         p, tr, det, gens, invs = self.p, self.tr, self.det, self.gens, self.invs
         U, V, D = 1, 0, 1
         for i in w.letters:
             if i > 0:
-                g = gens[i - 1]
+                u, v, e = gens[i - 1]
             elif invs is None:
                 raise ValueError("inverse letters require group mode")
             else:
-                g = invs[-i - 1]
-            if g is None:
-                return None
-            u, v, e = g
+                u, v, e = invs[-i - 1]
             U, V, D = U * u - V * v * det, U * v + u * V + V * v * tr, D * e
             if p:
                 U, V, D = U % p, V % p, D % p
@@ -405,9 +402,11 @@ def _triple(p: int | None, U: int, V: int, D: int) -> tuple:
     return U // k, V // k, D // k
 
 
-def _algebra(tup: RepTuple, X: tuple) -> Optional[_Algebra]:
+def _algebra(tup: RepTuple, X: tuple, outside: type[MoldkitError]) -> _Algebra:
     """The _Algebra of span{I, X} over tup's generators for a chart matrix
-    given as its integer-scaled pair (X', s), or None for a scalar X.
+    given as its integer-scaled pair (X', s).  This is where a chart
+    refuses its tuple: ScalarInput for a scalar X, and the error type
+    outside when a generator lies outside the span.
 
     A generator A = (a, b, c, d)/t lies in the span when its entries agree
     with X' off the identity: with the pivot pi the first nonzero of b', c'
@@ -422,28 +421,21 @@ def _algebra(tup: RepTuple, X: tuple) -> Optional[_Algebra]:
     (a_, b_, c_, d_), s = X
     pivot = b_ or c_ or a_ - d_
     if not pivot:
-        return None
+        raise ScalarInput("span{I, X} needs a non-scalar X")
     inv = pow(pivot, -1, p) if p else 1
     tr, det = a_ + d_, a_ * d_ - b_ * c_
     gens = []
-    for (a, b, c, d), t in tup._scaled:
+    for i, ((a, b, c, d), t) in enumerate(tup._scaled, start=1):
         mu = b if b_ else c if c_ else a - d
         off = (b * pivot - mu * b_, c * pivot - mu * c_, (a - d) * pivot - mu * (a_ - d_))
         if any(x % p for x in off) if p else any(off):
-            gens.append(None)
-        else:
-            gens.append(_triple(p, (a * pivot - mu * a_) * inv, mu * inv, t * pivot * inv))
+            raise outside(f"generator A_{i} is outside the chart span; tuple is not unipotent")
+        gens.append(_triple(p, (a * pivot - mu * a_) * inv, mu * inv, t * pivot * inv))
     alg = _Algebra(p, X[0], s, tr, det, tuple(gens), None)
     if tup.mode != GROUP:
         return alg
-    invs = []
-    for g in gens:
-        if g is None:
-            invs.append(None)
-        else:
-            u, v, e = g
-            invs.append(_triple(p, e * (u + v * tr), -e * v, _norm(alg, u, v)))
-    return alg._replace(invs=tuple(invs))
+    return alg._replace(invs=tuple(_triple(p, e * (u + v * tr), -e * v, _norm(alg, u, v))
+                                   for u, v, e in gens))
 
 
 @dataclass(frozen=True)
@@ -456,8 +448,10 @@ class CharDeriv:
     span{I, A_alpha} (_Algebra.fold), which the chart keeps in its
     instance __dict__ as _algebra: not a field, so it takes no part in
     equality, hashing or repr, and a copied or pickled chart carries it.
-    A chart built directly on a tuple that is not unipotent reads a word
-    with a letter outside the span from its evaluated image instead.
+    Construction refuses a chart that cannot fold: CharTwo in
+    characteristic 2, IndexError for alpha_index outside 1..rank,
+    ScalarInput for a scalar A_alpha and NotUnipotent for a generator
+    outside span{I, A_alpha}.
     """
 
     tup: RepTuple = field(repr=False)
@@ -465,11 +459,12 @@ class CharDeriv:
     eta_mat: Mat2
 
     def __post_init__(self) -> None:
-        # Without a fold (characteristic 2, or alpha past the rank) every
-        # word is read off its image, raising as evaluation does there.
         t, i = self.tup, self.alpha_index
-        ok = 0 < i <= t.rank and t.spec.p != 2
-        self.__dict__["_algebra"] = _algebra(t, t._scaled[i - 1]) if ok else None
+        if t.spec.characteristic() == 2:
+            raise CharTwo("unipotent charts over characteristic 2 use the (a, b) machinery")
+        if not 0 < i <= t.rank:
+            raise IndexError(f"alpha_index {i} is outside 1..{t.rank}")
+        self.__dict__["_algebra"] = _algebra(t, t._scaled[i - 1], NotUnipotent)
 
     def r(self, w: Word) -> FieldElement:
         return self.coords(w)[0]
@@ -480,17 +475,9 @@ class CharDeriv:
     def coords(self, w: Word) -> tuple[FieldElement, FieldElement]:
         """(r(w), d(w)): for rho(w) = (U I + V A')/D with A_alpha = A'/s,
         r = (2U + V tr')/(2D) and d = V s/D, the coordinate of A_alpha, so
-        that eta(rho(w)) = d eta(A_alpha).  Off the fold, both come from
-        one evaluation of w."""
+        that eta(rho(w)) = d eta(A_alpha)."""
         alg, spec = self._algebra, self.tup.spec
-        f = alg and alg.fold(w)
-        if f is None:
-            M = self.tup.evaluate(w)
-            coords = M.span_coords(self.tup.gens[self.alpha_index - 1])
-            if coords is None:
-                raise NotUnipotent("image is outside the chart span; tuple is not unipotent")
-            return M.tr / spec.element(2), coords[1]
-        U, V, D = f
+        U, V, D = alg.fold(w)
         p = spec.p
         return _fe(_ratio(p, 2 * U + V * alg.tr, 2 * D), spec), _fe(_ratio(p, V * alg.s, D), spec)
 
@@ -511,14 +498,10 @@ def unipotent_decompose(t: RepTuple) -> CharDeriv:
 
 
 def unipotent_reconstruct(cd: CharDeriv, w: Word) -> Mat2:
-    """r(w) I + d(w) eta(alpha), which is rho(w) itself: on the fold its
-    entries (U + V a', V b', V c', U + V d')/D, each boxed once."""
-    alg, spec = cd._algebra, cd.tup.spec
-    f = alg and alg.fold(w)
-    if f is None:
-        r, d = cd.coords(w)
-        return Mat2.identity(spec).scale(r) + cd.eta_mat.scale(d)
-    return _mat(spec, alg.image(f))
+    """r(w) I + d(w) eta(alpha), which is rho(w) itself: its entries
+    (U + V a', V b', V c', U + V d')/D from the fold, each boxed once."""
+    alg = cd._algebra
+    return _mat(cd.tup.spec, alg.image(alg.fold(w)))
 
 
 @dataclass(frozen=True)
@@ -532,8 +515,9 @@ class ABChart:
     any depth of a transition chain.  Values are folded on integers in the
     root chart's span{I, Z} (_Algebra.fold), kept in the root's instance
     __dict__ as _algebra and shared by its transition charts, as in
-    CharDeriv; a word with a letter outside the span is read from its
-    evaluated image instead.
+    CharDeriv.  Constructing a root chart refuses one that cannot fold:
+    ValueError for a Z over another field, ScalarInput for a scalar Z and
+    NotUnipotentF2 for a generator outside span{I, Z}.
     """
 
     tup: RepTuple = field(repr=False)
@@ -544,15 +528,15 @@ class ABChart:
     k: Optional[FieldElement] = None
 
     def __post_init__(self) -> None:
-        # A Z over another field has no fold; evaluation refuses the mix.
         if self.root is not None:
-            alg = self.root._algebra
-        elif self.Z.spec == self.tup.spec:
-            Z = self.Z.values()
-            alg = _algebra(self.tup, (Z, 1) if self.tup.spec.p else linalg._int_scaled(Z))
-        else:
-            alg = None
-        self.__dict__["_algebra"] = alg
+            self.__dict__["_algebra"] = self.root._algebra
+            return
+        spec = self.tup.spec
+        if self.Z.spec != spec:
+            raise ValueError(f"mixed field arithmetic: {spec} vs {self.Z.spec}")
+        Z = self.Z.values()
+        X = (Z, 1) if spec.p else linalg._int_scaled(Z)
+        self.__dict__["_algebra"] = _algebra(self.tup, X, NotUnipotentF2)
 
     @property
     def alpha_index(self) -> Optional[int]:
@@ -562,8 +546,7 @@ class ABChart:
 
     def d(self, w: Word) -> FieldElement:
         alg = self._algebra
-        f = alg and alg.fold(w)
-        return self.tup.evaluate(w).det if f is None else _fe(alg.det_of(f), self.tup.spec)
+        return _fe(alg.det_of(alg.fold(w)), self.tup.spec)
 
     def a(self, w: Word) -> FieldElement:
         return self.coords(w)[0]
@@ -572,13 +555,9 @@ class ABChart:
         return self.coords(w)[1]
 
     def coords(self, w: Word) -> tuple[FieldElement, FieldElement, FieldElement]:
-        """(a(w), b(w), d(w)) from one fold of w, or off the fold from one
-        evaluation."""
+        """(a(w), b(w), d(w)) from one fold of w."""
         alg = self._algebra
-        f = alg and alg.fold(w)
-        if f is None:
-            M = self.tup.evaluate(w)
-            return (*self._image_ab(M), M.det)
+        f = alg.fold(w)
         return (*self._fold_ab(f), _fe(alg.det_of(f), self.tup.spec))
 
     def _fold_ab(self, f: tuple) -> tuple[FieldElement, FieldElement]:
@@ -593,16 +572,6 @@ class ABChart:
         return (_fe(_ratio(spec.p, U * c2 + c1 * Vs, D * c2), spec),
                 _fe(_ratio(spec.p, k1 * Vs, k2 * D), spec))
 
-    def _image_ab(self, M: Mat2) -> tuple[FieldElement, FieldElement]:
-        """(a, b) of a word image M: its coordinates in the root chart,
-        carried to this chart by the folded constants c and k."""
-        Z = self.Z if self.root is None else self.root.Z
-        coords = M.span_coords(Z)
-        if coords is None:
-            raise NotUnipotentF2("image is outside span{I, Z}; tuple is not unipotent over F2")
-        a, b = coords
-        return (a, b) if self.root is None else (a + self.c * b, self.k * b)
-
 
 def uf2_decompose(t: RepTuple) -> ABChart:
     """(a, b)-chart at the first non-scalar generator (characteristic 2)."""
@@ -615,16 +584,12 @@ def uf2_decompose(t: RepTuple) -> ABChart:
 
 
 def uf2_reconstruct(ch: ABChart, w: Word) -> Mat2:
-    """a(w) I + b(w) Z; det of the result equals d(w).  On the fold it is
-    rho(w) = (U I + V Z')/D in the root chart, each entry boxed once,
+    """a(w) I + b(w) Z; det of the result equals d(w).  It is rho(w) =
+    (U I + V Z')/D from the fold in the root chart, each entry boxed once,
     which in characteristic 2 is a(w) I + b(w) Z at any depth of a
     transition chain."""
-    alg, spec = ch._algebra, ch.tup.spec
-    f = alg and alg.fold(w)
-    if f is None:
-        a, b = ch._image_ab(ch.tup.evaluate(w))
-        return Mat2.identity(spec).scale(a) + ch.Z.scale(b)
-    return _mat(spec, alg.image(f))
+    alg = ch._algebra
+    return _mat(ch.tup.spec, alg.image(alg.fold(w)))
 
 
 def uf2_transition(ch: ABChart, beta_word: Word) -> ABChart:
@@ -632,24 +597,24 @@ def uf2_transition(ch: ABChart, beta_word: Word) -> ABChart:
 
     The new coefficients follow the gluing formulas
     b'(w) = b(w) b(beta)^-1 and a'(w) = a(w) + a(beta) b(beta)^-1 b(w),
-    folded into the root chart's constants: c' = c + a(beta) b(beta)^-1 k
-    and k' = k b(beta)^-1.  The new Z = rho(beta) and a(beta), b(beta) come
-    from one fold of beta, or off the fold from one evaluation.
+    folded into the root chart's constants c' = c + a(beta) b(beta)^-1 k
+    and k' = k b(beta)^-1.  With the fold (U, V, D) of beta in the root
+    chart, Z_root = Z'/s and c = c1/c2, b(beta) = k V s/D and a(beta) =
+    U/D + c V s/D, so the overlap is V != 0, k' = D/(V s) and c' = 2c +
+    U/(V s) = (2 c1 V s + U c2)/(c2 V s), one integer ratio each; the new
+    Z = rho(beta) is boxed from the same fold.
     """
     alg, spec = ch._algebra, ch.tup.spec
-    f = alg and alg.fold(beta_word)
-    if f is None:
-        Z = ch.tup.evaluate(beta_word)
-        a_beta, b_beta = ch._image_ab(Z)
-    else:
-        Z = _mat(spec, alg.image(f))
-        a_beta, b_beta = ch._fold_ab(f)
-    if not b_beta:
+    f = alg.fold(beta_word)
+    U, V, D = f
+    if not V:
         raise ChartOverlapEmpty("b(beta) = 0: the chart overlap is empty")
-    root, c, k = (ch, spec.zero(), spec.one()) if ch.root is None else (ch.root, ch.c, ch.k)
-    b_inv = b_beta.inv()
-    return ABChart(tup=ch.tup, base_word=beta_word, Z=Z,
-                   root=root, c=c + a_beta * b_inv * k, k=k * b_inv)
+    c1, c2 = (0, 1) if ch.root is None else ch.c.value.as_integer_ratio()
+    p, Vs = spec.p, V * alg.s
+    return ABChart(tup=ch.tup, base_word=beta_word, Z=_mat(spec, alg.image(f)),
+                   root=ch if ch.root is None else ch.root,
+                   c=_fe(_ratio(p, 2 * c1 * Vs + U * c2, c2 * Vs), spec),
+                   k=_fe(_ratio(p, D, Vs), spec))
 
 
 def scalar_decompose(t: RepTuple) -> list[FieldElement]:

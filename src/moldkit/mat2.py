@@ -160,25 +160,6 @@ class Mat2:
         i = pow(det, -1, spec.p)
         return _mat(spec, (r(d * i), r(-b * i), r(-c * i), r(a * i)))
 
-    def span_coords(self, X: "Mat2") -> tuple[FieldElement, FieldElement] | None:
-        """(x, y) with self = x I + y X for a non-scalar X, or None when self
-        is outside span{I, X}: y from the first nonzero of X's a12, a21 and
-        a11 - a22, then x = self_11 - y X_11."""
-        spec = self._common_spec(X)
-        r = spec.reduce
-        m11, m12, m21, m22 = self._values
-        a, b, c, d = X._values
-        for u, v in ((b, m12), (c, m21), (r(a - d), r(m11 - m22))):
-            if u:
-                break
-        else:
-            raise ScalarInput("span{I, X} needs a non-scalar X")
-        y = r(v * pow(u, -1, spec.p))
-        x = r(m11 - y * a)
-        if (r(y * b), r(y * c), r(x + y * d)) != (m12, m21, m22):
-            return None
-        return _fe(x, spec), _fe(y, spec)
-
     def text(self) -> str:
         return "[[{},{}],[{},{}]]".format(*(e.text() for e in self.entries()))
 

@@ -20,6 +20,7 @@ from moldkit import (
     span_closure,
 )
 from moldkit.canon import CharDeriv
+from moldkit.errors import ScalarInput
 from moldkit.census import (
     StratumCounts,
     _class_fibres,
@@ -234,20 +235,38 @@ def word_images(t, max_len):
     return images
 
 
+def span_coords(M, X):
+    """(x, y) with M = x I + y X for a non-scalar X, or None when M is
+    outside span{I, X}, in FieldElement arithmetic: y from the first
+    nonzero of X's a12, a21 and a11 - a22, then x = M_11 - y X_11."""
+    a, b, c, d = X.entries()
+    m11, m12, m21, m22 = M.entries()
+    for u, v in ((b, m12), (c, m21), (a - d, m11 - m22)):
+        if u:
+            break
+    else:
+        raise ScalarInput("span{I, X} needs a non-scalar X")
+    y = v / u
+    x = m11 - y * a
+    if (y * b, y * c, x + y * d) != (m12, m21, m22):
+        return None
+    return x, y
+
+
 def chart_reference(chart, w):
-    """A chart's values on w read from the word's evaluated image, the path
-    canon takes off the fold: ((r, d), r I + d eta) for a CharDeriv, from
-    the coordinates of the image in span{I, A_alpha}, and ((a, b, d),
+    """A chart's values on w read from the word's evaluated image, apart
+    from canon's fold: ((r, d), r I + d eta) for a CharDeriv, from the
+    coordinates of the image in span{I, A_alpha}, and ((a, b, d),
     a I + b Z) for an ABChart, from its coordinates in the root chart's
     span{I, Z} carried by the chart's constants c and k."""
     spec = chart.tup.spec
     M = chart.tup.evaluate(w)
     I = Mat2.identity(spec)
     if isinstance(chart, CharDeriv):
-        _, d = M.span_coords(chart.tup.gens[chart.alpha_index - 1])
+        _, d = span_coords(M, chart.tup.gens[chart.alpha_index - 1])
         r = M.tr / spec.element(2)
         return (r, d), I.scale(r) + chart.eta_mat.scale(d)
-    a, b = M.span_coords((chart.root or chart).Z)
+    a, b = span_coords(M, (chart.root or chart).Z)
     if chart.root is not None:
         a, b = a + chart.c * b, chart.k * b
     return (a, b, M.det), I.scale(a) + chart.Z.scale(b)

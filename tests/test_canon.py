@@ -37,6 +37,7 @@ from moldkit.errors import (
     NotSemiSimple,
     NotUnipotent,
     NotUnipotentF2,
+    ScalarInput,
 )
 from moldkit.mat2 import eta
 from moldkit.words import words_up_to
@@ -291,25 +292,42 @@ def test_a_later_pair_can_refuse_the_one_intertwiner_left(rng):
     assert refused > 200
 
 
-def test_charts_refuse_a_word_whose_image_leaves_the_span():
-    """A chart built directly on a tuple that is not unipotent reads the
-    words inside span{I, A_1} and refuses the others: the swap leaves it,
-    its square I does not, in both modes and through every chart call."""
+def test_charts_refuse_a_tuple_with_a_generator_outside_the_span():
+    """A chart that cannot fold is refused when it is built, once: a
+    generator outside span{I, A_alpha} or span{I, Z} (the swap beside a
+    unipotent A) in both modes, a scalar A_alpha or Z, a Z over another
+    field and a character/derivation chart in characteristic 2."""
     for spec, mode in product((F5, Q), ("monoid", "group")):
         A, B = mat(spec, [[1, 1], [0, 1]]), mat(spec, [[0, 1], [1, 0]])
-        cd = CharDeriv(tup=RepTuple((A, B), mode), alpha_index=1, eta_mat=eta(A))
-        for call in (cd.coords, cd.r, cd.d, lambda w: unipotent_reconstruct(cd, w)):
-            for w in (Word((2,)), Word((1, 2))):
-                with pytest.raises(NotUnipotent, match="outside the chart span"):
-                    call(w)
-        assert cd.coords(Word((2, 2))) == (spec.one(), spec.zero())
-        assert (cd.r(Word((2, 2))), cd.d(Word((2, 2)))) == (spec.one(), spec.zero())
-        assert unipotent_reconstruct(cd, Word((2, 2))) == Mat2.identity(spec)
+        with pytest.raises(NotUnipotent, match="outside the chart span"):
+            CharDeriv(tup=RepTuple((A, B), mode), alpha_index=1, eta_mat=eta(A))
+        two = Mat2.identity(spec).scale(spec.element(2))
+        with pytest.raises(ScalarInput):
+            CharDeriv(tup=RepTuple((two, A), mode), alpha_index=1, eta_mat=eta(A))
     A, B = mat(F2, [[1, 1], [0, 1]]), mat(F2, [[0, 1], [1, 0]])
-    ch = ABChart(tup=RepTuple((A, B)), base_word=Word((1,)), Z=A)
-    with pytest.raises(NotUnipotentF2, match="outside span"):
-        ch.coords(Word((2,)))
-    assert ch.coords(Word((2, 2))) == (F2.one(), F2.zero(), F2.one())
+    for mode in ("monoid", "group"):
+        with pytest.raises(NotUnipotentF2, match="outside the chart span"):
+            ABChart(tup=RepTuple((A, B), mode), base_word=Word((1,)), Z=A)
+    with pytest.raises(ScalarInput):
+        ABChart(tup=RepTuple((A,)), base_word=Word(()), Z=Mat2.identity(F2))
+    for spec in (F5, Q):
+        with pytest.raises(ValueError, match="^mixed field arithmetic"):
+            ABChart(tup=RepTuple((A,)), base_word=Word((1,)), Z=mat(spec, [[1, 1], [0, 1]]))
+    with pytest.raises(CharTwo):
+        CharDeriv(tup=RepTuple((A,)), alpha_index=1, eta_mat=mat(F2, [[0, 1], [0, 0]]))
+
+
+@pytest.mark.parametrize("spec", [F5, Q], ids=str)
+def test_a_chart_index_outside_the_rank_is_refused(spec):
+    """alpha_index 0 or -1 does not wrap to the last generator, and rank + 1
+    is refused when the chart is built, not word by word."""
+    A, B = mat(spec, [[1, 1], [0, 1]]), mat(spec, [[2, 1], [0, 2]])
+    t = RepTuple((A, B))
+    for i in (0, -1, 3):
+        with pytest.raises(IndexError):
+            CharDeriv(tup=t, alpha_index=i, eta_mat=eta(A))
+    assert CharDeriv(tup=t, alpha_index=2, eta_mat=eta(B)).coords(Word((2,))) == (
+        spec.element(2), spec.one())
 
 
 def _chart_calls(spec):
@@ -510,8 +528,8 @@ def test_unipotent_chart_properties(rng):
 def test_chart_values_evaluate_no_word_on_the_fold(monkeypatch):
     """Charts from unipotent_decompose, uf2_decompose and uf2_transition
     fold every value and evaluate no word; a chart built directly on a
-    tuple that is not unipotent evaluates a word with a letter outside the
-    span at most once per call."""
+    tuple that is not unipotent is refused when it is built, without
+    evaluating a word."""
     evaluated = []
     evaluate = RepTuple.evaluate
 
@@ -521,13 +539,13 @@ def test_chart_values_evaluate_no_word_on_the_fold(monkeypatch):
 
     monkeypatch.setattr(RepTuple, "evaluate", counted)
 
-    def calls(fn, w, most):
+    def calls(fn, w):
         evaluated.clear()
         try:
             fn(w)
-        except (NotUnipotent, NotUnipotentF2, ChartOverlapEmpty):
+        except ChartOverlapEmpty:
             pass
-        assert evaluated in ([], [w]) if most else evaluated == []
+        assert evaluated == []
 
     words = list(words_up_to(2, 3))
     N = mat(Q, [[0, 1], [0, 0]])
@@ -536,30 +554,25 @@ def test_chart_values_evaluate_no_word_on_the_fold(monkeypatch):
     cd = unipotent_decompose(t)
     A = mat(F2, [[0, 1], [1, 0]])
     ch = uf2_decompose(RepTuple((A, Mat2.identity(F2) + A)))
-    calls(lambda w: uf2_transition(ch, w), Word((2,)), False)
+    calls(lambda w: uf2_transition(ch, w), Word((2,)))
     via = uf2_transition(uf2_transition(ch, Word((2,))), Word((2, 1)))
     for w in words:
         for fn in (cd.coords, cd.r, cd.d, lambda w: unipotent_reconstruct(cd, w)):
-            calls(fn, w, False)
+            calls(fn, w)
         assert cd.coords(w) == (cd.r(w), cd.d(w))
         for chart in (ch, via):
             for fn in (chart.coords, chart.a, chart.b, chart.d,
                        lambda w: uf2_reconstruct(chart, w)):
-                calls(fn, w, False)
+                calls(fn, w)
             assert chart.coords(w) == (chart.a(w), chart.b(w), chart.d(w))
     for spec in (F5, Q):
         A, B = mat(spec, [[1, 1], [0, 1]]), mat(spec, [[0, 1], [1, 0]])
-        direct = CharDeriv(tup=RepTuple((A, B)), alpha_index=1, eta_mat=eta(A))
-        for w in words:
-            for fn in (direct.coords, direct.r, direct.d,
-                       lambda w: unipotent_reconstruct(direct, w)):
-                calls(fn, w, True)
+        with pytest.raises(NotUnipotent):
+            CharDeriv(tup=RepTuple((A, B)), alpha_index=1, eta_mat=eta(A))
     A, B = mat(F2, [[1, 1], [0, 1]]), mat(F2, [[0, 1], [1, 0]])
-    direct = ABChart(tup=RepTuple((A, B)), base_word=Word((1,)), Z=A)
-    for w in words:
-        for fn in (direct.coords, direct.a, direct.b, direct.d,
-                   lambda w: uf2_reconstruct(direct, w), lambda w: uf2_transition(direct, w)):
-            calls(fn, w, True)
+    with pytest.raises(NotUnipotentF2):
+        ABChart(tup=RepTuple((A, B)), base_word=Word((1,)), Z=A)
+    assert evaluated == []
 
 
 def unipotent_tuple(rng, spec, rank, mode):

@@ -31,6 +31,7 @@ from conftest import (
     rand_invertible,
     rand_mat,
     rank,
+    span_coords,
 )
 
 
@@ -272,9 +273,11 @@ def test_commutator_image_test_matches_rank_oracle(rng, spec):
 
 
 def _check_span_coords(M, X):
+    """conftest.span_coords, the chart tests' reference, agrees with the
+    membership oracle of an echelon form of I and X."""
     spec = X.spec
     red, piv = linalg.rref([Mat2.identity(spec).values(), X.values()], spec.p)
-    coords = M.span_coords(X)
+    coords = span_coords(M, X)
     assert (coords is not None) == in_span(red, piv, M.values(), spec.p)
     if coords is not None:
         x, y = coords
@@ -290,7 +293,7 @@ def test_span_coords_matches_membership_oracle(rng, spec):
         for M in (inside, rand_mat(rng, spec, 10**6), inside + X * X, X, Mat2.zero(spec)):
             _check_span_coords(M, X)
     with pytest.raises(ScalarInput):
-        X.span_coords(Mat2.identity(spec).scale(spec.element(5)))
+        span_coords(X, Mat2.identity(spec).scale(spec.element(5)))
 
 
 def test_span_coords_exhaustive_f3():
