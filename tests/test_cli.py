@@ -1,13 +1,17 @@
 """CLI: document parsing, subcommand reports, exit codes, determinism."""
 
+import hashlib
 import json
+import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from moldkit.cli import _fe_json, parse_rep_document, run_command
 from moldkit.errors import ParseError, ValidationError
 from moldkit.invariants import invariant_vector
+from moldkit.mold import MoldLabel
 from moldkit.words import Word
 
 from conftest import F65521, Q, rand_invertible
@@ -371,3 +375,135 @@ def test_classify_command_at_rank_2000_is_fast(tmp_path):
     report = json.loads(out)
     assert report["label"] == "air"
     assert report["witness"] == {"kind": "delta", "indices": [1999, 2000], "value": 1}
+
+
+def _decide_corpus(seed=1405):
+    """A seeded corpus of representation documents over F_2, F_65521 and Q
+    in both modes, as a dict by name, and equiv pairs as (left, right)
+    names: every generator kind of conftest.stratum_samples (random, upper
+    triangular, x I + y X, x I + y N with N nilpotent, and scalar) at
+    ranks 1-3, with words (inverse letters in group mode), and two air
+    triples with a tau witness.  Each document is paired with a conjugate
+    and with an earlier document of its field, mode and rank.  The
+    conjugates are computed here, in plain int or Fraction arithmetic, so
+    no input depends on the library."""
+    rng = random.Random(seed)
+    docs, pairs = {}, []
+
+    def entry(p):
+        return rng.randrange(p) if p else Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+    def mul(p, X, Y):
+        out = [X[0] * Y[0] + X[1] * Y[2], X[0] * Y[1] + X[1] * Y[3],
+               X[2] * Y[0] + X[3] * Y[2], X[2] * Y[1] + X[3] * Y[3]]
+        return [x % p for x in out] if p else out
+
+    def inverse(p, X):
+        det = X[0] * X[3] - X[1] * X[2]
+        k = pow(det, -1, p) if p else 1 / det
+        out = [X[3] * k, -X[1] * k, -X[2] * k, X[0] * k]
+        return [x % p for x in out] if p else out
+
+    def singular(p, X):
+        det = X[0] * X[3] - X[1] * X[2]
+        return not (det % p if p else det)
+
+    def invertible(p):
+        while True:
+            X = [entry(p) for _ in range(4)]
+            if not singular(p, X):
+                return X
+
+    def comb(p, x, y, X):
+        out = [x + y * X[0], y * X[1], y * X[2], x + y * X[3]]
+        return [v % p for v in out] if p else out
+
+    def text(p, X):
+        rows = [X[:2], X[2:]]
+        return [[x if p else f"{x.numerator}/{x.denominator}" if x.denominator > 1
+                 else x.numerator for x in row] for row in rows]
+
+    def add(name, p, mode, gens, words):
+        field = {"p": p} if p else "Q"
+        docs[name] = {"field": field, "mode": mode,
+                      "generators": [text(p, G) for G in gens], "words": words}
+        C = invertible(p)
+        docs[name + "-conj"] = {"field": field, "mode": mode, "generators": [
+            text(p, mul(p, mul(p, inverse(p, C), G), C)) for G in gens]}
+        pairs.append((name, name + "-conj"))
+        other = next((n for n, d in docs.items() if n != name and "-conj" not in n
+                      and d["field"] == field and d["mode"] == mode
+                      and len(d["generators"]) == len(gens)), None)
+        if other is not None:
+            pairs.append((name, other))
+
+    for p in (2, 65521, None):
+        for mode in ("monoid", "group"):
+            for kind in range(5):
+                for copy in range(2):
+                    rank = rng.randint(1, 3)
+                    X = [entry(p) for _ in range(4)]
+                    P = invertible(p)
+                    N = mul(p, mul(p, inverse(p, P), [0, 1, 0, 0]), P)
+                    makers = [lambda: [entry(p) for _ in range(4)],
+                              lambda: [entry(p), entry(p), 0, entry(p)],
+                              lambda: comb(p, entry(p), entry(p), X),
+                              lambda: comb(p, entry(p), entry(p), N),
+                              lambda: comb(p, entry(p), 0, X)]
+                    gens = []
+                    while len(gens) < rank:
+                        G = makers[kind]()
+                        if mode == "monoid" or not singular(p, G):
+                            gens.append(G)
+                    letters = [i for i in range(-rank, rank + 1)
+                               if i > 0 or (i < 0 and mode == "group")]
+                    words = [",".join(str(rng.choice(letters)) for _ in range(rng.randint(1, 3)))
+                             for _ in range(2)]
+                    add(f"{p or 'Q'}-{mode}-{kind}-{copy}", p, mode, gens, words)
+    # Air tuples whose pairs all share an eigenline (e1, e2 and (1, 1)), so
+    # the witness is tau3 of the triple.
+    F = Fraction
+    for p in (65521, None):
+        tau = [[F(1, 2), 0, 0, 3], [F(1, 2), F(1, 3), 0, F(5, 6)],
+               [F(2, 3), 0, F(5, 12), F(1, 4)]]
+        if p:
+            tau = [[x.numerator * pow(x.denominator, -1, p) % p for x in G] for G in tau]
+        add(f"{p or 'Q'}-tau", p, "group", tau, ["1,-2,3"])
+    return docs, pairs
+
+
+# sha256 of the concatenated exit codes and stdout of each decide command,
+# run in-process through run_command on _decide_corpus() in its order:
+# classify, normalize and invariants on each document that is not a
+# conjugate, equiv on each pair.
+DECIDE_DIGESTS = {
+    "classify": "f71ccd29ceea11e755927f493780a7d3eb4889ed1f82da3de8a188a4ebb5dc8b",
+    "equiv": "c5446c6ac91a5fea99a39a3511077ecde0e91fda1b8ecdf0b8de289bb34e56f6",
+    "invariants": "83ae418c4e97ebdc8057dc19fb6efec848eb8000187a49797862532d2ce7c9da",
+    "normalize": "77b18574a9c60f255174a32038ff85625de62142a9c3105f10230ffbe3ddfd2b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DECIDE_DIGESTS))
+def test_decide_stdout_is_pinned(command, tmp_path):
+    docs, pairs = _decide_corpus()
+    paths = {name: write_doc(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+    if command == "equiv":
+        argvs = [["equiv", paths[left], paths[right]] for left, right in pairs]
+    else:
+        argvs = [[command, paths[name]] for name in docs if "-conj" not in name]
+    digest = hashlib.sha256()
+    seen = set()
+    for argv in argvs:
+        code, out = run_command(argv)
+        assert code == 0
+        digest.update(f"{code}\n{out}".encode())
+        report = json.loads(out)
+        seen.add(report.get("label") or report.get("method"))
+        if command == "classify" and report["witness"]:
+            seen.add(report["witness"]["kind"])
+    labels = {label.value for label in MoldLabel}
+    want = {"classify": labels | {"delta", "tau"}, "equiv": {"solver", "trace"},
+            "normalize": labels}.get(command, set())
+    assert seen >= want
+    assert digest.hexdigest() == DECIDE_DIGESTS[command]
