@@ -4,7 +4,6 @@ for the semi-simple, unipotent and characteristic-2 unipotent strata."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain, combinations, product
 from math import gcd, lcm
 from typing import NamedTuple, Optional
@@ -23,18 +22,18 @@ from .errors import (
     NotUnipotentF2,
     ScalarInput,
 )
-from .fields import FieldElement, Value, _fe, _ratio
+from .fields import FieldElement, FieldSpec, Value, _fe, _ratio
 from .invariants import MAX_TRACES, _split_entries
-from .mat2 import Mat2, _companion_frame, _mat
+from .mat2 import Mat2, _companion_frame, _mat, eta
 from .mold import MoldLabel, classify
 from .words import GROUP, RepTuple, Word
 
 
-def _common_scaled(x: tuple, y: tuple) -> tuple:
-    """The eight integer entries of two integer-scaled (entries, scale)
-    pairs brought to one common scale, the lcm of the two: what
-    linalg._int_scaled gives for the two matrices' values at once."""
-    (u, s), (v, t) = x, y
+def _common_scaled(A: Mat2, B: Mat2) -> tuple:
+    """The eight integer entries of A and B brought to one common scale,
+    the lcm of their scales: what linalg._int_scaled gives for the two
+    matrices' values at once."""
+    u, s, v, t = A._ints, A._s, B._ints, B._s
     if s == t:
         return u + v
     m = lcm(s, t)
@@ -45,13 +44,13 @@ def _common_scaled(x: tuple, y: tuple) -> tuple:
 def _pair_entries(t1: RepTuple, t2: RepTuple) -> Optional[list[tuple]]:
     """Raw entries (a, b, c, d, e, f, g, h) of each pair (A_i, B_i), or None
     when some pair differs in trace, determinant or scalar-ness, which
-    conjugation preserves.  Each pair is read from the tuples'
-    integer-scaled views at one common scale s (_common_scaled; s = 1 over
-    F_p), which scales A_i P - P B_i by s, the traces by s and the
-    determinants by s^2, and so leaves every test below alone."""
+    conjugation preserves.  Each pair is read from the generators'
+    integers at one common scale s (_common_scaled; s = 1 over F_p),
+    which scales A_i P - P B_i by s, the traces by s and the determinants
+    by s^2, and so leaves every test below alone."""
     p = t1.spec.p
     pairs = []
-    for a, b, c, d, e, f, g, h in map(_common_scaled, t1._scaled, t2._scaled):
+    for a, b, c, d, e, f, g, h in map(_common_scaled, t1.gens, t2.gens):
         tr, det = a + d - e - h, a * d - b * c - e * h + f * g
         if (tr % p or det % p) if p else (tr or det):
             return None
@@ -135,17 +134,15 @@ def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]
     screen of general_conjugator); ValueError otherwise.  A caller that
     has already screened passes the raw entries _pair_entries(t1, t2)
     returned as pairs, so the screen runs once.  The basis is
-    _intertwiner_rows's, each P'/s boxed in canonical values: the
-    nullspace basis of the 4m x 4 system, in its order.
+    _intertwiner_rows's, each P'/s a Mat2: the nullspace basis of the
+    4m x 4 system, in its order.
     """
     spec = t1.spec
     if pairs is None:
         pairs = _pair_entries(t1, t2)
         if pairs is None:
             raise ValueError("the pairs differ in trace, determinant or scalar-ness")
-    p = spec.p
-    return [_mat(spec, tuple([_ratio(p, x, s) for x in P]))
-            for P, s in _intertwiner_rows(pairs, p)]
+    return [_mat(spec, P, s) for P, s in _intertwiner_rows(pairs, spec.p)]
 
 
 def _invertible_in_span(rows: list[tuple], p: int | None) -> Optional[tuple]:
@@ -206,18 +203,19 @@ def general_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
         return None
     entries, s = found
     _verify_certificate(t1, t2, entries, "intertwiner")
-    return _mat(spec, tuple([_ratio(spec.p, v, s) for v in entries]))
+    return _mat(spec, entries, s)
 
 
 def _verify_certificate(t1: RepTuple, t2: RepTuple, P: tuple, what: str) -> None:
     """Raise RuntimeError unless t1_i P = P t2_i for every i, for P given
     by the integer entries P' of a nonzero multiple, which its producer
-    holds.  With A = A'/a and B = B'/b read from the tuples'
-    integer-scaled views (a = b = 1 over F_p), the test is b A'P' = a P'B',
+    holds.  With A = A'/a and B = B'/b read from the generators' integers
+    and scales (a = b = 1 over F_p), the test is b A'P' = a P'B',
     exact on integers, mod p over F_p, so no Fraction arithmetic runs."""
     p = t1.spec.p
     x, y, z, w = P
-    for ((a, b, c, d), sa), ((e, f, g, h), sb) in zip(t1._scaled, t2._scaled):
+    for A, B in zip(t1.gens, t2.gens):
+        (a, b, c, d), sa, (e, f, g, h), sb = A._ints, A._s, B._ints, B._s
         AP = (a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w)
         PB = (x * e + y * g, x * f + y * h, z * e + w * g, z * f + w * h)
         for u, v in zip(AP, PB):
@@ -234,7 +232,7 @@ def _require_semisimple(t: RepTuple) -> None:
 def _split_coordinates(t: RepTuple) -> tuple:
     """(field, mode) and the split coordinates of _split_entries, which
     decide on the semi-simple stratum what the full invariant vectors do."""
-    return (t.spec, t.mode, *_split_entries(t.spec.p, t._scaled))
+    return (t.spec, t.mode, *_split_entries(t.spec.p, [(g._ints, g._s) for g in t.gens]))
 
 
 def ss_equivalent(t1: RepTuple, t2: RepTuple) -> bool:
@@ -251,7 +249,7 @@ def split_witness_word(t: RepTuple) -> Word:
     times one more generator.  Raises BudgetExceeded when the 2^n - 1
     subsequences of n generators pass MAX_TRACES."""
     p = t.spec.p
-    mats = [e for e, _ in t._scaled]
+    mats = [g._ints for g in t.gens]
     for i, (a, b, c, d) in enumerate(mats, start=1):
         m = (a - d) ** 2 + 4 * b * c
         if m % p if p else m:
@@ -268,8 +266,8 @@ def split_witness_word(t: RepTuple) -> Word:
 
 
 def _increasing_products(p: int | None, mats):
-    """Yield (key, entries) for every strictly increasing product of raw
-    (a, b, c, d) entries over F_p, or of integer-scaled entries over Q if
+    """Yield (key, entries) for every strictly increasing product of the
+    integers (a, b, c, d) of matrices (Mat2._ints) over F_p, or over Q if
     p is None, in the lexicographic order of the keys, its 1-based index
     subsequences.  Over Q the entries are those of the product times a
     positive integer scale, so no gcd is taken inside a product; the scale
@@ -307,11 +305,10 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     tr A_s A_j in span{I, A_s}, equal coordinates force the two
     normalizations to agree on every generator, so P = V1 V2^-1 =
     V1 adj(V2) / det V2 conjugates t1 to t2.  Both split generators are
-    read from the integer-scaled views at one common s (_common_scaled),
-    which scales V1 adj(V2) and det V2 alike.  P is boxed as V1 adj(V2)
-    times one inverse of det V2 mod p, or as one Fraction per entry over
-    Q.  The certificate, invertible as a product of invertible matrices,
-    is re-verified as t1_i P = P t2_i on the integers V1 adj(V2).
+    read from their integers at one common s (_common_scaled), which
+    scales V1 adj(V2) and det V2 alike, and P is the Mat2 V1 adj(V2) /
+    det V2.  The certificate, invertible as a product of invertible
+    matrices, is re-verified as t1_i P = P t2_i on the integers V1 adj(V2).
     """
     _require_semisimple(t1)
     _require_semisimple(t2)
@@ -319,29 +316,25 @@ def ss_conjugator(t1: RepTuple, t2: RepTuple) -> Optional[Mat2]:
     if coords != _split_coordinates(t2):
         return None
     s = coords[2]
-    vals = _common_scaled(t1._scaled[s], t2._scaled[s])
+    vals = _common_scaled(t1.gens[s], t2.gens[s])
     (x, y, z, w), _ = _companion_frame(*vals[:4])
     (e, f, g, h), _ = _companion_frame(*vals[4:])
     det = e * h - f * g
     num = (x * h - y * g, y * e - x * f, z * h - w * g, w * e - z * f)
     _verify_certificate(t1, t2, num, "semi-simple certificate")
-    p = t1.spec.p
-    if p:
-        inverse = pow(det, -1, p)
-        return _mat(t1.spec, tuple([v * inverse % p for v in num]))
-    return _mat(t1.spec, tuple([Fraction(v, det) for v in num]))
+    return _mat(t1.spec, num, det)
 
 
 class _Algebra(NamedTuple):
-    """The commutative algebra span{I, X} of a chart matrix X = X'/s,
-    read from integer-scaled views: X' = (a', b', c', d') and s, with tr'
-    and det' the trace and determinant of X'.  gens holds for each
+    """The commutative algebra span{I, X} of a chart matrix X = X'/s over
+    spec, read from X's integers X' = (a', b', c', d') and scale s, with
+    tr' and det' the trace and determinant of X'.  gens holds for each
     generator A_i the integer triple (U, V, D) with A_i = (U I + V X')/D;
     invs holds the triples of the inverses in group mode and is None in
     monoid mode.  Triples are residues over F_p, with D = 1 in gens, and
     over Q have gcd 1 and D > 0 (_triple)."""
 
-    p: int | None
+    spec: FieldSpec
     x: tuple
     s: int
     tr: int
@@ -356,7 +349,7 @@ class _Algebra(NamedTuple):
         det' I, with D = 1 over F_p (one inverse at the end, if an inverse
         letter made D != 1).  A bad letter raises what RepTuple.evaluate
         raises for it."""
-        p, tr, det, gens, invs = self.p, self.tr, self.det, self.gens, self.invs
+        p, tr, det, gens, invs = self.spec.p, self.tr, self.det, self.gens, self.invs
         U, V, D = 1, 0, 1
         for i in w.letters:
             if i > 0:
@@ -375,17 +368,16 @@ class _Algebra(NamedTuple):
             return U * inv % p, V * inv % p, 1
         return U, V, D
 
-    def image(self, f: tuple) -> tuple:
-        """Canonical raw entries of the fold f's image (U I + V X')/D."""
+    def image(self, f: tuple) -> Mat2:
+        """The fold f's image (U I + V X')/D."""
         U, V, D = f
-        p, (a, b, c, d) = self.p, self.x
-        return (_ratio(p, U + V * a, D), _ratio(p, V * b, D), _ratio(p, V * c, D),
-                _ratio(p, U + V * d, D))
+        a, b, c, d = self.x
+        return _mat(self.spec, (U + V * a, V * b, V * c, U + V * d), D)
 
     def det_of(self, f: tuple) -> Value:
         """Canonical raw det of the fold f's image: det(U I + V X')/D^2."""
         U, V, D = f
-        return _ratio(self.p, _norm(self, U, V), D * D)
+        return _ratio(self.spec.p, _norm(self, U, V), D * D)
 
 
 def _norm(alg: _Algebra, u: int, v: int) -> int:
@@ -402,9 +394,9 @@ def _triple(p: int | None, U: int, V: int, D: int) -> tuple:
     return U // k, V // k, D // k
 
 
-def _algebra(tup: RepTuple, X: tuple, outside: type[MoldkitError]) -> _Algebra:
+def _algebra(tup: RepTuple, X: Mat2, outside: type[MoldkitError]) -> _Algebra:
     """The _Algebra of span{I, X} over tup's generators for a chart matrix
-    given as its integer-scaled pair (X', s).  This is where a chart
+    X = X'/s.  This is where a chart
     refuses its tuple: ScalarInput for a scalar X, and the error type
     outside when a generator lies outside the span.
 
@@ -418,20 +410,21 @@ def _algebra(tup: RepTuple, X: tuple, outside: type[MoldkitError]) -> _Algebra:
     group mode.
     """
     p = tup.spec.p
-    (a_, b_, c_, d_), s = X
+    (a_, b_, c_, d_), s = X._ints, X._s
     pivot = b_ or c_ or a_ - d_
     if not pivot:
         raise ScalarInput("span{I, X} needs a non-scalar X")
     inv = pow(pivot, -1, p) if p else 1
     tr, det = a_ + d_, a_ * d_ - b_ * c_
     gens = []
-    for i, ((a, b, c, d), t) in enumerate(tup._scaled, start=1):
+    for i, A in enumerate(tup.gens, start=1):
+        (a, b, c, d), t = A._ints, A._s
         mu = b if b_ else c if c_ else a - d
         off = (b * pivot - mu * b_, c * pivot - mu * c_, (a - d) * pivot - mu * (a_ - d_))
         if any(x % p for x in off) if p else any(off):
             raise outside(f"generator A_{i} is outside the chart span; tuple is not unipotent")
         gens.append(_triple(p, (a * pivot - mu * a_) * inv, mu * inv, t * pivot * inv))
-    alg = _Algebra(p, X[0], s, tr, det, tuple(gens), None)
+    alg = _Algebra(tup.spec, X._ints, s, tr, det, tuple(gens), None)
     if tup.mode != GROUP:
         return alg
     return alg._replace(invs=tuple(_triple(p, e * (u + v * tr), -e * v, _norm(alg, u, v))
@@ -464,7 +457,7 @@ class CharDeriv:
             raise CharTwo("unipotent charts over characteristic 2 use the (a, b) machinery")
         if not 0 < i <= t.rank:
             raise IndexError(f"alpha_index {i} is outside 1..{t.rank}")
-        self.__dict__["_algebra"] = _algebra(t, t._scaled[i - 1], NotUnipotent)
+        self.__dict__["_algebra"] = _algebra(t, t.gens[i - 1], NotUnipotent)
 
     def r(self, w: Word) -> FieldElement:
         return self.coords(w)[0]
@@ -484,24 +477,20 @@ class CharDeriv:
 
 def unipotent_decompose(t: RepTuple) -> CharDeriv:
     """Character/derivation chart of a unipotent tuple (characteristic != 2),
-    at the first non-scalar generator A_alpha = A'/s, whose eta is boxed
-    from the view as ((a' - d')/2s, b'/s, c'/s, (d' - a')/2s)."""
+    at the first non-scalar generator A_alpha."""
     if t.spec.characteristic() == 2:
         raise CharTwo("unipotent charts over characteristic 2 use the (a, b) machinery")
     if classify(t) is not MoldLabel.UNIPOTENT:
         raise NotUnipotent("tuple is not in the unipotent stratum")
     alpha = next(i for i, g in enumerate(t.gens, start=1) if not g.is_scalar)
-    p, ((a, b, c, d), s) = t.spec.p, t._scaled[alpha - 1]
-    eta_mat = _mat(t.spec, (_ratio(p, a - d, 2 * s), _ratio(p, b, s), _ratio(p, c, s),
-                            _ratio(p, d - a, 2 * s)))
-    return CharDeriv(tup=t, alpha_index=alpha, eta_mat=eta_mat)
+    return CharDeriv(tup=t, alpha_index=alpha, eta_mat=eta(t.gens[alpha - 1]))
 
 
 def unipotent_reconstruct(cd: CharDeriv, w: Word) -> Mat2:
-    """r(w) I + d(w) eta(alpha), which is rho(w) itself: its entries
-    (U + V a', V b', V c', U + V d')/D from the fold, each boxed once."""
+    """r(w) I + d(w) eta(alpha), which is rho(w) itself: the image of the
+    fold (_Algebra.image)."""
     alg = cd._algebra
-    return _mat(cd.tup.spec, alg.image(alg.fold(w)))
+    return alg.image(alg.fold(w))
 
 
 @dataclass(frozen=True)
@@ -516,8 +505,11 @@ class ABChart:
     root chart's span{I, Z} (_Algebra.fold), kept in the root's instance
     __dict__ as _algebra and shared by its transition charts, as in
     CharDeriv.  Constructing a root chart refuses one that cannot fold:
-    ValueError for a Z over another field, ScalarInput for a scalar Z and
-    NotUnipotentF2 for a generator outside span{I, Z}.
+    CharNotTwo for a tuple outside characteristic 2, ValueError for a Z
+    over another field, ScalarInput for a scalar Z and NotUnipotentF2 for a
+    generator outside span{I, Z}.  Over F_2 the fold has D = 1 and Z the
+    scale 1, so a word's coefficients in the root chart are its fold's U
+    and V.
     """
 
     tup: RepTuple = field(repr=False)
@@ -532,11 +524,11 @@ class ABChart:
             self.__dict__["_algebra"] = self.root._algebra
             return
         spec = self.tup.spec
+        if spec.characteristic() != 2:
+            raise CharNotTwo("(a, b)-charts are a characteristic-2 construction")
         if self.Z.spec != spec:
             raise ValueError(f"mixed field arithmetic: {spec} vs {self.Z.spec}")
-        Z = self.Z.values()
-        X = (Z, 1) if spec.p else linalg._int_scaled(Z)
-        self.__dict__["_algebra"] = _algebra(self.tup, X, NotUnipotentF2)
+        self.__dict__["_algebra"] = _algebra(self.tup, self.Z, NotUnipotentF2)
 
     @property
     def alpha_index(self) -> Optional[int]:
@@ -561,16 +553,13 @@ class ABChart:
         return (*self._fold_ab(f), _fe(alg.det_of(f), self.tup.spec))
 
     def _fold_ab(self, f: tuple) -> tuple[FieldElement, FieldElement]:
-        """(a, b) of the fold f of a word in the root chart: a_root = U/D
-        and b_root = V s/D for Z_root = Z'/s, carried by c = c1/c2 and
-        k = k1/k2 as a = (U c2 + c1 V s)/(D c2) and b = k1 V s/(k2 D)."""
-        U, V, D = f
+        """(a, b) of the fold f = (U, V, 1) of a word in the root chart:
+        a_root = U and b_root = V, carried by c and k as a = U + c V and
+        b = k V."""
+        U, V, _ = f
         spec = self.tup.spec
-        c1, c2, k1, k2 = (0, 1, 1, 1) if self.root is None else (
-            *self.c.value.as_integer_ratio(), *self.k.value.as_integer_ratio())
-        Vs = V * self._algebra.s
-        return (_fe(_ratio(spec.p, U * c2 + c1 * Vs, D * c2), spec),
-                _fe(_ratio(spec.p, k1 * Vs, k2 * D), spec))
+        c, k = (0, 1) if self.root is None else (self.c.value, self.k.value)
+        return _fe((U + c * V) % spec.p, spec), _fe(k * V % spec.p, spec)
 
 
 def uf2_decompose(t: RepTuple) -> ABChart:
@@ -585,11 +574,10 @@ def uf2_decompose(t: RepTuple) -> ABChart:
 
 def uf2_reconstruct(ch: ABChart, w: Word) -> Mat2:
     """a(w) I + b(w) Z; det of the result equals d(w).  It is rho(w) =
-    (U I + V Z')/D from the fold in the root chart, each entry boxed once,
-    which in characteristic 2 is a(w) I + b(w) Z at any depth of a
-    transition chain."""
+    U I + V Z_root, the image of the fold in the root chart, which is a(w) I
+    + b(w) Z at any depth of a transition chain."""
     alg = ch._algebra
-    return _mat(ch.tup.spec, alg.image(alg.fold(w)))
+    return alg.image(alg.fold(w))
 
 
 def uf2_transition(ch: ABChart, beta_word: Word) -> ABChart:
@@ -598,23 +586,19 @@ def uf2_transition(ch: ABChart, beta_word: Word) -> ABChart:
     The new coefficients follow the gluing formulas
     b'(w) = b(w) b(beta)^-1 and a'(w) = a(w) + a(beta) b(beta)^-1 b(w),
     folded into the root chart's constants c' = c + a(beta) b(beta)^-1 k
-    and k' = k b(beta)^-1.  With the fold (U, V, D) of beta in the root
-    chart, Z_root = Z'/s and c = c1/c2, b(beta) = k V s/D and a(beta) =
-    U/D + c V s/D, so the overlap is V != 0, k' = D/(V s) and c' = 2c +
-    U/(V s) = (2 c1 V s + U c2)/(c2 V s), one integer ratio each; the new
-    Z = rho(beta) is boxed from the same fold.
+    and k' = k b(beta)^-1.  With the fold (U, V, 1) of beta in the root
+    chart, b(beta) = k V and a(beta) = U + c V, so the overlap is V != 0,
+    k' = 1/V and c' = 2c + U/V, which is U/V in characteristic 2; the new
+    Z = rho(beta) is the image of the same fold.
     """
     alg, spec = ch._algebra, ch.tup.spec
     f = alg.fold(beta_word)
-    U, V, D = f
+    U, V, _ = f
     if not V:
         raise ChartOverlapEmpty("b(beta) = 0: the chart overlap is empty")
-    c1, c2 = (0, 1) if ch.root is None else ch.c.value.as_integer_ratio()
-    p, Vs = spec.p, V * alg.s
-    return ABChart(tup=ch.tup, base_word=beta_word, Z=_mat(spec, alg.image(f)),
+    return ABChart(tup=ch.tup, base_word=beta_word, Z=alg.image(f),
                    root=ch if ch.root is None else ch.root,
-                   c=_fe(_ratio(p, 2 * c1 * Vs + U * c2, c2 * Vs), spec),
-                   k=_fe(_ratio(p, D, Vs), spec))
+                   c=_fe(_ratio(spec.p, U, V), spec), k=_fe(_ratio(spec.p, 1, V), spec))
 
 
 def scalar_decompose(t: RepTuple) -> list[FieldElement]:

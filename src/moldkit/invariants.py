@@ -6,10 +6,12 @@ the invariant vector (generator determinants plus traces of strictly
 increasing products) is a complete conjugacy invariant on the semi-simple
 stratum.
 
-The moduli and split coordinates read a tuple's integer-scaled view
-(words), residues with scale 1 over F_p.  Over Q a determinant is
-Fraction(ad - bc, s^2), a group inverse s adj(A) / det A in lowest terms,
-and each output one Fraction of ints.
+The discriminants and the moduli and split coordinates are computed on
+the matrices' own integers and scales (mat2), residues with scale 1 over
+F_p, and each value is boxed once: a determinant is (ad - bc)/s^2, a
+trace (a + d)/s, and a group inverse is the canonical form mat2._inverse
+gives, s adj(A) / det A in lowest terms, so no Fraction arithmetic runs
+in them.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
-from math import gcd, prod
+from math import prod
 
 from .errors import BudgetExceeded, VanishingM
 from .fields import FieldElement, _fe, _ratio
-from .mat2 import Mat2
+from .mat2 import Mat2, _inverse
 from .words import GROUP, RepTuple, Word
 
 # Largest number of increasing-product traces invariant_vector computes:
@@ -33,14 +35,14 @@ MAX_TRACES = 65_535
 def delta2(A: Mat2, B: Mat2) -> FieldElement:
     """Symmetric pair discriminant; zero iff A, B generate a proper subalgebra."""
     spec = A._common_spec(B)
-    return _fe(spec.reduce(_delta2_entries(A.values(), B.values())), spec)
+    return _fe(_ratio(spec.p, _delta2_entries(A._ints, B._ints), (A._s * B._s) ** 2), spec)
 
 
 def tau3(A: Mat2, B: Mat2, C: Mat2) -> FieldElement:
     """tr(ABC) - tr(ACB); alternating in the last two arguments."""
     A._common_spec(C)
     spec = A._common_spec(B)
-    return _fe(spec.reduce(_tau3_entries(A.values(), B.values(), C.values())), spec)
+    return _fe(_ratio(spec.p, _tau3_entries(A._ints, B._ints, C._ints), A._s * B._s * C._s), spec)
 
 
 def _delta2_entries(A: tuple, B: tuple):
@@ -74,10 +76,10 @@ def delta4(A1: Mat2, A2: Mat2, A3: Mat2, A4: Mat2) -> FieldElement:
     spec = A1.spec
     if any(M.spec != spec for M in (A2, A3, A4)):
         raise ValueError("matrices from mixed field specs")
-    rows = [M.values() for M in (A1, A2, A3, A4)]
+    mats = (A1, A2, A3, A4)
     total = sum((-1) ** sum(s[i] > s[j] for i, j in combinations(range(4), 2))
-                * prod(row[j] for row, j in zip(rows, s)) for s in permutations(range(4)))
-    return _fe(spec.reduce(total), spec)
+                * prod(M._ints[j] for M, j in zip(mats, s)) for s in permutations(range(4)))
+    return _fe(_ratio(spec.p, total, prod(M._s for M in mats)), spec)
 
 
 def trace_word(t: RepTuple, w: Word) -> FieldElement:
@@ -113,44 +115,40 @@ def invariant_vector(t: RepTuple) -> InvariantVector:
     of them.
     """
     spec = t.spec
-    dets, keys, traces = _moduli_entries(spec.p, t._scaled, t.mode == GROUP)
+    dets, keys, traces = _moduli_entries(spec.p, [(g._ints, g._s) for g in t.gens],
+                                         t.mode == GROUP)
     return InvariantVector(
         dets=tuple([_fe(v, spec) for v in dets]),
         traces=tuple(zip(keys, [_fe(v, spec) for v in traces])))
 
 
 def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tuple]:
-    """Determinants, increasing-product keys and their traces of integer-
-    scaled ((a, b, c, d), s) pairs (RepTuple._scaled) over F_p, where the
-    entries are canonical residues and s = 1, or over Q if p is None,
-    after appending the inverses in group mode.
+    """Determinants, increasing-product keys and their traces of (ints, s)
+    pairs, the matrices' canonical forms (mat2), over F_p, where the ints
+    are residues and s = 1, or over Q if p is None, after appending the
+    inverses (mat2._inverse) in group mode.
 
     One suffix-first pass: the products whose first index is k are A_k,
     then A_k times every product whose first index is later, in key order,
     so the lexicographic list is built from the last matrix down.  The
     products of A_1, half the list, feed nothing else and are read as
-    traces only, tr(A_1 X) = a e + b g + c f + d h.  Over Q everything
-    runs on integers: an inverse is the integer form of _inverse_scaled,
-    a determinant is Fraction(ad - bc, s^2), no gcd is taken inside a
-    product, and each trace is one Fraction(num, scale).
+    traces only, tr(A_1 X) = a e + b g + c f + d h.  Everything runs on
+    integers: over Q no gcd is taken inside a product, whose scale is the
+    product of its matrices' scales, and each trace is one Fraction(num,
+    scale).
     """
     n = 2 * len(mats) if group else len(mats)
     if 2**n - 1 > MAX_TRACES:
         raise BudgetExceeded(f"invariant vector of {n} matrices needs 2^{n} - 1 traces, "
                              f"over the budget of {MAX_TRACES}")
+    if group:
+        mats = [*mats, *[_inverse(p, e, s) for e, s in mats]]
+    dets = [_ratio(p, a * d - b * c, s * s) for (a, b, c, d), s in mats]
+    mats, mat_scales = zip(*mats)
     # prods holds the products whose first index is after k, in key order;
-    # over Q, scales holds their denominators.
+    # over Q, scales holds their scales.
     prods, scales = [], []
     if p:
-        mats = [e for e, _ in mats]
-        dets = [a * d - b * c for a, b, c, d in mats]
-        if group:
-            inv = [pow(x, p - 2, p) for x in dets]
-            mats = list(mats) + [(d * i, -b * i, -c * i, a * i)
-                                 for (a, b, c, d), i in zip(mats, inv)]
-            dets += inv
-        dets = [x % p for x in dets]
-        mats = [tuple(x % p for x in e) for e in mats]
         for k in range(n - 1, 0, -1):
             a, b, c, d = mats[k]
             prods = [mats[k], *[((a * e + b * g) % p, (a * f + b * h) % p,
@@ -160,10 +158,6 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tup
         traces = [(a + d) % p, *[(a * e + b * g + c * f + d * h) % p for e, f, g, h in prods],
                   *[(e + h) % p for e, _, _, h in prods]]
     else:
-        if group:
-            mats = [*mats, *map(_inverse_scaled, mats)]
-        mats, mat_scales = zip(*mats)
-        dets = [Fraction(a * d - b * c, s * s) for (a, b, c, d), s in zip(mats, mat_scales)]
         for k in range(n - 1, 0, -1):
             a, b, c, d = mats[k]
             s = mat_scales[k]
@@ -177,18 +171,6 @@ def _moduli_entries(p: int | None, mats, group: bool) -> tuple[tuple, tuple, tup
                     for (e, f, g, h), t in zip(prods, scales)],
                   *[Fraction(e + h, t) for (e, _, _, h), t in zip(prods, scales)]]
     return tuple(dets), _key_table(n), tuple(traces)
-
-
-def _inverse_scaled(scaled: tuple) -> tuple:
-    """The integer-scaled pair of M^-1 for M = A/s given as (A, s):
-    s adj(A) / det A divided by the gcd g of its entries and det A, g of
-    the sign of det A, which is linalg._int_scaled(M.inverse().values())."""
-    (a, b, c, d), s = scaled
-    det = a * d - b * c
-    g = gcd(s * gcd(a, b, c, d), det)
-    if det < 0:
-        g = -g
-    return (s * d // g, -s * b // g, -s * c // g, s * a // g), det // g
 
 
 @cache
@@ -216,8 +198,8 @@ def _key_texts(n: int) -> tuple[str, ...]:
 
 
 def _split_entries(p: int | None, scaled) -> tuple:
-    """(s, det A_s, (tr A_j)_j, (tr A_s A_j)_j) of integer-scaled (entries,
-    scale) pairs (RepTuple._scaled) over F_p, or Q if p is None, A_s the
+    """(s, det A_s, (tr A_j)_j, (tr A_s A_j)_j) of (ints, s) pairs, the
+    matrices' canonical forms (mat2), over F_p, or Q if p is None, A_s the
     first matrix with m = (a - d)^2 + 4 b c != 0.  On the semi-simple
     stratum every A_j lies in span{I, A_s} and is fixed by tr A_j and
     tr A_s A_j, so these O(m) values are a complete conjugacy invariant

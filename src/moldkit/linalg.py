@@ -1,6 +1,6 @@
 """Small exact linear algebra over raw canonical field values.
 
-Vectors are tuples of the raw values that Mat2.values() holds: residues in
+Vectors are tuples of the raw values that Mat2.values() boxes: residues in
 [0, p) over F_p, reduced Fractions over Q, with the field named by p (None
 for Q) as in the mold and moduli kernels.  Matrices are lists of such
 rows.  Everything is Gauss-Jordan over an exact field, so results are
@@ -12,16 +12,17 @@ reduced row echelon form of integer rows up to date as rows go in, each
 row a residue vector with pivot 1 over F_p, or over Q an integer vector
 divided by the gcd of its entries, with a positive pivot.  Such a row is
 the rref row times its pivot value, so the rows are normalised once, at
-the end (_normalised): as they are over F_p, as Fractions x / pivot over
-Q.  The reduced row echelon form of a row space is unique, so the rows
-and pivots are those of normalise-first Gauss-Jordan, whatever order the
-rows go in.  Q results are Fractions, for int entries and literal 0s too.
+the end: rref boxes them as they are over F_p, as Fractions x / pivot
+over Q, and span_closure builds each Mat2 as the row over its pivot.
+The reduced row echelon form of a row space is unique, so the rows and
+pivots are those of normalise-first Gauss-Jordan, whatever order the
+rows go in.  rref's Q results are Fractions, for int entries and
+literal 0s too.
 
 _int_scaled scales a row of rationals to integers: rref's Q input rows
-that are not all ints, a Q RepTuple's generators, once each when the
-tuple is built (words), and the generators of span_closure.  Over F_p
-the stored view is each generator's residues with scale 1, and
-_int_scaled is never called.
+that are not all ints, and a Mat2's Q entries, once, when the matrix is
+built from them (mat2), which gives its canonical form.  No kernel scales
+again: each reads the matrices' own integers and scales.
 """
 
 from __future__ import annotations
@@ -92,19 +93,15 @@ def _insert(echelon: list, row: Sequence[int], p: int | None) -> bool:
     return True
 
 
-def _normalised(echelon: list, p: int | None) -> list[Vector]:
-    """The rows of the reduced row echelon form that echelon (_insert)
-    holds: its residue rows over F_p, and over Q each row divided by its
-    pivot value, one Fraction per entry."""
-    if p:
-        return [tuple(e) for e, _ in echelon]
-    zero = Fraction(0)
-    return [tuple([Fraction(x, e[c]) if x else zero for x in e]) for e, c in echelon]
-
-
 def rref(rows: Sequence[Vector], p: int | None) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot columns): the
+    echelon's residue rows over F_p, and over Q each row divided by its
+    pivot value, one Fraction per entry."""
     echelon: list = []
     for r in rows:
         _insert(echelon, r if p or all(type(x) is int for x in r) else _int_scaled(r)[0], p)
-    return _normalised(echelon, p), [c for _, c in echelon]
+    pivots = [c for _, c in echelon]
+    if p:
+        return [tuple(e) for e, _ in echelon], pivots
+    zero = Fraction(0)
+    return [tuple([Fraction(x, e[c]) if x else zero for x in e]) for e, c in echelon], pivots

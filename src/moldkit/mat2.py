@@ -1,81 +1,113 @@
 """2x2 matrices over an exact field: characteristic data, trace-free part,
 companion-form normalization, commutant and commutator-image tests.
 
-A Mat2 stores its FieldSpec once and its four entries as canonical raw
-values: residues in [0, p) over F_p, reduced Fractions over Q.  Arithmetic
-runs on the raw values, reducing each result through FieldSpec.reduce; the
-entries, trace, determinant and m are boxed as FieldElements when read.
-Internal constructors (_mat) set the two fields through the slots' member
-descriptors, without a per-call object.__setattr__; from_rows reduces
-plain int entries mod p directly, and over Q stores four Fractions as
-they are.  companion_normalize builds its companion form (0, -det, 1, tr)
-from A's integer-scaled entries (a, b, c, d)/s, A's residues with s = 1
-over F_p, as the ratios (bc - ad)/s^2 and (a + d)/s (fields._ratio), so no
-Fraction arithmetic runs; Mat2.companion is the public constructor of the
-same matrix from boxed trace and determinant.
+A Mat2 stores its FieldSpec and one value representation over both
+fields: integers (a, b, c, d) and a scale s > 0, the matrix being
+[[a, b], [c, d]] / s, with residues in [0, p) and s = 1 over F_p and
+gcd(a, b, c, d, s) = 1 over Q.  The form is canonical, so equality,
+hashing, copy and pickle are exact.  Every result is normalised by one
+constructor, _mat(spec, ints, s): over F_p it multiplies by s^-1 mod p,
+over Q it divides by the gcd, with the sign that makes s > 0.
+Arithmetic, trace, determinant and m are integer formulas that serve
+both fields; values(), entries() and a11..a22 box on demand, one
+Fraction per entry over Q (fields._ratio).  The kernels of words, mold,
+invariants and canon read a matrix's _ints and _s directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, neg, sub
+from math import gcd
 
 from .errors import CharTwo, ScalarInput, SingularP
 from .fields import FieldElement, FieldSpec, _fe, _new, _ratio
 from .linalg import _int_scaled
 
 
-def _mat(spec: FieldSpec, values: tuple) -> "Mat2":
-    """A Mat2 from a spec and four canonical raw values, unchecked."""
+def _normal(p: int | None, ints, s: int) -> tuple[tuple, int]:
+    """The canonical form of the matrix ints/s, s != 0 (and prime to p):
+    residues of s^-1 ints with scale 1 over F_p, and over Q ints and s
+    divided by their gcd, with the sign that makes s > 0."""
+    a, b, c, d = ints
+    if p:
+        k = 1 if s == 1 else pow(s, -1, p)
+        return (a * k % p, b * k % p, c * k % p, d * k % p), 1
+    g = gcd(a, b, c, d, s) if s > 0 else -gcd(a, b, c, d, s)
+    return ((a // g, b // g, c // g, d // g), s // g) if g != 1 else ((a, b, c, d), s)
+
+
+def _make(spec: FieldSpec, ints: tuple, s: int) -> "Mat2":
+    """A Mat2 from a spec and a canonical form (ints, s), unchecked."""
     M = _new(Mat2)
     _set_spec(M, spec)
-    _set_values(M, values)
+    _set_ints(M, ints)
+    _set_s(M, s)
     return M
 
 
+def _mat(spec: FieldSpec, ints, s: int = 1) -> "Mat2":
+    """The Mat2 ints/s over spec, normalised (_normal)."""
+    return _make(spec, *_normal(spec.p, ints, s))
+
+
+def _inverse(p: int | None, ints, s: int) -> tuple[tuple, int]:
+    """The canonical form of M^-1 for M = ints/s: s adj(ints) / det(ints),
+    normalised; SingularP when det(ints) vanishes (mod p over F_p)."""
+    a, b, c, d = ints
+    det = a * d - b * c
+    if not (det % p if p else det):
+        raise SingularP("matrix is singular")
+    return _normal(p, (s * d, -s * b, -s * c, s * a), det)
+
+
 def _entry(i: int) -> property:
-    return property(lambda self: _fe(self._values[i], self.spec))
+    return property(lambda self: _fe(_ratio(self.spec.p, self._ints[i], self._s), self.spec))
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Mat2:
-    """A 2x2 matrix over one FieldSpec, stored as that spec and the tuple of
-    its canonical raw entries (a11, a12, a21, a22); equality and hashing
-    are on both.  Operations between two matrices raise ValueError when
-    their specs differ."""
+    """A 2x2 matrix over one FieldSpec, stored as that spec, the integers
+    (a11, a12, a21, a22) and the scale s of its canonical form (module
+    docstring); equality and hashing are on all three.  Operations between
+    two matrices raise ValueError when their specs differ."""
 
     spec: FieldSpec
-    _values: tuple
+    _ints: tuple
+    _s: int
 
     def __init__(self, a11: FieldElement, a12: FieldElement,
                  a21: FieldElement, a22: FieldElement) -> None:
-        _set_spec(self, a11.spec)
-        _set_values(self, tuple(map(a11.spec.canonical, (a11, a12, a21, a22))))
+        spec = a11.spec
+        ints, s = _int_scaled(tuple(map(spec.canonical, (a11, a12, a21, a22))))
+        _set_spec(self, spec)
+        _set_ints(self, ints)
+        _set_s(self, s)
 
     a11, a12, a21, a22 = (_entry(i) for i in range(4))
 
     @classmethod
     def from_rows(cls, rows, spec: FieldSpec) -> "Mat2":
         """The matrix [[a, b], [c, d]] of ints, Fractions or elements of
-        spec, each made canonical as FieldSpec.canonical does."""
+        spec, each made canonical as FieldSpec.canonical does.  Reduced
+        ratios scaled by the lcm of their denominators (linalg._int_scaled)
+        are already in canonical form, so Q entries are scaled once."""
         (a, b), (c, d) = rows
         p = spec.p
         if p and type(a) is int and type(b) is int and type(c) is int and type(d) is int:
-            return _mat(spec, (a % p, b % p, c % p, d % p))
-        if (not p and type(a) is Fraction and type(b) is Fraction
-                and type(c) is Fraction and type(d) is Fraction):
             return _mat(spec, (a, b, c, d))
-        return _mat(spec, tuple(map(spec.canonical, (a, b, c, d))))
+        if (not p and type(a) in _RATIONAL and type(b) in _RATIONAL
+                and type(c) in _RATIONAL and type(d) in _RATIONAL):
+            return _make(spec, *_int_scaled((a, b, c, d)))
+        return _make(spec, *_int_scaled(tuple(map(spec.canonical, (a, b, c, d)))))
 
     @classmethod
     def identity(cls, spec: FieldSpec) -> "Mat2":
-        one, zero = spec.canonical(1), spec.canonical(0)
-        return _mat(spec, (one, zero, zero, one))
+        return _make(spec, (1, 0, 0, 1), 1)
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Mat2":
-        return _mat(spec, (spec.canonical(0),) * 4)
+        return _make(spec, (0, 0, 0, 0), 1)
 
     @classmethod
     def companion(cls, trace: FieldElement, det: FieldElement) -> "Mat2":
@@ -84,30 +116,34 @@ class Mat2:
 
     @property
     def tr(self) -> FieldElement:
-        return _fe(self.spec.reduce(self._values[0] + self._values[3]), self.spec)
+        a, _, _, d = self._ints
+        return _fe(_ratio(self.spec.p, a + d, self._s), self.spec)
 
     @property
     def det(self) -> FieldElement:
-        a, b, c, d = self._values
-        return _fe(self.spec.reduce(a * d - b * c), self.spec)
+        a, b, c, d = self._ints
+        return _fe(_ratio(self.spec.p, a * d - b * c, self._s ** 2), self.spec)
 
     @property
     def m(self) -> FieldElement:
         """tr^2 - 4 det, computed as (a11 - a22)^2 + 4 a12 a21."""
-        a, b, c, d = self._values
-        return _fe(self.spec.reduce((a - d) ** 2 + 4 * b * c), self.spec)
+        a, b, c, d = self._ints
+        return _fe(_ratio(self.spec.p, (a - d) ** 2 + 4 * b * c, self._s ** 2), self.spec)
 
     @property
     def is_scalar(self) -> bool:
-        a, b, c, d = self._values
+        a, b, c, d = self._ints
         return not b and not c and a == d
 
     def entries(self) -> tuple[FieldElement, ...]:
-        return tuple(_fe(v, self.spec) for v in self._values)
+        spec = self.spec
+        return tuple([_fe(v, spec) for v in self.values()])
 
     def values(self) -> tuple:
-        """Raw entry values (a11, a12, a21, a22): residues or Fractions."""
-        return self._values
+        """Raw entry values (a11, a12, a21, a22): residues over F_p, and
+        Fractions over Q, boxed when called."""
+        p, s = self.spec.p, self._s
+        return tuple([_ratio(p, x, s) for x in self._ints])
 
     def _common_spec(self, other: "Mat2") -> FieldSpec:
         spec = self.spec
@@ -117,26 +153,27 @@ class Mat2:
 
     def __add__(self, other: "Mat2") -> "Mat2":
         spec = self._common_spec(other)
-        return _mat(spec, tuple(map(spec.reduce, map(add, self._values, other._values))))
+        s, t = self._s, other._s
+        return _mat(spec, [x * t + y * s for x, y in zip(self._ints, other._ints)], s * t)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
         spec = self._common_spec(other)
-        return _mat(spec, tuple(map(spec.reduce, map(sub, self._values, other._values))))
+        s, t = self._s, other._s
+        return _mat(spec, [x * t - y * s for x, y in zip(self._ints, other._ints)], s * t)
 
     def __neg__(self) -> "Mat2":
-        return _mat(self.spec, tuple(map(self.spec.reduce, map(neg, self._values))))
+        return _mat(self.spec, [-x for x in self._ints], self._s)
 
     def __mul__(self, other: "Mat2") -> "Mat2":
         spec = self._common_spec(other)
-        r = spec.reduce
-        a, b, c, d = self._values
-        e, f, g, h = other._values
-        return _mat(spec, (r(a * e + b * g), r(a * f + b * h),
-                           r(c * e + d * g), r(c * f + d * h)))
+        a, b, c, d = self._ints
+        e, f, g, h = other._ints
+        return _mat(spec, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h),
+                    self._s * other._s)
 
     def scale(self, c: FieldElement) -> "Mat2":
-        k, r = self.spec.canonical(c), self.spec.reduce
-        return _mat(self.spec, tuple(r(k * x) for x in self._values))
+        k, n = self.spec.canonical(c).as_integer_ratio()
+        return _mat(self.spec, [k * x for x in self._ints], n * self._s)
 
     def pow(self, n: int) -> "Mat2":
         if n < 0:
@@ -151,14 +188,7 @@ class Mat2:
         return acc
 
     def inverse(self) -> "Mat2":
-        spec = self.spec
-        r = spec.reduce
-        a, b, c, d = self._values
-        det = r(a * d - b * c)
-        if not det:
-            raise SingularP("matrix is singular")
-        i = pow(det, -1, spec.p)
-        return _mat(spec, (r(d * i), r(-b * i), r(-c * i), r(a * i)))
+        return _make(self.spec, *_inverse(self.spec.p, self._ints, self._s))
 
     def text(self) -> str:
         return "[[{},{}],[{},{}]]".format(*(e.text() for e in self.entries()))
@@ -167,10 +197,13 @@ class Mat2:
         return f"Mat2({self.text()}:{self.spec})"
 
 
+_RATIONAL = (int, Fraction)
+
 # The slots' member descriptors, as in fields: they set a frozen instance's
 # fields without the by-name lookup of object.__setattr__.
 _set_spec = Mat2.spec.__set__
-_set_values = Mat2._values.__set__
+_set_ints = Mat2._ints.__set__
+_set_s = Mat2._s.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,17 +221,20 @@ def char_data(A: Mat2) -> tuple[FieldElement, FieldElement, FieldElement]:
 
 
 def eta(A: Mat2) -> Mat2:
-    """Trace-free part A - (tr A / 2) I; rejected in characteristic 2."""
+    """Trace-free part A - (tr A / 2) I = (a - d, 2b, 2c, d - a) / 2s for
+    A = (a, b, c, d) / s; rejected in characteristic 2."""
     if A.spec.characteristic() == 2:
         raise CharTwo("eta is undefined in characteristic 2")
-    return A - Mat2.identity(A.spec).scale(A.tr / A.spec.element(2))
+    a, b, c, d = A._ints
+    return _mat(A.spec, (a - d, 2 * b, 2 * c, d - a), 2 * A._s)
 
 
 def _companion_frame(a, b, c, d) -> tuple[tuple, str]:
-    """The frame [v | A v] of a non-scalar A = (a, b, c, d) as raw entries,
+    """The frame [v | A v] of a non-scalar A = (a, b, c, d) as entries,
     and its branch: v = e2, e1 or e1 + e2 by the first nonzero of b, c and
-    a - d.  The entries are A's own values and the ints 0 and 1, so the
-    rule serves residues, Fractions and integer-scaled entries alike."""
+    a - d.  The entries are A's own and the ints 0 and 1, so for A given
+    by its integers (a, b, c, d) = s A the branch is A's and the frame is
+    [v | s A v]."""
     if b:
         return (0, b, 1, d), "b"  # columns e2, A e2
     if c:
@@ -210,19 +246,17 @@ def companion_normalize(A: Mat2) -> CompanionCert:
     """Deterministic change of basis to companion form [[0,-det],[1,tr]].
 
     The new basis is {v, Av} where v = e2, e1 or e1+e2 according to the
-    first nonzero of b, c, a-d, in that order (_companion_frame).  P is
-    built from A's raw values, and the companion form from A's
-    integer-scaled entries (A's residues with scale 1 over F_p) through
-    fields._ratio; it equals Mat2.companion(A.tr, A.det).
+    first nonzero of b, c, a-d, in that order (_companion_frame).  For A =
+    A'/s the frame of A' is [v | A'v], so P = [s v | A'v] / s, and the
+    companion form is (0, -det A', s^2, s tr A') / s^2; it equals
+    Mat2.companion(A.tr, A.det).
     """
     if A.is_scalar:
         raise ScalarInput("scalar matrices have no companion form")
-    spec, p = A.spec, A.spec.p
-    frame, branch = _companion_frame(*A._values)
-    P = _mat(spec, tuple(map(spec.canonical, frame)))
-    (a, b, c, d), s = (A._values, 1) if p else _int_scaled(A._values)
-    companion = _mat(spec, (spec.canonical(0), _ratio(p, b * c - a * d, s * s),
-                            spec.canonical(1), _ratio(p, a + d, s)))
+    spec, (a, b, c, d), s = A.spec, A._ints, A._s
+    (x, y, z, w), branch = _companion_frame(a, b, c, d)
+    P = _mat(spec, (s * x, y, s * z, w), s)
+    companion = _mat(spec, (0, b * c - a * d, s * s, (a + d) * s), s * s)
     return CompanionCert(P=P, companion=companion, branch=branch)
 
 

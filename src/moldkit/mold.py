@@ -1,7 +1,9 @@
 """Six-way mold classification over a field by one step kernel folded over
 trace-free rows, shared with the census; air witnesses, invariant lines,
 and the span closure of the generated algebra that tests check the kernel
-against."""
+against.  The kernel, the witnesses and the span closure read the
+generators' own integers and scales (mat2), so they run no Fraction
+arithmetic over Q; only the invariant lines box entry values."""
 
 from __future__ import annotations
 
@@ -54,16 +56,16 @@ def span_closure(t: RepTuple) -> SubalgebraBasis:
     date as rows go in; a product that adds a row is a new element.  The
     span of the elements found is then closed under right multiplication
     by the generators and holds I, so it holds every word.  The walk stops
-    at dimension 4 or when no product adds a row.  Over Q the generators
-    are scaled to integers (linalg._int_scaled), which scales each product
-    by a positive integer and leaves the span alone, and no Fraction
-    arithmetic runs until the rows are normalised.  The returned basis is
-    the reduced row echelon form of the closure, so it is deterministic
-    and contains I in its span.  The kernel classifier is not consulted.
+    at dimension 4 or when no product adds a row.  The walk multiplies the
+    generators' integers (Mat2._ints), which over Q scales each product by
+    a positive integer and leaves the span alone.  The returned basis is
+    the reduced row echelon form of the closure, each echelon row over its
+    pivot, so it is deterministic and contains I in its span, and no
+    Fraction is built.  The kernel classifier is not consulted.
     """
     spec = t.spec
     p = spec.p
-    gens = [g.values() if p else linalg._int_scaled(g.values())[0] for g in t.gens]
+    gens = [g._ints for g in t.gens]
     found = [(1, 0, 0, 1)]
     echelon: list = []
     linalg._insert(echelon, found[0], p)
@@ -76,7 +78,7 @@ def span_closure(t: RepTuple) -> SubalgebraBasis:
                 product = (product[0] % p, product[1] % p, product[2] % p, product[3] % p)
             if linalg._insert(echelon, product, p):
                 found.append(product)
-    return SubalgebraBasis(tuple([_mat(spec, row) for row in linalg._normalised(echelon, p)]))
+    return SubalgebraBasis(tuple([_mat(spec, row, row[c]) for row, c in echelon]))
 
 
 # Kernel states: the rank of the trace-free rows folded so far, followed
@@ -133,8 +135,8 @@ def _label(p: Optional[int], state: tuple) -> MoldLabel:
 
 def _classify_entries(p: Optional[int], mats) -> MoldLabel:
     """Mold label of integer (a, b, c, d) entry tuples, each matrix scaled
-    by its own positive s (RepTuple._scaled; s = 1 over F_p, whose entries
-    are canonical residues): a fold of _step over their trace-free rows
+    by its own positive s (Mat2._ints; s = 1 over F_p, whose entries are
+    canonical residues): a fold of _step over their trace-free rows
     (a - d, b, c), which span the algebra modulo I, returning air as soon
     as the rank is 3.  Scaling a matrix by s scales its row by s, and over
     F_p a - d is zero only when it is 0 mod p, so no zero test changes,
@@ -155,7 +157,7 @@ def classify(t: RepTuple) -> MoldLabel:
     memo = t.__dict__
     label = memo.get("_label")
     if label is None:
-        label = memo["_label"] = _classify_entries(t.spec.p, [e for e, _ in memo["_scaled"]])
+        label = memo["_label"] = _classify_entries(t.spec.p, [g._ints for g in t.gens])
     return label
 
 
@@ -178,14 +180,14 @@ def air_witness(t: RepTuple) -> Optional[tuple[str, tuple[int, ...], FieldElemen
     if classify(t) is not MoldLabel.AIR:
         return None
     p = t.spec.p
-    mats = [e for e, _ in t._scaled]
+    mats = [g._ints for g in t.gens]
 
     def label(*idx: int) -> MoldLabel:
         return _classify_entries(p, [mats[i] for i in idx])
 
     def value(polynomial, idx: tuple, power: int) -> FieldElement:
         v = polynomial(*[mats[i] for i in idx])
-        return _fe(_ratio(p, v, math.prod(t._scaled[i][1] for i in idx) ** power), t.spec)
+        return _fe(_ratio(p, v, math.prod(t.gens[i]._s for i in idx) ** power), t.spec)
 
     scanned: list[int] = []
     for i in range(len(mats)):

@@ -2,14 +2,12 @@
 
 A RepTuple coerces its generators to a tuple and validates them in one
 pass, so a list it was built from can change later without changing the
-tuple.  The same pass stores the integer-scaled view _scaled in the
-instance __dict__, one (entries, s) pair per generator: over F_p the
-generator's residues with s = 1, over Q the pair linalg._int_scaled
-gives.  The group-mode singular check runs on those integers, and every
-kernel reads the view, so none branches on the field to find its
-entries.  mold.classify keeps the label there too.  Neither is a field,
-so neither takes part in equality, hashing or repr, and a copied or
-pickled tuple carries both.
+tuple.  It keeps no copy of their entries: every kernel reads each
+generator's own integers and scale (Mat2._ints, Mat2._s), residues with
+scale 1 over F_p, and the group-mode singular check runs on them too.
+mold.classify keeps the label in the instance __dict__; it is not a
+field, so it takes no part in equality, hashing or repr, and a copied or
+pickled tuple carries it.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from typing import Iterator
 
 from .errors import NonInvertibleGenerator
 from .fields import FieldSpec
-from .linalg import _int_scaled
 from .mat2 import Mat2, conjugate
 
 MONOID = "monoid"
@@ -72,16 +69,13 @@ class RepTuple:
         spec = gens[0].spec
         p = spec.p
         group = self.mode == GROUP
-        scaled = []
         for i, g in enumerate(gens, start=1):
             if g.spec is not spec and g.spec != spec:
                 raise ValueError("generators from mixed field specs")
-            scaled.append((g.values(), 1) if p else _int_scaled(g.values()))
             if group:
-                a, b, c, d = scaled[-1][0]
+                a, b, c, d = g._ints
                 if not ((a * d - b * c) % p if p else a * d - b * c):
                     raise NonInvertibleGenerator(f"generator {i} is singular in group mode")
-        self.__dict__["_scaled"] = tuple(scaled)
 
     @property
     def spec(self) -> FieldSpec:

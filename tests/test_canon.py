@@ -296,7 +296,8 @@ def test_charts_refuse_a_tuple_with_a_generator_outside_the_span():
     """A chart that cannot fold is refused when it is built, once: a
     generator outside span{I, A_alpha} or span{I, Z} (the swap beside a
     unipotent A) in both modes, a scalar A_alpha or Z, a Z over another
-    field and a character/derivation chart in characteristic 2."""
+    field, a character/derivation chart in characteristic 2 and an (a,
+    b)-chart outside it, over F_5 and Q, even on a unipotent tuple."""
     for spec, mode in product((F5, Q), ("monoid", "group")):
         A, B = mat(spec, [[1, 1], [0, 1]]), mat(spec, [[0, 1], [1, 0]])
         with pytest.raises(NotUnipotent, match="outside the chart span"):
@@ -304,6 +305,10 @@ def test_charts_refuse_a_tuple_with_a_generator_outside_the_span():
         two = Mat2.identity(spec).scale(spec.element(2))
         with pytest.raises(ScalarInput):
             CharDeriv(tup=RepTuple((two, A), mode), alpha_index=1, eta_mat=eta(A))
+        half = mat(spec, [[Fraction(1, 2), 1], [0, Fraction(1, 2)]])
+        for t in (RepTuple((A, B), mode), RepTuple((half, A), mode)):
+            with pytest.raises(CharNotTwo):
+                ABChart(tup=t, base_word=Word((1,)), Z=t.gens[0])
     A, B = mat(F2, [[1, 1], [0, 1]]), mat(F2, [[0, 1], [1, 0]])
     for mode in ("monoid", "group"):
         with pytest.raises(NotUnipotentF2, match="outside the chart span"):

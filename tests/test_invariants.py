@@ -26,13 +26,13 @@ from moldkit.canon import _increasing_products
 from moldkit.errors import BudgetExceeded, VanishingM
 from moldkit.invariants import (
     MAX_TRACES,
-    _inverse_scaled,
     _key_table,
     _key_texts,
     _moduli_entries,
     _split_entries,
 )
 from moldkit.linalg import _int_scaled
+from moldkit.mat2 import _inverse
 
 from conftest import (
     F2,
@@ -260,8 +260,9 @@ def test_q_invariant_vector_equals_the_matrix_oracle(rng):
     against moduli_reference's Mat2 products, inverses and traces: ranks
     1-4 in both modes, tuples of every stratum with small entries and with
     30-digit numerators and denominators, negative determinants among
-    them.  Each group-mode inverse's integer form is the one _int_scaled
-    gives for Mat2.inverse."""
+    them.  Each group-mode inverse's canonical form, mat2._inverse, is the
+    one _int_scaled gives for the inverse adj / det in Fraction
+    arithmetic."""
     def big():
         return Fraction(rng.choice((-1, 1)) * rng.randint(10**29, 10**30 - 1),
                         rng.randint(10**29, 10**30 - 1))
@@ -282,8 +283,11 @@ def test_q_invariant_vector_equals_the_matrix_oracle(rng):
                     assert len(vec.traces) == 2 ** len(vec.dets) - 1
                     if mode == "group":
                         group += 1
-                        for g, scaled in zip(t.gens, t._scaled):
-                            assert _inverse_scaled(scaled) == _int_scaled(g.inverse().values())
+                        for g in t.gens:
+                            a, b, c, d = g.values()
+                            det = a * d - b * c
+                            assert _inverse(None, g._ints, g._s) == _int_scaled(
+                                (d / det, -b / det, -c / det, a / det))
                     negative += sum(g.det.value < 0 for g in t.gens)
     assert group >= 30 and negative >= 20
 

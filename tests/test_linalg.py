@@ -283,8 +283,8 @@ def test_fp_kernels_build_no_fraction_and_scale_nothing(monkeypatch, rng, spec):
     what it gave before: RepTuple construction, classify, air_witness,
     invariant_vector, general_conjugator on conjugate and non-conjugate
     pairs, ss_conjugator, ss_equivalent, split_witness_word and
-    companion_normalize.  Over F_p a tuple's view is its residues with
-    scale 1, so nothing is scaled."""
+    companion_normalize.  Over F_p a matrix's form is its residues with
+    scale 1, so nothing is scaled, and words does not bind _int_scaled."""
     cases = _decide_cases(rng, spec)
     answers = [_q_decide(*case) for case in cases]
     assert sum(mode == "group" for mode, *_ in cases) >= 5
@@ -297,7 +297,8 @@ def test_fp_kernels_build_no_fraction_and_scale_nothing(monkeypatch, rng, spec):
         raise AssertionError("Q work in an F_p kernel")
 
     monkeypatch.setattr(Fraction, "__new__", refuse)
-    for module in (linalg, words, mat2):
+    assert not hasattr(words, "_int_scaled")
+    for module in (linalg, mat2):
         monkeypatch.setattr(module, "_int_scaled", refuse)
     with pytest.raises(AssertionError):
         Fraction(1, 2)

@@ -128,38 +128,20 @@ def test_span_closure_equals_the_reference_on_seeded_tuples(rng, spec):
 
 
 def test_q_span_closure_builds_no_fraction_before_boxing(monkeypatch, rng):
-    """Over Q the closure runs on integer rows: with Fraction construction,
-    and with it all Fraction arithmetic, refused until linalg normalises
-    the echelon rows, it gives the reference's basis.  It reads the
-    generators' values only: with each tuple's integer-scaled view
-    removed and the kernel classifier refusing, nothing changes."""
+    """Over Q the closure runs on the generators' integers and builds its
+    basis straight from the echelon rows, each over its pivot: with
+    Fraction construction, and with it all Fraction arithmetic, refused
+    and the kernel classifier refusing, it gives the reference's basis."""
     tuples = _seeded_closure_tuples(rng, Q)
     tuples.append(RepTuple((Mat2.from_rows([[Fraction(10**30, 7), 0], [0, 1]], Q),)))
     want = [span_closure_reference(t) for t in tuples]
-    for t in tuples:
-        del t.__dict__["_scaled"]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the kernel classifier in span_closure")
+        raise AssertionError("the kernel classifier or a Fraction in span_closure")
 
     for name in ("classify", "_classify_entries", "_step", "_label"):
         monkeypatch.setattr(mold, name, refuse)
-    boxing, normalised, new = [], linalg._normalised, Fraction.__new__
-
-    def boxed(echelon, p):
-        boxing.append(p)
-        try:
-            return normalised(echelon, p)
-        finally:
-            boxing.pop()
-
-    def guarded(cls, *args, **kwargs):
-        if not boxing:
-            raise AssertionError("a Fraction built before the rows are boxed")
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_normalised", boxed)
-    monkeypatch.setattr(Fraction, "__new__", guarded)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
     with pytest.raises(AssertionError):
         Fraction(1, 2)
     got = [span_closure(t) for t in tuples]

@@ -1,6 +1,7 @@
 """Words, tuple validation and the split-witness search."""
 
 import copy
+import math
 import pickle
 import time
 from fractions import Fraction
@@ -81,24 +82,27 @@ def test_rep_tuple_keeps_its_generators_when_the_given_list_changes(spec):
 
 @pytest.mark.parametrize("mode", ["monoid", "group"])
 def test_q_tuples_store_one_integer_scaled_view(monkeypatch, rng, mode):
-    """Over Q a RepTuple scales each generator once, when it is built, to
-    the pair linalg._int_scaled gives; the view takes no part in equality,
-    hashing or repr, a copy or pickle carries it, and the kernels read it
-    without scaling again.  Over F_p the view is each generator's
-    residues with scale 1: its values() tuple itself."""
+    """A tuple's entries are stored once, in its generators: over Q each
+    Mat2 holds the pair linalg._int_scaled gives for its values, integers
+    with gcd 1 and a scale s > 0, and over F_p its residues with s = 1.
+    The RepTuple keeps no copy of them (its instance __dict__ holds its
+    fields and the label only); the label takes no part in equality,
+    hashing or repr, a copy or pickle carries the forms, and the kernels
+    read them without scaling again."""
     gens = tuple(rand_invertible(rng, Q) for _ in range(3))
     t = RepTuple(list(gens), mode)
-    assert t._scaled == tuple(_int_scaled(g.values()) for g in gens)
-    assert all(type(x) is int and s > 0 for ints, s in t._scaled for x in ints)
+    assert [(g._ints, g._s) for g in t.gens] == [_int_scaled(g.values()) for g in gens]
+    assert all(type(x) is int for g in gens for x in g._ints)
+    assert all(g._s > 0 and math.gcd(*g._ints, g._s) == 1 for g in gens)
     twin = RepTuple(gens, mode)
     classify(twin)
+    assert set(vars(t)) == {"gens", "mode"} and set(vars(twin)) == {"gens", "mode", "_label"}
     assert t == twin and hash(t) == hash(twin) and repr(t) == repr(twin)
     for other in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
-        assert other._scaled == t._scaled and other == t
+        assert [(g._ints, g._s) for g in other.gens] == [(g._ints, g._s) for g in gens]
+        assert other == t
     fp_gens = tuple(rand_invertible(rng, F5) for _ in range(2))
-    fp_view = RepTuple(fp_gens, mode)._scaled
-    assert fp_view == tuple((g.values(), 1) for g in fp_gens)
-    assert all(ints is g.values() for (ints, _), g in zip(fp_view, fp_gens))
+    assert all(g._ints == g.values() and g._s == 1 for g in RepTuple(fp_gens, mode).gens)
     A = gens[0]
     while not A.m:
         A = rand_invertible(rng, Q)
@@ -108,6 +112,7 @@ def test_q_tuples_store_one_integer_scaled_view(monkeypatch, rng, mode):
         raise AssertionError("a generator was scaled again")
 
     monkeypatch.setattr(linalg, "_int_scaled", refuse)
+    monkeypatch.setattr(mat2, "_int_scaled", refuse)
     assert classify(t) is MoldLabel.AIR and air_witness(t)[0] == "delta"
     assert len(invariant_vector(t).traces) == 2 ** (6 if mode == "group" else 3) - 1
     assert canon._pair_entries(t, twin) is not None
