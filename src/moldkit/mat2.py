@@ -31,8 +31,10 @@ def _normal(p: int | None, ints, s: int) -> tuple[tuple, int]:
     divided by their gcd, with the sign that makes s > 0."""
     a, b, c, d = ints
     if p:
-        k = 1 if s == 1 else pow(s, -1, p)
-        return (a * k % p, b * k % p, c * k % p, d * k % p), 1
+        if s != 1:
+            k = pow(s, -1, p)
+            a, b, c, d = a * k, b * k, c * k, d * k
+        return (a % p, b % p, c % p, d % p), 1
     g = gcd(a, b, c, d, s) if s > 0 else -gcd(a, b, c, d, s)
     return ((a // g, b // g, c // g, d // g), s // g) if g != 1 else ((a, b, c, d), s)
 
@@ -48,7 +50,8 @@ def _make(spec: FieldSpec, ints: tuple, s: int) -> "Mat2":
 
 def _mat(spec: FieldSpec, ints, s: int = 1) -> "Mat2":
     """The Mat2 ints/s over spec, normalised (_normal)."""
-    return _make(spec, *_normal(spec.p, ints, s))
+    ints, s = _normal(spec.p, ints, s)
+    return _make(spec, ints, s)
 
 
 def _inverse(p: int | None, ints, s: int) -> tuple[tuple, int]:
