@@ -396,9 +396,9 @@ def _triple(p: int | None, U: int, V: int, D: int) -> tuple:
 
 def _algebra(tup: RepTuple, X: Mat2, outside: type[MoldkitError]) -> _Algebra:
     """The _Algebra of span{I, X} over tup's generators for a chart matrix
-    X = X'/s.  This is where a chart
-    refuses its tuple: ScalarInput for a scalar X, and the error type
-    outside when a generator lies outside the span.
+    X = X'/s.  This is where a chart refuses its tuple: ScalarInput for a
+    scalar X, and the error type outside when a generator lies outside the
+    span.
 
     A generator A = (a, b, c, d)/t lies in the span when its entries agree
     with X' off the identity: with the pivot pi the first nonzero of b', c'
