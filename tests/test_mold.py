@@ -1,7 +1,9 @@
 """Span closure, rank tests, six-way classification and air criteria."""
 
 import copy
+import hashlib
 import pickle
+import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
@@ -581,3 +583,84 @@ def test_air_witness_lines_without_a_partner_are_few(p):
             assert not any(iso[x][i] and iso[x][j] and iso[x][k]
                            for x in range(n) if x not in (i, j, k))
     assert triangles > 0
+
+
+def _invariant_line_corpus():
+    """Seeded tuples of ranks 1-3 over F_2, F_3, F_5, F_13, F_65521 and Q:
+    borel, split and non-split semi-simple, unipotent, scalar and air
+    kinds, built as conjugates P^-1 G P of triangular, diagonal,
+    companion and nilpotent forms, some behind scalar generators; over Q
+    the entries of P and of the forms are small non-integer ratios."""
+    rng = random.Random(20261022)
+    corpus = []
+    for spec in (F2, F3, F5, FieldSpec.prime(13), F65521, Q):
+        p = spec.p
+
+        def x():
+            return rng.randrange(p) if p else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+        def mat(a, b, c, d):
+            return Mat2.from_rows([[a, b], [c, d]], spec)
+
+        # A companion matrix with an irreducible characteristic polynomial:
+        # x^2 + x + 1 over F_2, x^2 + n with -4n a non-residue over odd F_p,
+        # and x^2 + 3 over Q.
+        if p == 2:
+            t, n = 1, 1
+        elif p:
+            t, n = 0, next(n for n in range(1, p) if pow(-4 * n, (p - 1) // 2, p) == p - 1)
+        else:
+            t, n = 0, 3
+        C = mat(0, -n, 1, t)
+        N = mat(0, 1, 0, 0)
+        for kind in ("borel", "split", "nonsplit", "unipotent", "scalar", "air"):
+            for _ in range(20):
+                P = rand_invertible(rng, spec)
+                D = mat(x(), 0, 0, x())
+                gens = []
+                for _ in range(rng.randint(1, 3)):
+                    I, u, v = Mat2.identity(spec), spec.element(x()), spec.element(x())
+                    G = {"borel": lambda: mat(x(), x(), 0, x()),
+                         "split": lambda: I.scale(u) + D.scale(v),
+                         "nonsplit": lambda: I.scale(u) + C.scale(v),
+                         "unipotent": lambda: I.scale(u) + N.scale(v),
+                         "scalar": lambda: I.scale(u),
+                         "air": lambda: mat(x(), x(), x(), x())}[kind]()
+                    gens.append(G if kind in ("scalar", "air") else conjugate(P, G))
+                if rng.random() < 0.25:
+                    gens.insert(0, Mat2.identity(spec).scale(spec.element(x())))
+                corpus.append(RepTuple(tuple(gens)))
+    return corpus
+
+
+COMMON_INVARIANT_LINE_DIGEST = "4186a66ce3e5494a4f756e1541560790c6f6933a5ae6d3c20fa9a0d38f77bc86"
+
+
+def test_common_invariant_line_is_pinned():
+    """The sha256 of common_invariant_line's outputs on a seeded corpus,
+    which reaches tuples with no common line, the F_2 eigenvalue scan, a
+    pivot with a repeated eigenvalue, and a line found at the pivot's
+    second eigenvalue (the larger, as candidates are taken in increasing
+    order: residues over F_p, values over Q)."""
+    digest = hashlib.sha256()
+    seen = set()
+    for t in _invariant_line_corpus():
+        line = common_invariant_line(t)
+        digest.update(f"{t.spec}:{line and (line[0].text(), line[1].text())}\n".encode())
+        pivot = next((g for g in t.gens if not g.is_scalar), None)
+        if line is None:
+            seen.add("none")
+            continue
+        if pivot is None:
+            continue
+        seen.add(f"pivot over {t.spec}")
+        (x, y), (a, b, c, d) = line, pivot.entries()
+        assert x.value == 1 or not x and y.value == 1
+        lam = (a * x + b * y) if x else (c * x + d * y)
+        other = pivot.tr - lam
+        if other == lam:
+            seen.add("repeated")
+        elif lam.value > other.value:
+            seen.add("second")
+    assert {"none", "repeated", "second", "pivot over F2"} <= seen, seen
+    assert digest.hexdigest() == COMMON_INVARIANT_LINE_DIGEST
