@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fields import FieldElement, FieldSpec, Value, _fe, _ratio
 from .invariants import MAX_TRACES, _split_entries
-from .mat2 import Mat2, _companion_frame, _mat, eta
+from .mat2 import Mat2, _companion_frame, _mat, _normal, eta
 from .mold import MoldLabel, classify
 from .words import GROUP, RepTuple, Word
 
@@ -127,21 +127,17 @@ def _intertwiner_rows(pairs: list[tuple], p: int | None) -> list[tuple]:
     return [(tuple(e[::-1]), e[c]) for e, c in reversed(echelon)]
 
 
-def intertwiner_basis(t1: RepTuple, t2: RepTuple, *, pairs: Optional[list[tuple]] = None
-                      ) -> list[Mat2]:
+def intertwiner_basis(t1: RepTuple, t2: RepTuple) -> list[Mat2]:
     """Basis of the solution space {P : t1_i P = P t2_i for all i}, for
     tuples whose pairs agree in trace, determinant and scalar-ness (the
-    screen of general_conjugator); ValueError otherwise.  A caller that
-    has already screened passes the raw entries _pair_entries(t1, t2)
-    returned as pairs, so the screen runs once.  The basis is
+    screen of general_conjugator); ValueError otherwise.  The basis is
     _intertwiner_rows's, each P'/s a Mat2: the nullspace basis of the
     4m x 4 system, in its order.
     """
     spec = t1.spec
+    pairs = _pair_entries(t1, t2)
     if pairs is None:
-        pairs = _pair_entries(t1, t2)
-        if pairs is None:
-            raise ValueError("the pairs differ in trace, determinant or scalar-ness")
+        raise ValueError("the pairs differ in trace, determinant or scalar-ness")
     return [_mat(spec, P, s) for P, s in _intertwiner_rows(pairs, spec.p)]
 
 
@@ -331,8 +327,8 @@ class _Algebra(NamedTuple):
     tr' and det' the trace and determinant of X'.  gens holds for each
     generator A_i the integer triple (U, V, D) with A_i = (U I + V X')/D;
     invs holds the triples of the inverses in group mode and is None in
-    monoid mode.  Triples are residues over F_p, with D = 1 in gens, and
-    over Q have gcd 1 and D > 0 (_triple)."""
+    monoid mode.  Each triple is mat2._normal's form of (U, V, 0, 0)/D:
+    residues with D = 1 over F_p, and over Q gcd 1 and D > 0."""
 
     spec: FieldSpec
     x: tuple
@@ -346,8 +342,8 @@ class _Algebra(NamedTuple):
         """The triple (U, V, D) of rho(w) = (U I + V X')/D, multiplied
         letter by letter from (1, 0, 1) as (U + V X')(u + v X') =
         (U u - V v det') + (U v + u V + V v tr') X', since X'^2 = tr' X' -
-        det' I, with D = 1 over F_p (one inverse at the end, if an inverse
-        letter made D != 1).  A bad letter raises what RepTuple.evaluate
+        det' I; over F_p every triple has D = 1, so D stays 1 and no
+        inverse is taken.  A bad letter raises what RepTuple.evaluate
         raises for it."""
         p, tr, det, gens, invs = self.spec.p, self.tr, self.det, self.gens, self.invs
         U, V, D = 1, 0, 1
@@ -363,9 +359,6 @@ class _Algebra(NamedTuple):
                 U, V, D = U % p, V % p, D % p
             elif (k := gcd(U, V, D)) != 1:
                 U, V, D = U // k, V // k, D // k
-        if p and D != 1:
-            inv = pow(D, -1, p)
-            return U * inv % p, V * inv % p, 1
         return U, V, D
 
     def image(self, f: tuple) -> Mat2:
@@ -386,12 +379,10 @@ def _norm(alg: _Algebra, u: int, v: int) -> int:
 
 
 def _triple(p: int | None, U: int, V: int, D: int) -> tuple:
-    """(U, V, D) as residues over F_p, and over Q divided by the gcd with
-    the sign that makes D > 0."""
-    if p:
-        return U % p, V % p, D % p
-    k = gcd(U, V, D) if D > 0 else -gcd(U, V, D)
-    return U // k, V // k, D // k
+    """The triple of (U I + V X')/D, D != 0 (and prime to p): mat2._normal's
+    form of (U, V, 0, 0)/D."""
+    (U, V, _, _), D = _normal(p, (U, V, 0, 0), D)
+    return U, V, D
 
 
 def _algebra(tup: RepTuple, X: Mat2, outside: type[MoldkitError]) -> _Algebra:
@@ -405,16 +396,15 @@ def _algebra(tup: RepTuple, X: Mat2, outside: type[MoldkitError]) -> _Algebra:
     and a' - d', and mu A's entry at the pivot (b, c or a - d), that is
     b pi = mu b', c pi = mu c' and (a - d) pi = mu (a' - d'), checked on
     integers, mod p over F_p.  Then A = ((a pi - mu a') I + mu X')/(t pi),
-    over F_p times one inverse of pi, so D = 1 (t = 1).  The inverse of
-    (u I + v X')/e is e ((u + v tr') I - v X')/det(u I + v X'), nonzero in
-    group mode.
+    and the inverse of (u I + v X')/e is e ((u + v tr') I - v X')/det(u I
+    + v X'), nonzero in group mode; over F_p each triple is divided by its
+    D once, here (_triple), so that the fold never inverts.
     """
     p = tup.spec.p
     (a_, b_, c_, d_), s = X._ints, X._s
     pivot = b_ or c_ or a_ - d_
     if not pivot:
         raise ScalarInput("span{I, X} needs a non-scalar X")
-    inv = pow(pivot, -1, p) if p else 1
     tr, det = a_ + d_, a_ * d_ - b_ * c_
     gens = []
     for i, A in enumerate(tup.gens, start=1):
@@ -423,7 +413,7 @@ def _algebra(tup: RepTuple, X: Mat2, outside: type[MoldkitError]) -> _Algebra:
         off = (b * pivot - mu * b_, c * pivot - mu * c_, (a - d) * pivot - mu * (a_ - d_))
         if any(x % p for x in off) if p else any(off):
             raise outside(f"generator A_{i} is outside the chart span; tuple is not unipotent")
-        gens.append(_triple(p, (a * pivot - mu * a_) * inv, mu * inv, t * pivot * inv))
+        gens.append(_triple(p, a * pivot - mu * a_, mu, t * pivot))
     alg = _Algebra(tup.spec, X._ints, s, tr, det, tuple(gens), None)
     if tup.mode != GROUP:
         return alg

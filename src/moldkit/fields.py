@@ -88,23 +88,27 @@ class FieldSpec:
         return x if self.p is None else x % self.p
 
     def canonical(self, value) -> Value:
-        """Canonical raw value of an int, a Fraction or an element of this
-        spec: v mod p over F_p (a Fraction through its denominator's
-        inverse), or Fraction(v) over Q, a Fraction itself unchanged."""
+        """Canonical raw value of an int (a bool included), a Fraction or an
+        element of this spec: v mod p over F_p (a Fraction through its
+        denominator's inverse), or Fraction(v) over Q, a Fraction itself
+        unchanged.  TypeError for any other type: a float, a str or a
+        Decimal is neither truncated nor parsed (text goes through parse,
+        which bounds its digits)."""
         p = self.p
         if isinstance(value, FieldElement):
             if value.spec is not self and value.spec != self:
                 raise ValueError(f"element of {value.spec} used in {self}")
             return value.value
+        if isinstance(value, int):
+            return value % p if p else Fraction(value)
+        if not isinstance(value, Fraction):
+            raise TypeError(f"{type(value).__name__} is not an int, a Fraction"
+                            f" or an element of {self}")
         if p is None:
             return value if type(value) is Fraction else Fraction(value)
-        if type(value) is int:
-            return value % p
-        if isinstance(value, Fraction):
-            if value.denominator % p == 0:
-                raise ValueError(f"denominator not invertible mod {p}")
-            return value.numerator * pow(value.denominator, -1, p) % p
-        return int(value) % p
+        if value.denominator % p == 0:
+            raise ValueError(f"denominator not invertible mod {p}")
+        return value.numerator * pow(value.denominator, -1, p) % p
 
     def element(self, value) -> "FieldElement":
         """Canonical element from an int, Fraction or another element."""
@@ -139,9 +143,10 @@ class FieldSpec:
 @dataclass(frozen=True, slots=True, init=False)
 class FieldElement:
     """An exact element of a FieldSpec; arithmetic never mixes specs.  The
-    constructor canonicalises an int, a Fraction or an element of the spec:
-    v mod p over F_p (a Fraction through its denominator's inverse), or
-    Fraction(v) over Q."""
+    constructor canonicalises an int, a Fraction or an element of the spec
+    (FieldSpec.canonical, TypeError for any other type): v mod p over F_p
+    (a Fraction through its denominator's inverse), or Fraction(v) over
+    Q."""
 
     value: Value
     spec: FieldSpec

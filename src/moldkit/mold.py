@@ -1,16 +1,15 @@
 """Six-way mold classification over a field by one step kernel folded over
 trace-free rows, shared with the census; air witnesses, invariant lines,
 and the span closure of the generated algebra that tests check the kernel
-against.  The kernel, the witnesses and the span closure read the
-generators' own integers and scales (mat2), so they run no Fraction
-arithmetic over Q; only the invariant lines box entry values."""
+against.  The kernel, the witnesses, the invariant lines and the span
+closure read the generators' own integers and scales (mat2), so they run
+no Fraction arithmetic over Q and box only what they return."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -250,62 +249,60 @@ def _sqrt_mod(a: int, p: int) -> Optional[int]:
     return r
 
 
-def _sqrt_in_field(x, p: Optional[int]):
-    """A square root of the raw value x over F_p, or over Q if p is None; or
-    None when there is none."""
-    if p is not None:
-        return _sqrt_mod(x, p)
-    if x < 0:
-        return None
-    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    return Fraction(num, den) if num * num == x.numerator and den * den == x.denominator else None
-
-
-def _eigenlines(A: Mat2) -> list[tuple]:
-    """Base-field eigenlines of a non-scalar A as raw (x, y) pairs, scaled
-    so that the first nonzero coordinate is 1."""
-    p, r = A.spec.p, A.spec.reduce
-    a, b, c, d = A.values()
-    tr, det = r(a + d), r(a * d - b * c)
+def _eigenlines(p: Optional[int], a: int, b: int, c: int, d: int) -> list[tuple[int, int]]:
+    """Base-field eigenlines of a non-scalar A = (a, b, c, d)/s as integer
+    (x, y) pairs, one per eigenvalue in increasing order: residues over
+    F_p, values over Q, where s > 0 changes neither the lines nor the
+    order.  An eigenvalue is taken as mu/k, with k = 1 over F_p (mu a
+    residue, found by the scan of {0, 1} over F_2) and k = 2 over Q, mu =
+    a + d -/+ r for the integer root r of m = (a - d)^2 + 4bc; its line is
+    spanned by (k b, mu - k a), or (k d - mu, -k c) when both vanish, as
+    they do not both for a non-scalar A.  Distinct eigenvalues have
+    distinct lines."""
     if p == 2:
-        eigenvalues = [lam for lam in (0, 1) if not r(lam * lam - tr * lam + det)]
-    else:
-        s = _sqrt_in_field(r((a - d) ** 2 + 4 * b * c), p)
-        if s is None:
+        k, mus = 1, [lam for lam in (0, 1) if not (lam * lam - (a + d) * lam + a * d - b * c) % 2]
+    elif p:
+        r = _sqrt_mod((a - d) ** 2 + 4 * b * c, p)
+        if r is None:
             return []
-        half = pow(2, -1, p) if p else Fraction(1, 2)
-        lam1, lam2 = r((tr + s) * half), r((tr - s) * half)
-        eigenvalues = [lam1] if lam1 == lam2 else sorted([lam1, lam2])
-    lines: list[tuple] = []
-    for lam in eigenvalues:
-        m11, m22 = r(a - lam), r(d - lam)
-        if m11 or b:
-            v = (b, r(-m11))
-        elif c or m22:
-            v = (m22, r(-c))
-        else:
-            continue  # A = lam I, excluded for non-scalar A
-        scale = pow(v[0] or v[1], -1, p)
-        line = (r(scale * v[0]), r(scale * v[1]))
-        if line not in lines:
-            lines.append(line)
+        half = (p + 1) // 2
+        k, mus = 1, sorted({(a + d - r) * half % p, (a + d + r) * half % p})
+    else:
+        m = (a - d) ** 2 + 4 * b * c
+        r = math.isqrt(m) if m >= 0 else -1
+        if r * r != m:
+            return []
+        k, mus = 2, [a + d - r, a + d + r] if r else [a + d]
+    lines = []
+    for mu in mus:
+        x, y = k * b, mu - k * a
+        if not (x % p or y % p if p else x or y):
+            x, y = k * d - mu, -k * c
+        lines.append((x, y))
     return lines
 
 
 def common_invariant_line(t: RepTuple) -> Optional[tuple[FieldElement, FieldElement]]:
-    """A line of the base plane fixed by every generator, if one exists.
+    """A line of the base plane fixed by every generator, if one exists,
+    scaled so that its first nonzero coordinate is 1.
 
     Candidates are the eigenlines of the first non-scalar generator; a line
-    fixed by the tuple is an eigenline of each non-scalar generator.  For
-    an all-scalar tuple every line works and (1, 0) is returned.
+    fixed by the tuple is an eigenline of each non-scalar generator.  A
+    candidate (x, y) is fixed by A = (a, b, c, d)/s iff (a x + b y) y -
+    (c x + d y) x vanishes, tested on the generators' integers (mod p over
+    F_p), and the line found is boxed once (fields._ratio).  For an
+    all-scalar tuple every line works and (1, 0) is returned.
     """
     pivot = next((g for g in t.gens if not g.is_scalar), None)
     spec = t.spec
     if pivot is None:
         return (spec.one(), spec.zero())
-    r = spec.reduce
-    for x, y in _eigenlines(pivot):
-        if all(not r((a * x + b * y) * y - (c * x + d * y) * x)
-               for a, b, c, d in (g.values() for g in t.gens)):
-            return _fe(x, spec), _fe(y, spec)
+    p = spec.p
+    mats = [g._ints for g in t.gens]
+    for x, y in _eigenlines(p, *pivot._ints):
+        zs = ((a * x + b * y) * y - (c * x + d * y) * x for a, b, c, d in mats)
+        if not (any(z % p for z in zs) if p else any(zs)):
+            if x % p if p else x:
+                return spec.one(), _fe(_ratio(p, y, x), spec)
+            return spec.zero(), spec.one()
     return None

@@ -39,7 +39,7 @@ from moldkit.errors import (
     NotUnipotentF2,
     ScalarInput,
 )
-from moldkit.mat2 import eta
+from moldkit.mat2 import _normal, eta
 from moldkit.words import words_up_to
 
 from conftest import (
@@ -624,6 +624,21 @@ def test_unipotent_fold_equals_the_evaluation(rng, spec):
         for _ in range(count):
             t = unipotent_tuple(rng, spec, rank, mode)
             assert_chart_is_the_evaluation(unipotent_decompose(t), words)
+
+
+@pytest.mark.parametrize("spec", [F3, F65521, Q], ids=str)
+def test_chart_triples_are_in_normal_form_so_the_fold_keeps_d_one(rng, spec):
+    """Every generator and inverse triple (U, V, D) of a group-mode chart is
+    mat2._normal's form of (U, V, 0, 0)/D: residues with D = 1 over F_p, and
+    gcd 1 with D > 0 over Q.  So over F_p every fold, inverse letters
+    included, ends at D = 1 with no inverse taken at the end."""
+    for rank in (1, 2, 3):
+        for _ in range(4):
+            alg = unipotent_decompose(unipotent_tuple(rng, spec, rank, "group"))._algebra
+            for U, V, D in alg.gens + alg.invs:
+                assert _normal(spec.p, (U, V, 0, 0), D) == ((U, V, 0, 0), D)
+            if spec.p:
+                assert all(alg.fold(w)[2] == 1 for w in signed_words(rank, 3))
 
 
 def test_uf2_fold_equals_the_evaluation_on_transition_chains_and_word_bases():

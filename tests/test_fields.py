@@ -5,11 +5,12 @@ import math
 import operator
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from moldkit import FieldElement, FieldSpec, embed_int, inv
+from moldkit import FieldElement, FieldSpec, Mat2, embed_int, inv
 from moldkit.errors import BudgetExceeded, ZeroInverse
 from moldkit.fields import _fe, _ratio, _shared_spec, is_prime
 
@@ -246,3 +247,18 @@ def test_ratio_is_the_canonical_value_of_the_fraction(rng, spec):
             checked += 1
     assert checked > 1000
 
+
+
+@pytest.mark.parametrize("spec", [F5, Q], ids=str)
+@pytest.mark.parametrize("value", [1.5, 2.0, "7", "1e300000", Decimal("2.5"), Decimal(3)],
+                         ids=repr)
+def test_canonical_refuses_anything_but_ints_fractions_and_elements(spec, value):
+    """A float, a str or a Decimal is refused with TypeError wherever a
+    value is canonicalised, instead of truncated by int() over F_p or
+    taken by Fraction() over Q past parse's digit bound; bools stay ints."""
+    for build in (spec.canonical, spec.element, lambda v: FieldElement(v, spec),
+                  lambda v: Mat2.from_rows([[v, 0], [0, 1]], spec),
+                  lambda v: Mat2.from_rows([[1, 0], [0, v]], spec)):
+        with pytest.raises(TypeError):
+            build(value)
+    assert spec.canonical(True) == 1 and spec.canonical(False) == 0

@@ -12,6 +12,7 @@ from moldkit import (
     MoldLabel,
     RepTuple,
     classify,
+    common_invariant_line,
     companion_normalize,
     general_conjugator,
     invariant_vector,
@@ -224,12 +225,12 @@ def _q_decide_cases(rng):
 
 def _q_decide(mode, gens, conj, other):
     """Every decider on one case, over any field: the labels, the air
-    witness, the moduli vector, general conjugators to a conjugate and to
+    witness, the common invariant line, the moduli vector, general conjugators to a conjugate and to
     another tuple, the semi-simple deciders and split witness, and the
     companion forms."""
     t, t2, t3 = (RepTuple(g, mode) for g in (gens, conj, other))
-    out = [classify(t), classify(t3), air_witness(t), invariant_vector(t),
-           general_conjugator(t, t2), general_conjugator(t, t3)]
+    out = [classify(t), classify(t3), air_witness(t), common_invariant_line(t),
+           invariant_vector(t), general_conjugator(t, t2), general_conjugator(t, t3)]
     if classify(t) is MoldLabel.SEMISIMPLE:
         out += [ss_conjugator(t, t2), ss_equivalent(t, t2), split_witness_word(t)]
         if classify(t3) is MoldLabel.SEMISIMPLE:
@@ -241,10 +242,10 @@ def test_q_kernels_run_no_fraction_arithmetic(monkeypatch, rng):
     """With Fraction's arithmetic operators refusing, Q rref, the kernel
     classifier on integer-scaled entries, and the whole Q decide path run
     and give what they gave before: group-mode RepTuple construction,
-    classify, air_witness, invariant_vector, general_conjugator on
-    conjugate and non-conjugate pairs, ss_conjugator, ss_equivalent,
-    split_witness_word and companion_normalize.  Building a Fraction stays
-    allowed."""
+    classify, air_witness, common_invariant_line, invariant_vector,
+    general_conjugator on conjugate and non-conjugate pairs, ss_conjugator,
+    ss_equivalent, split_witness_word and companion_normalize.  Building a
+    Fraction stays allowed."""
     systems = [_q_system(rng)[0] for _ in range(100)]
     tuples = [[linalg._int_scaled(g.values())[0] for g in t.gens]
               for rank in (1, 2, 3) for _ in range(10) for t in stratum_samples(rng, Q, rank)]
@@ -281,9 +282,9 @@ def test_fp_kernels_build_no_fraction_and_scale_nothing(monkeypatch, rng, spec):
     Fraction construction and linalg._int_scaled refusing, wherever a
     module binds it, the whole F_p decide path runs in both modes and gives
     what it gave before: RepTuple construction, classify, air_witness,
-    invariant_vector, general_conjugator on conjugate and non-conjugate
-    pairs, ss_conjugator, ss_equivalent, split_witness_word and
-    companion_normalize.  Over F_p a matrix's form is its residues with
+    common_invariant_line, invariant_vector, general_conjugator on
+    conjugate and non-conjugate pairs, ss_conjugator, ss_equivalent,
+    split_witness_word and companion_normalize.  Over F_p a matrix's form is its residues with
     scale 1, so nothing is scaled, and words does not bind _int_scaled."""
     cases = _decide_cases(rng, spec)
     answers = [_q_decide(*case) for case in cases]

@@ -664,3 +664,45 @@ def test_common_invariant_line_is_pinned():
             seen.add("second")
     assert {"none", "repeated", "second", "pivot over F2"} <= seen, seen
     assert digest.hexdigest() == COMMON_INVARIANT_LINE_DIGEST
+
+
+def _fixed_lines(p, mats):
+    """The lines of F_p^2, as (1, y) and (0, 1), fixed by every residue
+    matrix (a, b, c, d) in mats: brute force over all p + 1 lines."""
+    lines = [(1, y) for y in range(p)] + [(0, 1)]
+    return [(x, y) for x, y in lines
+            if all(((a * x + b * y) * y - (c * x + d * y) * x) % p == 0 for a, b, c, d in mats)]
+
+
+def _check_against_the_brute_force_lines(t):
+    fixed = _fixed_lines(t.spec.p, [g.values() for g in t.gens])
+    line = common_invariant_line(t)
+    if line is None:
+        assert not fixed, t
+        return False
+    assert (line[0].value, line[1].value) in fixed, (t, line)
+    return True
+
+
+@pytest.mark.parametrize("spec", [F2, F3], ids=str)
+def test_common_invariant_line_is_none_iff_no_line_is_fixed_on_all_pairs(spec):
+    """Over F_2 and F_3, for every pair: None iff none of the p + 1 lines
+    is fixed by both generators, else a fixed line whose first nonzero
+    coordinate is 1."""
+    mats = all_mats(spec)
+    found = [_check_against_the_brute_force_lines(RepTuple((A, B))) for A in mats for B in mats]
+    assert 0 < sum(found) < len(found)
+
+
+def test_common_invariant_line_is_none_iff_no_line_is_fixed_on_f5_triples(rng):
+    """Seeded F_5 triples, half of them drawn among the matrices that fix
+    one random line, checked as on the F_2 and F_3 pairs."""
+    mats = all_mats(F5)
+    pools = [[M for M in mats if line in _fixed_lines(5, [M.values()])]
+             for line in _fixed_lines(5, [])]
+    found = []
+    for _ in range(1500):
+        pool = rng.choice(pools) if rng.random() < 0.5 else mats
+        found.append(_check_against_the_brute_force_lines(
+            RepTuple(tuple(rng.choice(pool) for _ in range(3)))))
+    assert 300 < sum(found) < 1200
